@@ -93,17 +93,18 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
                            node_limit: Optional[int] = None) -> BoundReport:
     """n-1+delta(u) for wheels, n-2+delta(u) for fans, u a median of the host.
 
-    Sharp exactly when the host minus u has a spanning cycle (wheel) or
-    spanning path (fan); the verdict runs that search and, on success,
-    confirms the constructed embedding meets the bound.
+    Sharp exactly when the host minus some median u has a spanning cycle
+    (wheel) or spanning path (fan): equality needs the hub on a vertex of
+    status delta and every rim edge on a single host edge. The verdict tries
+    the medians in id order and, on success, confirms the constructed
+    embedding meets the bound.
     """
     if kind not in ("wheel", "fan"):
         raise ValueError(f"kind must be 'wheel' or 'fan', got {kind!r}")
     n = H.order
     if n < 4:
         raise ValueError(f"wirelength bound needs host order >= 4, got {n}")
-    medians, delta = status_and_median(H)
-    u = medians[0]
+    _, delta = status_and_median(H)
     rim_edges = n - 1 if kind == "wheel" else n - 2
     bound = rim_edges + delta
     construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
@@ -111,11 +112,11 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
         witness = construct(H, node_limit=node_limit)
     except HostNotHamiltonianError as exc:
         return BoundReport(metric="wirelength", bound=bound, sharp=False,
-                           notes=f"median {u}, status {delta}; {exc}")
+                           notes=f"status {delta}; {exc}")
     achieved = evaluate(witness).wirelength
     return BoundReport(metric="wirelength", bound=bound, achieved=achieved,
                        sharp=achieved == bound, witness=witness,
-                       notes=f"median {u}, status {delta}")
+                       notes=f"median {witness.vmap[1]}, status {delta}")
 
 
 def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,

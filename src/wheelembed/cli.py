@@ -96,18 +96,30 @@ def embedding_to_json(emb: EmbeddingMap, method: str = "") -> str:
     return _dump(payload)
 
 
+def _is_vertex_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def embedding_from_json(guest: Graph, host: Graph, text: str) -> EmbeddingMap:
     """Parse and re-validate an embedding JSON against its guest and host."""
     data = json.loads(text)
     if not isinstance(data, dict) or "vmap" not in data or "routes" not in data:
         raise ValueError("embedding JSON must contain 'vmap' and 'routes'")
     vmap_list = data["vmap"]
+    if not _is_vertex_list(vmap_list):
+        raise ValueError("embedding vmap must be a list of integer vertex ids")
     if len(vmap_list) != guest.order:
         raise ValueError(f"vmap lists {len(vmap_list)} images for {guest.order} guest vertices")
+    if not isinstance(data["routes"], dict):
+        raise ValueError("embedding routes must be an object keyed by guest edges 'u-v'")
     vmap = {g: vmap_list[g - 1] for g in guest.vertices()}
     routes = {}
     for key, seq in data["routes"].items():
         u_text, _, v_text = key.partition("-")
+        if not (u_text.isdecimal() and v_text.isdecimal()):
+            raise ValueError(f"route key {key!r} is not a guest edge 'u-v'")
+        if not _is_vertex_list(seq):
+            raise ValueError(f"route {key!r} must be a list of integer vertex ids")
         routes[(int(u_text), int(v_text))] = tuple(seq)
     return build_embedding(guest, host, vmap, routes)
 
@@ -376,16 +388,25 @@ def _cmd_ham(args) -> int:
     return EXIT_OK
 
 
+def _jobs_from_env() -> int:
+    text = os.environ.get(JOBS_ENV_VAR, "1")
+    try:
+        return max(int(text), 1)
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {text!r}") from None
+
+
 def _cmd_oracle(args) -> int:
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
+    jobs = args.jobs if args.jobs is not None else _jobs_from_env()
     if args.metric == "dil":
-        result = oracle.exact_dilation(guest, host, args.limit, jobs=args.jobs)
+        result = oracle.exact_dilation(guest, host, args.limit, jobs=jobs)
     elif args.metric == "wl":
-        result = oracle.exact_wirelength(guest, host, args.limit, jobs=args.jobs)
+        result = oracle.exact_wirelength(guest, host, args.limit, jobs=jobs)
     else:
         result = oracle.exact_congestion(guest, host, args.limit,
-                                         route_cap=args.route_cap, jobs=args.jobs)
+                                         route_cap=args.route_cap, jobs=jobs)
     payload = {
         "metric": result.metric,
         "optimum": result.optimum,
@@ -420,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "dilation/congestion/wirelength analysis.")
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
 
     p = sub.add_parser("gen", help="generate a family instance as graph JSON")
     p.add_argument("family", choices=families.FAMILY_KINDS)
@@ -484,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--metric", required=True, choices=("dil", "ec", "wl"))
     p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_LIMIT)
-    p.add_argument("--jobs", type=_positive, default=max(default_jobs, 1))
+    p.add_argument("--jobs", type=_positive,
+                   help=f"worker processes (default: ${JOBS_ENV_VAR}, else 1)")
     p.add_argument("--route-cap", type=_positive, default=oracle.DEFAULT_ROUTE_CAP)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_oracle)

@@ -10,11 +10,10 @@ spanning-path) placement of wheels and fans into arbitrary hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import families
-from .graphs import Graph, edge_key, is_connected, single_source_distances, status_and_median
+from .graphs import Graph, edge_key, is_connected, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 GUEST_KINDS = ("wheel", "fan", "friendship", "star")
@@ -22,8 +21,8 @@ TREE_HOST_KINDS = ("hypertree", "sibling_tree", "x_tree")
 
 
 class HostNotHamiltonianError(ValueError):
-    """The host minus its median has no spanning cycle or path, so the
-    median construction (and wirelength equality) is unattainable."""
+    """The host minus each of its medians has no spanning cycle or path, so
+    the median construction (and wirelength equality) is unattainable."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +65,8 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
     if set(canonical) != guest.edges:
         raise ValueError("routes must cover exactly the guest edges")
     for (u, v), route in canonical.items():
+        if not route:
+            raise ValueError(f"route for guest edge ({u}, {v}) is empty")
         if route[0] != vmap[u] or route[-1] != vmap[v]:
             raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
         if len(set(route)) != len(route):
@@ -77,30 +78,27 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
     return EmbeddingMap(guest, host, dict(vmap), canonical)
 
 
-def _lex_shortest_route(host: Graph, source: int, target: int,
-                        dist_to_target: Mapping[int, int]) -> tuple[int, ...]:
+def _lex_shortest_route(host: Graph, source: int, target: int) -> tuple[int, ...]:
     # walking greedily to the smallest neighbor that still shrinks the distance
     # yields the lexicographically least shortest path
-    if source not in dist_to_target:
+    if not 1 <= source <= host.order:
+        raise ValueError(f"vertex {source} outside 1..{host.order}")
+    dist_to_target = host.distance_row(target)
+    if dist_to_target[source] < 0:
         raise ValueError(f"host has no path between {source} and {target}")
     route = [source]
     cur = source
     while cur != target:
-        cur = min(w for w in host.adjacency[cur]
-                  if dist_to_target.get(w, -1) == dist_to_target[cur] - 1)
+        step = dist_to_target[cur] - 1
+        cur = min(w for w in host.adjacency[cur] if dist_to_target[w] == step)
         route.append(cur)
     return tuple(route)
 
 
 def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> EmbeddingMap:
     """Route every guest edge on the lexicographically least shortest host path."""
-    dist_cache: dict[int, dict[int, int]] = {}
-    routes = {}
-    for u, v in guest.edge_list():
-        a, b = vmap[u], vmap[v]
-        if b not in dist_cache:
-            dist_cache[b] = single_source_distances(host, b)
-        routes[(u, v)] = _lex_shortest_route(host, a, b, dist_cache[b])
+    routes = {(u, v): _lex_shortest_route(host, vmap[u], vmap[v])
+              for u, v in guest.edge_list()}
     return build_embedding(guest, host, vmap, routes)
 
 
@@ -113,7 +111,9 @@ def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
         for a, b in zip(route, route[1:]):
             cong[edge_key(a, b)] += 1
     wirelength = sum(dil.values())
-    assert wirelength == sum(cong.values())  # both sums count route edges once
+    if wirelength != sum(cong.values()):  # both sums count each route edge once
+        raise ValueError("dilation and congestion sums differ: the routes do not "
+                         "match the host edges")
     return EmbeddingMetrics(
         dil_per_edge=dil,
         cong_per_edge=cong,
@@ -121,11 +121,6 @@ def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
         max_congestion=max(cong.values(), default=0),
         wirelength=wirelength,
     )
-
-
-def expansion(emb: EmbeddingMap) -> Fraction:
-    """Host order over guest order; fixed at one for every construction here."""
-    return Fraction(emb.host.order, emb.guest.order)
 
 
 def preorder_sequence(level: int) -> tuple[int, ...]:
@@ -216,25 +211,30 @@ def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
     return build_embedding(guest, host, vmap, routes)
 
 
-def _median_vertex(host: Graph) -> tuple[int, int]:
-    medians, delta = status_and_median(host)
-    return medians[0], delta
+def _median_with_rim(host: Graph, find, what: str,
+                     node_limit: Optional[int]) -> tuple[int, tuple[int, ...]]:
+    """The first median, in id order, whose removal leaves a spanning `what`
+    (cycle or path found by `find`), together with that spanning subgraph."""
+    medians, _ = status_and_median(host)
+    for hub_image in medians:
+        rim = find(host, without_vertices=(hub_image,), node_limit=node_limit)
+        if rim is not None:
+            return hub_image, rim
+    listed = ", ".join(map(str, medians))
+    raise HostNotHamiltonianError(
+        f"host minus any of its medians ({listed}) has no hamiltonian {what}")
 
 
 def embed_wheel_via_median(host: Graph, *,
                            node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Wheel of the host's order: hub on a median, rim on a spanning cycle of
-    the host minus that median, spokes on shortest paths."""
+    """Wheel of the host's order: hub on the first median whose removal leaves
+    a spanning cycle, rim on that cycle, spokes on shortest paths."""
     if not is_connected(host):
         raise ValueError("median construction requires a connected host")
     n = host.order
     if n < 4:
         raise ValueError(f"wheel guest needs host order >= 4, got {n}")
-    hub_image, _ = _median_vertex(host)
-    rim = find_hamiltonian_cycle(host, without_vertices=(hub_image,), node_limit=node_limit)
-    if rim is None:
-        raise HostNotHamiltonianError(
-            f"host minus median {hub_image} has no hamiltonian cycle")
+    hub_image, rim = _median_with_rim(host, find_hamiltonian_cycle, "cycle", node_limit)
     guest = families.wheel(n)
     vmap = {1: hub_image}
     vmap.update({g: rim[g - 2] for g in range(2, n + 1)})
@@ -245,18 +245,14 @@ def embed_wheel_via_median(host: Graph, *,
 
 def embed_fan_via_median(host: Graph, *,
                          node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Fan of the host's order: hub on a median, rim path on a spanning path of
-    the host minus that median, spokes on shortest paths."""
+    """Fan of the host's order: hub on the first median whose removal leaves a
+    spanning path, rim path on that path, spokes on shortest paths."""
     if not is_connected(host):
         raise ValueError("median construction requires a connected host")
     n = host.order
     if n < 3:
         raise ValueError(f"fan guest needs host order >= 3, got {n}")
-    hub_image, _ = _median_vertex(host)
-    rim = find_hamiltonian_path(host, without_vertices=(hub_image,), node_limit=node_limit)
-    if rim is None:
-        raise HostNotHamiltonianError(
-            f"host minus median {hub_image} has no hamiltonian path")
+    hub_image, rim = _median_with_rim(host, find_hamiltonian_path, "path", node_limit)
     guest = families.fan(n)
     vmap = {1: hub_image}
     vmap.update({g: rim[g - 2] for g in range(2, n + 1)})

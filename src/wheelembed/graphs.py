@@ -1,14 +1,18 @@
 """Labeled simple undirected graphs and their distance-based invariants.
 
-Vertices are numbered 1..order everywhere in this package. All values are
-immutable after construction, so they can be shared freely across threads.
+Vertices are numbered 1..order everywhere in this package. A Graph's fields
+are immutable after construction. The only state added later is the lazy,
+per-instance cache of BFS distance rows behind `Graph.distance_row`: each row
+is computed on first use and then shared by every distance consumer
+(connectivity, radius, median, shells, shortest routes, oracles). Two threads
+that miss on the same row both compute it and store equal tuples, so sharing
+a Graph across threads stays safe; the cache never changes `==` or `hash`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -42,6 +46,22 @@ class Graph:
             nbrs[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
+    @cached_property
+    def _distance_rows(self) -> list[Optional[tuple[int, ...]]]:
+        # slot v holds the BFS row from v once some caller has asked for it
+        return [None] * (self.order + 1)
+
+    def distance_row(self, source: int) -> tuple[int, ...]:
+        """Hop distances from `source`, indexed by vertex id; -1 marks an
+        unreachable vertex and index 0 holds 0. Computed once per instance."""
+        if not 1 <= source <= self.order:
+            raise ValueError(f"vertex {source} outside 1..{self.order}")
+        rows = self._distance_rows
+        row = rows[source]
+        if row is None:
+            row = rows[source] = single_source_distances(self, source)
+        return row
+
     def vertices(self) -> range:
         return range(1, self.order + 1)
 
@@ -62,12 +82,13 @@ class Graph:
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
     """Validate vertex range, self-loops and duplicates, then build a Graph."""
-    if not isinstance(order, int) or order < 1:
+    # type() rather than isinstance(): bool subclasses int, and JSON true is no vertex id
+    if type(order) is not int or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     canon: set[tuple[int, int]] = set()
     for pair in edges:
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise ValueError(f"edge endpoints must be integers, got {pair!r}")
         if not (1 <= u <= order and 1 <= v <= order):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{order}")
@@ -111,34 +132,43 @@ class Shells:
         return sum((i + 1) * len(layer) for i, layer in enumerate(self.layers))
 
 
-def single_source_distances(G: Graph, source: int) -> dict[int, int]:
-    """BFS hop distances from `source` to every reachable vertex."""
+def single_source_distances(G: Graph, source: int) -> tuple[int, ...]:
+    """One BFS from `source`: the uncached kernel behind `Graph.distance_row`.
+
+    Returns a row indexed by vertex id; -1 marks an unreachable vertex and
+    index 0, which names no vertex, holds 0 so that the sum and maximum of a
+    connected graph's row are the source's status and eccentricity.
+    """
     if not 1 <= source <= G.order:
         raise ValueError(f"vertex {source} outside 1..{G.order}")
-    dist = {source: 0}
-    queue = deque([source])
+    dist = [-1] * (G.order + 1)
+    dist[0] = dist[source] = 0
     adjacency = G.adjacency
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for w in adjacency[x]:
-            if w not in dist:
-                dist[w] = dx + 1
-                queue.append(w)
-    return dist
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for x in frontier:
+            for w in adjacency[x]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    return tuple(dist)
 
 
 def all_pairs_distances(G: Graph) -> DistanceTable:
-    """Breadth-first hop distances for all pairs, math.inf where unreachable."""
+    """Hop distances for all pairs from the cached rows, math.inf where unreachable."""
     rows = []
     for v in G.vertices():
-        reach = single_source_distances(G, v)
-        rows.append(tuple(reach.get(w, INFINITY) for w in G.vertices()))
+        row = G.distance_row(v)
+        rows.append(tuple(INFINITY if d < 0 else d for d in row[1:]))
     return DistanceTable(G.order, tuple(rows))
 
 
 def is_connected(G: Graph) -> bool:
-    return len(single_source_distances(G, 1)) == G.order
+    return min(G.distance_row(1)) >= 0
 
 
 def _require_connected(G: Graph, what: str) -> None:
@@ -149,17 +179,14 @@ def _require_connected(G: Graph, what: str) -> None:
 def radius_diameter(G: Graph) -> tuple[int, int]:
     """(radius, diameter) of a connected graph: min and max eccentricity."""
     _require_connected(G, "radius_diameter")
-    eccs = [max(single_source_distances(G, v).values()) if G.order > 1 else 0
-            for v in G.vertices()]
+    eccs = [max(G.distance_row(v)) for v in G.vertices()]
     return min(eccs), max(eccs)
 
 
 def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
     """Median set and its status: vertices minimizing the total distance to all others."""
     _require_connected(G, "status_and_median")
-    statuses = {}
-    for v in G.vertices():
-        statuses[v] = sum(single_source_distances(G, v).values())
+    statuses = {v: sum(G.distance_row(v)) for v in G.vertices()}
     best = min(statuses.values())
     medians = tuple(v for v in G.vertices() if statuses[v] == best)
     return medians, best
@@ -168,12 +195,11 @@ def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
 def shells(G: Graph, center: int) -> Shells:
     """Distance layers around `center`; together they partition the other vertices."""
     _require_connected(G, "shells")
-    dist = single_source_distances(G, center)
-    radius = max(dist.values())
-    layers = [set() for _ in range(radius)]
-    for v, d in dist.items():
-        if d > 0:
-            layers[d - 1].add(v)
+    dist = G.distance_row(center)
+    layers = [set() for _ in range(max(dist))]
+    for v in G.vertices():
+        if dist[v] > 0:
+            layers[dist[v] - 1].add(v)
     return Shells(center, tuple(frozenset(layer) for layer in layers))
 
 
@@ -214,6 +240,8 @@ def graph_from_json(text: str) -> Graph:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ValueError("graph name must be a string")
+    if not isinstance(data["edges"], list):
+        raise ValueError("graph edges must be a list of [u, v] pairs")
     edges = []
     for item in data["edges"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
-from .graphs import Graph, edge_key, single_source_distances
+from .graphs import Graph, edge_key, is_connected
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
@@ -38,19 +38,15 @@ class OracleResult:
     notes: str = ""
 
 
-def _check_instance(guest: Graph, host: Graph, limit: int) -> list[list[int]]:
+def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ...]]:
+    """Validate the instance; dist[a][b] is the host distance (row 0 unused)."""
     if guest.order != host.order:
         raise ValueError(f"guest and host orders differ: {guest.order} vs {host.order}")
     if guest.order > limit:
         raise ValueError(f"order {guest.order} exceeds the oracle limit {limit}")
-    dist = [[0] * (host.order + 1) for _ in range(host.order + 1)]
-    for v in host.vertices():
-        reach = single_source_distances(host, v)
-        if len(reach) != host.order:
-            raise ValueError("oracle requires a connected host")
-        for w, d in reach.items():
-            dist[v][w] = d
-    return dist
+    if not is_connected(host):
+        raise ValueError("oracle requires a connected host")
+    return [()] + [host.distance_row(v) for v in host.vertices()]
 
 
 def _prior_neighbors(guest: Graph) -> list[list[int]]:
@@ -215,7 +211,7 @@ def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
 def _all_shortest_routes(host: Graph, a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
     """Every shortest a-b path as a tuple of canonical host edges, in
     lexicographic vertex-sequence order."""
-    dist_b = single_source_distances(host, b)
+    dist_b = host.distance_row(b)
     routes = []
 
     def walk(cur, edges_so_far):
@@ -223,7 +219,7 @@ def _all_shortest_routes(host: Graph, a: int, b: int) -> list[tuple[tuple[int, i
             routes.append(tuple(edges_so_far))
             return
         for w in host.adjacency[cur]:
-            if dist_b.get(w, -1) == dist_b[cur] - 1:
+            if dist_b[w] == dist_b[cur] - 1:
                 edges_so_far.append(edge_key(cur, w))
                 walk(w, edges_so_far)
                 edges_so_far.pop()
@@ -311,7 +307,7 @@ def _congestion_partition(args):
 
 
 def _is_tree(G: Graph) -> bool:
-    return len(G.edges) == G.order - 1 and len(single_source_distances(G, 1)) == G.order
+    return len(G.edges) == G.order - 1 and is_connected(G)
 
 
 def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,

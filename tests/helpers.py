@@ -4,6 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from wheelembed import graphs as graphs_mod
 from wheelembed.graphs import Graph, build_graph
 
 
@@ -42,3 +43,18 @@ def brute_distances(G: Graph) -> dict[tuple[int, int], float]:
                 if through < dist[(i, j)]:
                     dist[(i, j)] = through
     return dist
+
+
+def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
+    """Wrap the BFS kernel; the returned list collects (graph, source) per run.
+
+    The graphs stay referenced, so `id` tells distinct instances apart."""
+    runs: list[tuple[Graph, int]] = []
+    kernel = graphs_mod.single_source_distances
+
+    def recording(G, source):
+        runs.append((G, source))
+        return kernel(G, source)
+
+    monkeypatch.setattr(graphs_mod, "single_source_distances", recording)
+    return runs

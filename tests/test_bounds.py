@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from helpers import connected_graphs, record_bfs
 from wheelembed.bounds import (
     congestion_lower_bound,
     dilation_lower_bound,
@@ -10,6 +12,7 @@ from wheelembed.embedding import evaluate
 from wheelembed.families import (
     circulant,
     cycle,
+    fan,
     generalized_petersen,
     hypertree,
     star,
@@ -17,8 +20,11 @@ from wheelembed.families import (
     wheel,
     windmill,
 )
-from wheelembed.graphs import status_and_median
+from wheelembed.graphs import build_graph, status_and_median
 from wheelembed.hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
+from wheelembed.oracle import exact_wirelength
+
+GUESTS = {"wheel": wheel, "fan": fan}
 
 
 class TestDilationLowerBound:
@@ -85,19 +91,50 @@ class TestWirelengthLowerBound:
                  circulant(10, {2, 5}), wheel(8)]
         for host in hosts:
             medians, _ = status_and_median(host)
-            u = medians[0]
             wheel_report = wirelength_lower_bound("wheel", host)
-            has_cycle = find_hamiltonian_cycle(host, without_vertices=(u,)) is not None
+            has_cycle = any(find_hamiltonian_cycle(host, without_vertices=(u,)) is not None
+                            for u in medians)
             assert wheel_report.sharp == has_cycle
             fan_report = wirelength_lower_bound("fan", host)
-            has_path = find_hamiltonian_path(host, without_vertices=(u,)) is not None
+            has_path = any(find_hamiltonian_path(host, without_vertices=(u,)) is not None
+                           for u in medians)
             assert fan_report.sharp == has_path
+
+    @pytest.mark.parametrize("kind, edges, hub", [
+        # medians (1, 3, 5): only 3 leaves a spanning path
+        ("fan", [(1, 2), (1, 3), (1, 5), (3, 4), (3, 5), (4, 5)], 3),
+        # medians (2, 3, 4, 5): 2 leaves no spanning cycle, 3 does
+        ("wheel", [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)], 3),
+    ])
+    def test_sharp_at_a_later_median(self, kind, edges, hub):
+        host = build_graph(5, edges)
+        report = wirelength_lower_bound(kind, host)
+        assert report.sharp is True
+        assert report.achieved == report.bound == exact_wirelength(GUESTS[kind](5), host).optimum
+        assert report.witness.vmap[1] == hub
+
+
+@given(connected_graphs(min_order=4, max_order=7))
+@settings(max_examples=40, deadline=None)
+def test_wirelength_sharp_iff_oracle_meets_bound(host):
+    for kind, guest in GUESTS.items():
+        report = wirelength_lower_bound(kind, host)
+        optimum = exact_wirelength(guest(host.order), host).optimum
+        assert optimum >= report.bound
+        assert report.sharp == (optimum == report.bound)
 
 
 class TestVerifyTheorem:
     def test_dilation_instance(self):
         report = verify_theorem("dil-hypertree", kind="star", level=4)
         assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
+
+    def test_dilation_sweep_runs_each_bfs_once(self, monkeypatch):
+        runs = record_bfs(monkeypatch)
+        report = verify_theorem("dil-hypertree", kind="wheel", level=6)
+        assert report.sharp
+        pairs = [(id(G), source) for G, source in runs]
+        assert pairs and len(set(pairs)) == len(pairs)
 
     def test_dilation_all_hosts(self):
         for theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):

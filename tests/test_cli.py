@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from wheelembed.cli import main
+import pytest
+
+import wheelembed
+from wheelembed.cli import JOBS_ENV_VAR, main
 from wheelembed.families import circulant, hypertree
 from wheelembed.graphs import graph_from_json, graph_to_json
 
@@ -15,6 +22,20 @@ def write_graph(tmp_path, G, filename):
     target = tmp_path / filename
     target.write_text(graph_to_json(G))
     return str(target)
+
+
+def run_process(*argv, env=None):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    src = str(Path(wheelembed.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "wheelembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_one_line_input_error(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestGen:
@@ -249,6 +270,48 @@ class TestExport:
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "export", "--graph", "/nonexistent/graph.json")
         assert code == 1
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("text", [
+        '{"edges": 5, "order": 3}',
+        '{"order": true, "edges": []}',
+    ])
+    def test_malformed_graph_json(self, tmp_path, text):
+        target = tmp_path / "bad.json"
+        target.write_text(text)
+        assert_one_line_input_error(run_process("ham", "--graph", str(target), "--query", "cycle"))
+
+    def test_empty_route_in_embedding(self, tmp_path):
+        g = write_graph(tmp_path, circulant(4, {1}), "g.json")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps({"vmap": [1, 2, 3, 4],
+                                   "routes": {"1-2": [], "2-3": [2, 3], "3-4": [3, 4],
+                                              "1-4": [1, 4]}}))
+        assert_one_line_input_error(run_process("metrics", "--guest", g, "--host", g,
+                                                "--embedding", str(emb)))
+
+    def test_non_integer_jobs_variable(self, tmp_path):
+        g = write_graph(tmp_path, circulant(4, {1}), "g.json")
+        proc = run_process("oracle", "--guest", g, "--host", g, "--metric", "dil",
+                           env={JOBS_ENV_VAR: "abc"})
+        assert_one_line_input_error(proc)
+        assert JOBS_ENV_VAR in proc.stderr
+
+    @pytest.mark.parametrize("payload", [
+        {"vmap": 5, "routes": {}},
+        {"vmap": [1, 2, 3, True], "routes": {}},
+        {"vmap": [1, 2, 3, 4], "routes": [[1, 2]]},
+        {"vmap": [1, 2, 3, 4], "routes": {"1-2": 7}},
+        {"vmap": [1, 2, 3, 4], "routes": {"a-b": [1, 2]}},
+    ])
+    def test_malformed_embedding_shapes(self, capsys, tmp_path, payload):
+        g = write_graph(tmp_path, circulant(4, {1}), "g.json")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "metrics", "--guest", g, "--host", g, "--embedding", str(emb))
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 def test_version_exits_zero(capsys):

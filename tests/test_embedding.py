@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from wheelembed.embedding import (
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
-    expansion,
     preorder_sequence,
     route_shortest,
 )
@@ -218,14 +216,6 @@ class TestMedianConstructions:
     def test_star_host_has_no_spanning_path_either(self):
         with pytest.raises(HostNotHamiltonianError):
             embed_fan_via_median(star(8))
-
-
-class TestExpansion:
-    def test_always_one_here(self):
-        G = cycle(4)
-        assert expansion(route_shortest(G, G, identity(G))) == Fraction(1)
-        assert expansion(embed_windmill_into_circulant(3)) == 1
-        assert expansion(embed_wheel_via_median(circulant(8, {1, 2}))) == 1
 
 
 def test_double_counting_identity_on_seeded_random_embeddings():

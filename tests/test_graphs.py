@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_distances, connected_graphs, graphs
+from helpers import brute_distances, connected_graphs, graphs, record_bfs
 from wheelembed.families import circulant, cycle, generalized_petersen, hypertree, path, star, wheel
 from wheelembed.graphs import (
     all_pairs_distances,
@@ -46,10 +46,59 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(0, [])
 
+    def test_bool_order_and_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            build_graph(True, [])
+        with pytest.raises(ValueError, match="integers"):
+            build_graph(3, [(True, 2)])
+
     def test_edgeless_graph_allowed(self):
         # fault-deleted subgraphs may be disconnected yet must be representable
         G = build_graph(2, [])
         assert not is_connected(G)
+
+
+class TestDistanceRows:
+    def test_row_layout(self):
+        # index 0 names no vertex and holds 0; -1 marks unreachable vertices
+        G = build_graph(4, [(1, 2), (2, 3)])
+        assert G.distance_row(1) == (0, 0, 1, 2, -1)
+        assert G.distance_row(4) == (0, -1, -1, -1, 0)
+
+    def test_row_rejects_bad_vertex(self):
+        with pytest.raises(ValueError, match="outside"):
+            cycle(5).distance_row(6)
+        with pytest.raises(ValueError, match="outside"):
+            cycle(5).distance_row(0)
+
+    def test_rows_are_computed_once(self, monkeypatch):
+        runs = record_bfs(monkeypatch)
+        G = hypertree(4)
+        first = G.distance_row(3)
+        radius_diameter(G)
+        status_and_median(G)
+        shells(G, 3)
+        all_pairs_distances(G)
+        assert G.distance_row(3) is first
+        assert sorted(s for _, s in runs) == list(G.vertices())
+        # an equal but distinct instance keeps its own cache
+        H = hypertree(4)
+        H.distance_row(3)
+        assert len(runs) == G.order + 1 and runs[-1][0] is H
+
+    def test_connectivity_costs_one_bfs(self, monkeypatch):
+        runs = record_bfs(monkeypatch)
+        assert is_connected(cycle(6))
+        assert [s for _, s in runs] == [1]
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        G, H = circulant(8, {1, 2}), circulant(8, {1, 2})
+        before = hash(G)
+        assert G == H and hash(G) == hash(H)
+        all_pairs_distances(G)
+        assert G == H and hash(G) == hash(H) == before
+        assert len({G, H}) == 1
+        assert G != circulant(8, {1, 3})
 
 
 class TestDistances:
@@ -154,6 +203,28 @@ class TestJsonRoundTrip:
     def test_invalid_edge_shape_rejected(self):
         with pytest.raises(ValueError):
             graph_from_json('{"order": 3, "edges": [[1, 2, 3]]}')
+
+    def test_non_list_edges_rejected(self):
+        with pytest.raises(ValueError, match="list"):
+            graph_from_json('{"order": 3, "edges": 5}')
+
+
+@given(graphs(max_order=8))
+@settings(max_examples=80)
+def test_cached_rows_match_floyd_warshall(G):
+    oracle = brute_distances(G)
+    table = all_pairs_distances(G)
+    for u in G.vertices():
+        row = G.distance_row(u)
+        assert row[0] == 0 and len(row) == G.order + 1
+        for v in G.vertices():
+            expected = oracle[(u, v)]
+            if expected == math.inf:
+                assert row[v] == -1
+                assert table.between(u, v) == math.inf
+            else:
+                assert row[v] == table.between(u, v) == expected
+    assert is_connected(G) == (math.inf not in oracle.values())
 
 
 @given(graphs(max_order=7))
