@@ -23,7 +23,6 @@ from .embedding import (
     route_shortest,
 )
 from .families import (
-    FamilySpec,
     build_family,
     circulant,
     complete,

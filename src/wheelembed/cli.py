@@ -187,8 +187,7 @@ def _bound_payload(report) -> dict:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_gen(args) -> int:
-    spec = families.FamilySpec(args.family, tuple(args.params))
-    _emit(graph_to_json(spec.build()), args.out)
+    _emit(graph_to_json(families.build_family(args.family, args.params)), args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ vertices run 1..n around the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import Graph, build_graph, edge_key
@@ -233,14 +232,3 @@ def build_family(kind: str, params: Sequence[int]) -> Graph:
     if kind == "torus":
         return torus(params)
     raise ValueError(f"unknown family {kind!r}; known kinds: {', '.join(FAMILY_KINDS)}")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters, buildable into a Graph."""
-
-    kind: str
-    params: tuple[int, ...]
-
-    def build(self) -> Graph:
-        return build_family(self.kind, self.params)

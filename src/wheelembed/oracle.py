@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 from .graphs import Graph, edge_key, is_connected
 
@@ -28,7 +27,12 @@ DEFAULT_ROUTE_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimum value, lexicographically least optimal bijection, search size."""
+    """Optimum value, lexicographically least optimal bijection, search size.
+
+    `search_space` counts the leaves the search reached: complete bijections
+    that survived pruning (each routed, for congestion). With `prune=False`
+    and no `host_orbits` it is n!.
+    """
 
     metric: str
     optimum: int
@@ -59,91 +63,90 @@ def _prior_neighbors(guest: Graph) -> list[list[int]]:
     return prior
 
 
-def _search_minimax(args):
-    """Min over bijections of the max edge distance; DFS in lexicographic order."""
-    n, prior, dist, first_images, prune = args
+def _search(args):
+    """One branch-and-bound DFS over bijections in lexicographic order.
+
+    Guest vertices 1..n are placed in order, each on the least free host
+    image first. A placement extends the cost of the edges it closes: their
+    max host distance (dilation) or their sum (wirelength, congestion). The
+    subtree is skipped when an admissible lower bound reaches the best value
+    so far: the cost itself for dilation, the cost plus one per unclosed edge
+    for wirelength, and for congestion the larger of the running hub bound
+    ceil(deg_G(g)/deg_H(f(g))) and that edge total spread over |E(H)|. A
+    leaf's value is its cost, or for congestion its best shortest-path
+    routing. Returns (best, witness, leaves, capped); leaves counts every
+    complete bijection reached (routed, for congestion).
+    """
+    n, prior, dist, rest_after, first_images, prune, minimax, cong = args
+    if cong is not None:
+        hub, host_edge_count, guest_edges, route_table, route_cap = cong
     best = math.inf
     witness = None
     leaves = 0
+    capped = False
     images = [0] * (n + 1)
     used = [False] * (n + 1)
 
-    def rec(k: int, cur: int) -> None:
-        nonlocal best, witness, leaves
+    def rec(k: int, cur: int, hub_max: int) -> None:
+        nonlocal best, witness, leaves, capped
         if k > n:
             leaves += 1
-            if cur < best:
-                best = cur
+            value = cur
+            if cong is not None:
+                choices = [route_table[edge_key(images[u], images[v])] for u, v in guest_edges]
+                if math.prod(len(c) for c in choices) > route_cap:
+                    capped = True
+                    value = _canonical_congestion(choices)
+                else:
+                    value = _min_congestion_for_choices(choices, best if prune else math.inf)
+            if value is not None and value < best:
+                best = value
                 witness = tuple(images[1:])
             return
         candidates = first_images if k == 1 else range(1, n + 1)
         for h in candidates:
             if used[h]:
                 continue
+            row = dist[h]
             val = cur
-            for j in prior[k]:
-                d = dist[h][images[j]]
-                if d > val:
-                    val = d
-            if prune and val >= best:
+            if minimax:
+                for j in prior[k]:
+                    d = row[images[j]]
+                    if d > val:
+                        val = d
+                bound = val
+            else:
+                for j in prior[k]:
+                    val += row[images[j]]
+                bound = val + rest_after[k]
+            top = hub_max
+            if cong is not None:
+                top = max(hub_max, hub[k][h])
+                bound = max(top, -(bound // -host_edge_count))
+            if prune and bound >= best:
                 continue
             images[k] = h
             used[h] = True
-            rec(k + 1, val)
+            rec(k + 1, val, top)
             used[h] = False
         images[k] = 0
 
-    rec(1, 0)
-    return best, witness, leaves
-
-
-def _search_minsum(args):
-    """Min over bijections of the summed edge distances, with an admissible
-    remaining-edges lower bound (each unrouted edge costs at least 1)."""
-    n, prior, dist, rest_after, first_images, prune = args
-    best = math.inf
-    witness = None
-    leaves = 0
-    images = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def rec(k: int, cur: int) -> None:
-        nonlocal best, witness, leaves
-        if k > n:
-            leaves += 1
-            if cur < best:
-                best = cur
-                witness = tuple(images[1:])
-            return
-        candidates = first_images if k == 1 else range(1, n + 1)
-        for h in candidates:
-            if used[h]:
-                continue
-            val = cur
-            for j in prior[k]:
-                val += dist[h][images[j]]
-            if prune and val + rest_after[k] >= best:
-                continue
-            images[k] = h
-            used[h] = True
-            rec(k + 1, val)
-            used[h] = False
-        images[k] = 0
-
-    rec(1, 0)
-    return best, witness, leaves
+    rec(1, 0, 0)
+    return best, witness, leaves, capped
 
 
 def _reduce(parts):
     best = math.inf
     witness = None
     leaves = 0
-    for value, vmap, count in parts:
+    capped = False
+    for value, vmap, count, part_capped in parts:
         leaves += count
+        capped |= part_capped
         if vmap is not None and (value < best or (value == best and (witness is None or vmap < witness))):
             best = value
             witness = vmap
-    return best, witness, leaves
+    return best, witness, leaves, capped
 
 
 def _first_candidates(n: int, host_orbits) -> list[int]:
@@ -166,12 +169,24 @@ def _first_candidates(n: int, host_orbits) -> list[int]:
     return sorted(reps)
 
 
-def _run_partitioned(worker, make_args, firsts: list[int], jobs: int):
+def _run_partitioned(guest: Graph, dist, host_orbits, prune: bool, jobs: int, *,
+                     minimax: bool = False, cong=None):
+    """Run `_search` serially, or with one pool task per first image."""
+    n = guest.order
+    prior = _prior_neighbors(guest)
+    # rest_after[k] = guest edges still missing an endpoint once 1..k are placed
+    rest_after = [len(guest.edges)] * (n + 1)
+    for k in range(1, n + 1):
+        rest_after[k] = rest_after[k - 1] - len(prior[k])
+    firsts = _first_candidates(n, host_orbits)
+
+    def make_args(hs):
+        return (n, prior, dist, rest_after, hs, prune, minimax, cong)
+
     if jobs <= 1:
-        return worker(make_args(firsts))
-    partitions = [make_args([h]) for h in firsts]
+        return _search(make_args(firsts))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _reduce(pool.map(worker, partitions))
+        return _reduce(pool.map(_search, [make_args([h]) for h in firsts]))
 
 
 def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
@@ -180,11 +195,8 @@ def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     """Exact dil(guest, host): shortest routing makes per-edge dilation equal
     to the host distance of the images, so bijections alone decide the value."""
     dist = _check_instance(guest, host, limit)
-    prior = _prior_neighbors(guest)
-    n = guest.order
-    firsts = _first_candidates(n, host_orbits)
-    best, witness, leaves = _run_partitioned(
-        _search_minimax, lambda hs: (n, prior, dist, hs, prune), firsts, jobs)
+    best, witness, leaves, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
+                                                minimax=True)
     return OracleResult("dilation", int(best), witness, leaves, exact=True)
 
 
@@ -194,17 +206,7 @@ def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     """Exact WL(guest, host): minimum over bijections of the summed host
     distances between adjacent images."""
     dist = _check_instance(guest, host, limit)
-    prior = _prior_neighbors(guest)
-    n = guest.order
-    firsts = _first_candidates(n, host_orbits)
-    # rest_after[k] = guest edges still missing an endpoint once 1..k are placed
-    rest_after = [len(guest.edges)] * (n + 1)
-    placed = 0
-    for k in range(1, n + 1):
-        placed += len(prior[k])
-        rest_after[k] = len(guest.edges) - placed
-    best, witness, leaves = _run_partitioned(
-        _search_minsum, lambda hs: (n, prior, dist, rest_after, hs, prune), firsts, jobs)
+    best, witness, leaves, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs)
     return OracleResult("wirelength", int(best), witness, leaves, exact=True)
 
 
@@ -259,51 +261,13 @@ def _min_congestion_for_choices(choices, upper: float):
     return int(best) if best < upper else None
 
 
-def _congestion_partition(args):
-    (n, guest_edges, guest_degrees, host_degrees, host_edge_count, dist,
-     route_table, first_images, route_cap, prune) = args
-    best = math.inf
-    witness = None
-    evaluated = 0
-    capped = False
-
-    def perm_iter():
-        for first in first_images:
-            rest = [v for v in range(1, n + 1) if v != first]
-            for tail in permutations(rest):
-                yield (first,) + tail
-
-    for images in perm_iter():
-        f = (0,) + images  # f[g] = image of guest vertex g
-        if prune and best < math.inf:
-            # both bounds hold for any routing of this bijection
-            hub_bound = max(-(guest_degrees[g] // -host_degrees[f[g]])
-                            for g in range(1, n + 1))
-            total = sum(dist[f[u]][f[v]] for u, v in guest_edges)
-            if max(hub_bound, -(total // -host_edge_count)) >= best:
-                continue
-        choices = [route_table[edge_key(f[u], f[v])] for u, v in guest_edges]
-        product = 1
-        for c in choices:
-            product *= len(c)
-        evaluated += 1
-        if product > route_cap:
-            capped = True
-            loads: dict[tuple[int, int], int] = {}
-            for c in choices:  # canonical routing only: first (lex-least) route
-                for e in c[0]:
-                    loads[e] = loads.get(e, 0) + 1
-            value = max(loads.values(), default=0)
-            if value < best:
-                best = value
-                witness = images
-            continue
-        upper = best if prune else math.inf
-        value = _min_congestion_for_choices(choices, upper)
-        if value is not None and value < best:
-            best = value
-            witness = images
-    return best, witness, evaluated, capped
+def _canonical_congestion(choices) -> int:
+    """Max edge load when every edge takes its first (lex-least) route."""
+    loads: dict[tuple[int, int], int] = {}
+    for c in choices:
+        for e in c[0]:
+            loads[e] = loads.get(e, 0) + 1
+    return max(loads.values(), default=0)
 
 
 def _is_tree(G: Graph) -> bool:
@@ -323,27 +287,15 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     bound on the unrestricted optimum and `exact` is False.
     """
     dist = _check_instance(guest, host, limit)
-    n = guest.order
-    guest_edges = guest.edge_list()
-    route_table = {}
-    for a in host.vertices():
-        for b in range(a + 1, host.order + 1):
-            route_table[(a, b)] = _all_shortest_routes(host, a, b)
-    guest_degrees = [0] + [guest.degree(v) for v in guest.vertices()]
-    host_degrees = [0] + [host.degree(v) for v in host.vertices()]
-    firsts = _first_candidates(n, host_orbits)
-
-    def make_args(hs):
-        return (n, guest_edges, guest_degrees, host_degrees, len(host.edges),
-                dist, route_table, hs, route_cap, prune)
-
-    if jobs <= 1:
-        best, witness, evaluated, capped = _congestion_partition(make_args(firsts))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_congestion_partition, [make_args([h]) for h in firsts]))
-        best, witness, evaluated = _reduce([p[:3] for p in parts])
-        capped = any(p[3] for p in parts)
+    route_table = {(a, b): _all_shortest_routes(host, a, b)
+                   for a in host.vertices() for b in range(a + 1, host.order + 1)}
+    # hub[g][h] = ceil(deg_G(g) / deg_H(h)) bounds the load of any routing;
+    # the max(.., 1) guards only the edgeless order-1 host, where all terms are 0
+    hub = [()] + [[0] + [-(guest.degree(g) // -max(host.degree(h), 1)) for h in host.vertices()]
+                  for g in guest.vertices()]
+    cong = (hub, max(len(host.edges), 1), guest.edge_list(), route_table, route_cap)
+    best, witness, leaves, capped = _run_partitioned(guest, dist, host_orbits, prune, jobs,
+                                                     cong=cong)
 
     tree_host = _is_tree(host)
     exact = tree_host and not capped
@@ -354,5 +306,5 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     if capped:
         notes.append(f"route-combination cap {route_cap} exceeded for some bijections; "
                      "those used the canonical routing only")
-    return OracleResult("congestion", int(best), witness, evaluated,
+    return OracleResult("congestion", int(best), witness, leaves,
                         exact=exact, notes="; ".join(notes))

@@ -227,6 +227,17 @@ class TestOracleCommand:
         assert payload["optimum"] == 6
         assert payload["exact"] is True
 
+    def test_route_cap_fallback_is_noted(self, capsys, tmp_path):
+        from wheelembed.families import cycle, star
+        g = write_graph(tmp_path, star(6), "g.json")
+        h = write_graph(tmp_path, cycle(6), "h.json")
+        code, out, _ = run(capsys, "oracle", "--guest", g, "--host", h,
+                           "--metric", "ec", "--route-cap", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] is False
+        assert "route-combination cap 1" in payload["notes"]
+
     def test_limit_violation_exits_one(self, capsys, tmp_path):
         from wheelembed.families import cycle
         g = write_graph(tmp_path, cycle(10), "g.json")

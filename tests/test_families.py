@@ -1,7 +1,6 @@
 import pytest
 
 from wheelembed.families import (
-    FamilySpec,
     build_family,
     circulant,
     complete,
@@ -167,8 +166,11 @@ class TestOtherHosts:
 
 
 class TestFamilySpec:
+    """A family spec is a kind name plus integer parameters; `build_family`
+    dispatches it."""
+
     def test_dispatch(self):
-        assert FamilySpec("hypertree", (4,)).build().edges == hypertree(4).edges
+        assert build_family("hypertree", (4,)).edges == hypertree(4).edges
         assert build_family("circulant", [8, 1, 2]).edges == circulant(8, {1, 2}).edges
         assert build_family("torus", [3, 3]).edges == torus([3, 3]).edges
         assert build_family("generalized_petersen", [5, 2]).edges == generalized_petersen(5, 2).edges
@@ -184,8 +186,7 @@ class TestFamilySpec:
             build_family("circulant", [8])
 
     def test_hub_labelled_one_everywhere(self):
-        for spec in (FamilySpec("wheel", (9,)), FamilySpec("fan", (9,)),
-                     FamilySpec("friendship", (4,)), FamilySpec("windmill", (4,)),
-                     FamilySpec("star", (9,))):
-            G = spec.build()
+        for kind, params in (("wheel", (9,)), ("fan", (9,)), ("friendship", (4,)),
+                             ("windmill", (4,)), ("star", (9,))):
+            G = build_family(kind, params)
             assert G.degree(1) == G.order - 1

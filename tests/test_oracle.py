@@ -1,7 +1,25 @@
-import pytest
+import json
+import math
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import connected_graphs
 from wheelembed.embedding import embed_wheel_like_into_tree_host, evaluate, route_shortest
-from wheelembed.families import circulant, complete, cycle, hypertree, path, star, wheel, windmill
+from wheelembed.families import (
+    circulant,
+    complete,
+    complete_binary_tree,
+    cycle,
+    hypertree,
+    path,
+    star,
+    torus,
+    wheel,
+    windmill,
+)
 from wheelembed.graphs import all_pairs_distances
 from wheelembed.oracle import exact_congestion, exact_dilation, exact_wirelength
 
@@ -77,6 +95,52 @@ class TestExactCongestion:
         assert result.witness_vmap == (1, 2, 3, 4)
 
 
+class TestRouteCapFallback:
+    """Bijections whose shortest-route product exceeds `route_cap` are
+    routed canonically; the result then says so and is not exact."""
+
+    @pytest.mark.parametrize("guest,host", [
+        (star(6), cycle(6)),
+        (wheel(6), circulant(6, {1, 2})),
+    ])
+    def test_capped_search_agrees_across_modes(self, guest, host):
+        capped = exact_congestion(guest, host, route_cap=1)
+        assert not capped.exact
+        assert "route-combination cap 1" in capped.notes
+        free = exact_congestion(guest, host, route_cap=1, prune=False)
+        assert (free.optimum, free.witness_vmap) == (capped.optimum, capped.witness_vmap)
+        assert free.search_space == 720
+        parallel = exact_congestion(guest, host, route_cap=1, jobs=2)
+        assert (parallel.optimum, parallel.witness_vmap, parallel.notes) == (
+            capped.optimum, capped.witness_vmap, capped.notes)
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+
+class TestOracleExhaustiveCongestion:
+    """The benchmark's congestion instances, built in-process, reproduce its
+    recorded CLI outputs field for field."""
+
+    @pytest.mark.parametrize("guest,host,name", [
+        (wheel(9), circulant(9, {1, 3}), "ec-wheel9-circulant9"),
+        (wheel(9), torus([3, 3]), "ec-wheel9-torus3x3"),
+        (windmill(4), circulant(8, {1, 2}), "ec-windmill4-circulant8"),
+        (star(7), complete_binary_tree(3), "ec-star7-cbt3"),
+    ])
+    def test_matches_recorded_output(self, guest, host, name):
+        expected = json.loads((EXPECTED / f"{name}.out").read_text())
+        result = exact_congestion(guest, host)
+        assert {
+            "metric": result.metric,
+            "optimum": result.optimum,
+            "witness_vmap": list(result.witness_vmap),
+            "search_space": result.search_space,
+            "exact": result.exact,
+            "notes": result.notes,
+        } == expected
+
+
 class TestDeterminismAndPruning:
     INSTANCES = [
         (cycle(5), cycle(5)),
@@ -92,6 +156,17 @@ class TestDeterminismAndPruning:
             free = runner(guest, host, prune=False)
             assert pruned.optimum == free.optimum
             assert pruned.witness_vmap == free.witness_vmap
+
+    @given(st.integers(3, 6).flatmap(
+        lambda n: st.tuples(connected_graphs(n, n), connected_graphs(n, n))))
+    @settings(max_examples=50, deadline=None)
+    def test_pruning_never_changes_the_answer(self, pair):
+        guest, host = pair
+        for runner in (exact_dilation, exact_wirelength, exact_congestion):
+            pruned = runner(guest, host, prune=True)
+            free = runner(guest, host, prune=False)
+            assert (pruned.optimum, pruned.witness_vmap) == (free.optimum, free.witness_vmap)
+        assert exact_congestion(guest, host, prune=False).search_space == math.factorial(guest.order)
 
     def test_unpruned_search_space_is_factorial(self):
         result = exact_wirelength(cycle(5), cycle(5), prune=False)
