@@ -367,8 +367,12 @@ def _cmd_ham(args) -> int:
     elif args.query == "path":
         ends = None
         if args.ends:
-            u_text, _, v_text = args.ends.partition(",")
-            ends = (int(u_text), int(v_text))
+            try:
+                u, v = (int(text) for text in args.ends.split(","))
+            except ValueError:
+                raise ValueError(f"--ends must have the form u,v with two vertex ids, "
+                                 f"got {args.ends!r}") from None
+            ends = (u, v)
         witness = find_hamiltonian_path(G, ends, node_limit=args.node_limit)
         payload.update({"verdict": witness is not None,
                         "witness": list(witness) if witness else None})

@@ -1,9 +1,13 @@
 """Exact hamiltonian cycle/path search and fault-tolerant hamiltonicity checks.
 
-Backtracking with reachability and anchor-degree pruning. Verdicts are exact;
-a configurable node-expansion cap turns long searches into an explicit
-inconclusive outcome instead of a wrong answer. Intended for graphs up to
-around 16 vertices when sweeping fault sets.
+Backtracking with reachability and anchor-degree pruning on bitmasks: a
+survivor graph is a list of neighbour masks indexed by vertex id (bit w of
+adj[v] set iff edge vw survives) plus a mask of surviving vertices, and the
+search passes its unvisited set down as one int. Children are tried lowest
+bit first, so witnesses are lexicographically least. Verdicts are exact; a
+node-expansion cap turns long searches into an explicit inconclusive
+outcome instead of a wrong answer. Intended for graphs up to around 16
+vertices when sweeping fault sets.
 """
 
 from __future__ import annotations
@@ -53,175 +57,162 @@ class LemmaPath(NamedTuple):
 
 
 class _Budget:
-    """Node-expansion counter; None means unlimited."""
+    """Node-expansion counter of one search; None means unlimited. `kind`,
+    `pair` and `spec` only name the search when the budget runs out."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "limit", "kind", "pair", "spec")
 
-    def __init__(self, limit: Optional[int]):
+    def __init__(self, limit: Optional[int], kind: str,
+                 pair: Optional[tuple[int, int]] = None, spec: Optional[FaultSpec] = None):
         if limit is not None and limit <= 0:
             raise ValueError(f"node_limit must be positive, got {limit}")
-        self.remaining = limit
+        self.remaining = self.limit = limit
+        self.kind, self.pair, self.spec = kind, pair, spec
 
     def spend(self) -> None:
         if self.remaining is None:
             return
         self.remaining -= 1
         if self.remaining < 0:
-            raise SearchBudgetExceeded("search node budget exhausted")
+            pair = "" if self.pair is None else f" for pair {self.pair}"
+            faults = "" if self.spec is None else (
+                f" on fault set vertices {sorted(self.spec.vertices)}"
+                f" edges {[list(e) for e in sorted(self.spec.edges)]}")
+            raise SearchBudgetExceeded(
+                f"{self.kind} search{pair}{faults} exhausted node budget {self.limit}")
 
 
-def _surviving_adjacency(G: Graph,
-                         without_vertices=(),
-                         without_edges=()) -> dict[int, tuple[int, ...]]:
-    dead_v = set(without_vertices)
-    dead_e = {edge_key(u, v) for u, v in without_edges}
-    for v in dead_v:
-        if not 1 <= v <= G.order:
-            raise ValueError(f"vertex {v} outside 1..{G.order}")
-    return {
-        v: tuple(w for w in G.adjacency[v]
-                 if w not in dead_v and edge_key(v, w) not in dead_e)
-        for v in G.vertices() if v not in dead_v
-    }
+def _masks(G: Graph) -> list[int]:
+    adj = [0] * (G.order + 1)
+    for u, v in G.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
-def _reaches_all_unvisited(adj, visited, cur, remaining) -> bool:
-    # every unvisited vertex must be reachable from cur through unvisited ones
-    seen = {cur}
-    stack = [cur]
-    found = 0
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if w not in visited and w not in seen:
-                seen.add(w)
-                found += 1
-                if found == remaining:
-                    return True
-                stack.append(w)
-    return found == remaining
+def _survivors(G: Graph, base: list[int], without_vertices=(),
+               without_edges=()) -> tuple[list[int], int]:
+    """G's neighbour masks `base` minus the faults, and the surviving vertices."""
+    adj = base[:]
+    for u, v in without_edges:
+        if edge_key(u, v) not in G.edges:
+            raise ValueError(f"failed edge ({u}, {v}) is not an edge of the graph")
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    alive = (1 << (G.order + 1)) - 2
+    if without_vertices:
+        for v in without_vertices:
+            if not 1 <= v <= G.order:
+                raise ValueError(f"vertex {v} outside 1..{G.order}")
+            alive &= ~(1 << v)
+        adj = [m & alive for m in adj]  # a failed vertex's own row is never read
+    return adj, alive
 
 
-def _cycle_feasible(adj, visited, cur, start, remaining) -> bool:
-    if not any(w not in visited for w in adj[start]):
-        return False  # the closing edge back to start can never form
-    if not _reaches_all_unvisited(adj, visited, cur, remaining):
-        return False
-    # each unvisited vertex needs two usable cycle neighbors among the
-    # unvisited vertices plus the two open path ends
-    for v in adj:
-        if v in visited:
-            continue
-        anchors = 0
-        for w in adj[v]:
-            if w not in visited or w == cur or w == start:
-                anchors += 1
-                if anchors == 2:
-                    break
-        if anchors < 2:
-            return False
-    return True
+def _feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
+    """Can the path ending at `cur` still be completed over `unvisited`?
+
+    Each unvisited vertex needs two neighbors in `usable` (the unvisited
+    vertices plus the open path ends); one vertex of `weak_ok`, where a
+    path may end, gets by with one. All unvisited vertices must be reachable
+    from cur through unvisited ones.
+    """
+    weak = False
+    rest = unvisited
+    while rest:
+        low = rest & -rest
+        a = adj[low.bit_length() - 1] & usable
+        if a & (a - 1) == 0:
+            if a == 0 or weak or not low & weak_ok:
+                return False
+            weak = True
+        rest ^= low
+    # flood fill from cur; `rest` is what it has not reached
+    rest, frontier = unvisited, adj[cur] & unvisited
+    while frontier:
+        rest ^= frontier
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & rest
+    return not rest
 
 
-def _extend_cycle(adj, path, visited, start, n, budget) -> bool:
+def _extend_cycle(adj, path, unvisited, start, budget) -> bool:
     budget.spend()
     cur = path[-1]
-    if len(path) == n:
-        return start in adj[cur]
-    if not _cycle_feasible(adj, visited, cur, start, n - len(path)):
+    if not unvisited:
+        return adj[cur] >> start & 1 == 1
+    if not adj[start] & unvisited:
+        return False  # the closing edge back to start can never form
+    if not _feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
         return False
-    for w in adj[cur]:
-        if w not in visited:
-            path.append(w)
-            visited.add(w)
-            if _extend_cycle(adj, path, visited, start, n, budget):
-                return True
-            path.pop()
-            visited.remove(w)
+    children = adj[cur] & unvisited
+    while children:
+        low = children & -children
+        path.append(low.bit_length() - 1)
+        if _extend_cycle(adj, path, unvisited ^ low, start, budget):
+            return True
+        path.pop()
+        children ^= low
     return False
 
 
-def _cycle_search(adj, budget) -> Optional[list[int]]:
-    n = len(adj)
-    if n < 3:
+def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
+    if alive.bit_count() < 3:
         return None
-    if any(len(ns) < 2 for ns in adj.values()):
-        return None
-    start = min(adj)
+    rest = alive
+    while rest:
+        low = rest & -rest
+        a = adj[low.bit_length() - 1]
+        if a & (a - 1) == 0:
+            return None  # a vertex with fewer than two neighbors
+        rest ^= low
+    start = (alive & -alive).bit_length() - 1
     path = [start]
-    if _extend_cycle(adj, path, {start}, start, n, budget):
+    if _extend_cycle(adj, path, alive ^ 1 << start, start, budget):
         return path
     return None
 
 
-def _path_feasible(adj, visited, cur, target, remaining) -> bool:
-    if not _reaches_all_unvisited(adj, visited, cur, remaining):
-        return False
-    # unvisited vertices will be path-interior unless they end the path, so
-    # all but (at most) the final endpoint need two usable anchors
-    weak = 0
-    for v in adj:
-        if v in visited:
-            continue
-        anchors = 0
-        for w in adj[v]:
-            if w not in visited or w == cur:
-                anchors += 1
-                if anchors == 2:
-                    break
-        if anchors == 0:
-            return False
-        if anchors == 1:
-            if target is not None:
-                if v != target:
-                    return False
-            else:
-                weak += 1
-                if weak > 1:
-                    return False
-    return True
-
-
-def _extend_path(adj, path, visited, target, n, budget) -> bool:
+def _extend_path(adj, path, unvisited, target, budget) -> bool:
     budget.spend()
+    if not unvisited:
+        return True  # a fixed endpoint is only ever placed last
     cur = path[-1]
-    if len(path) == n:
-        return target is None or cur == target
-    if not _path_feasible(adj, visited, cur, target, n - len(path)):
+    # `target` is the fixed final endpoint's bit, or 0 when the path end is free
+    if not _feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
         return False
-    last_step = len(path) == n - 1
-    for w in adj[cur]:
-        if w in visited:
-            continue
-        if target is not None and w == target and not last_step:
-            continue  # a fixed endpoint may only be placed last
-        path.append(w)
-        visited.add(w)
-        if _extend_path(adj, path, visited, target, n, budget):
+    children = adj[cur] & unvisited
+    if unvisited != target:
+        children &= ~target  # a fixed endpoint may only be placed last
+    while children:
+        low = children & -children
+        path.append(low.bit_length() - 1)
+        if _extend_path(adj, path, unvisited ^ low, target, budget):
             return True
         path.pop()
-        visited.remove(w)
+        children ^= low
     return False
 
 
-def _path_search(adj, budget, ends=None) -> Optional[list[int]]:
-    n = len(adj)
-    if n == 0:
+def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
+    if not alive:
         return None
-    if ends is not None:
-        s, t = ends
-        if s == t or s not in adj or t not in adj:
-            raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
-        starts = [s]
-        target = t
+    if ends is None:
+        starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
+        if len(starts) == 1:
+            return starts
     else:
-        if n == 1:
-            return [min(adj)]
-        starts = sorted(adj)
-        target = None
+        s, t = ends
+        if s == t or not all(v >= 0 and alive >> v & 1 for v in ends):
+            raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
+        starts, target = [s], 1 << t
     for s in starts:
         path = [s]
-        if _extend_path(adj, path, {s}, target, n, budget):
+        if _extend_path(adj, path, alive ^ 1 << s, target, budget):
             return path
     return None
 
@@ -232,10 +223,11 @@ def find_hamiltonian_cycle(G: Graph, *, without_vertices=(), without_edges=(),
 
     The witness is the lexicographically least cycle sequence that starts at
     the smallest surviving vertex, which the ascending branching order yields
-    as the first cycle found.
+    as the first cycle found. A failed edge that is not an edge of G, or a
+    failed vertex outside 1..order, raises ValueError.
     """
-    adj = _surviving_adjacency(G, without_vertices, without_edges)
-    found = _cycle_search(adj, _Budget(node_limit))
+    adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
+    found = _cycle_search(adj, alive, _Budget(node_limit, "cycle"))
     return tuple(found) if found is not None else None
 
 
@@ -244,10 +236,11 @@ def find_hamiltonian_path(G: Graph, ends: Optional[tuple[int, int]] = None, *,
                           node_limit: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """Spanning path of G minus the excluded faults, or None.
 
-    When `ends` is given the path must join exactly that vertex pair.
+    When `ends` is given the path must join exactly that vertex pair. Faults
+    are checked as in `find_hamiltonian_cycle`.
     """
-    adj = _surviving_adjacency(G, without_vertices, without_edges)
-    found = _path_search(adj, _Budget(node_limit), ends)
+    adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
+    found = _path_search(adj, alive, _Budget(node_limit, "path", ends), ends)
     return tuple(found) if found is not None else None
 
 
@@ -292,11 +285,12 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
     vertex-deleted subgraphs behave.
     """
     witness = None
+    base = _masks(G)
     for spec in fault_specs(G, f):
         if _redundant(spec):
             continue
-        adj = _surviving_adjacency(G, spec.vertices, spec.edges)
-        cyc = _cycle_search(adj, _Budget(node_limit))
+        adj, alive = _survivors(G, base, spec.vertices, spec.edges)
+        cyc = _cycle_search(adj, alive, _Budget(node_limit, "cycle", spec=spec))
         if cyc is None:
             return HamiltonicityReport(False, None, spec)
         if spec.size == 0:
@@ -309,12 +303,13 @@ def is_f_fault_traceable(G: Graph, f: int, *,
     """True iff after any fault set of size <= f, every surviving vertex pair
     is joined by a spanning path of the survivor graph."""
     witness = None
+    base = _masks(G)
     for spec in fault_specs(G, f):
         if _redundant(spec):
             continue
-        adj = _surviving_adjacency(G, spec.vertices, spec.edges)
-        for u, v in combinations(sorted(adj), 2):
-            found = _path_search(adj, _Budget(node_limit), (u, v))
+        adj, alive = _survivors(G, base, spec.vertices, spec.edges)
+        for u, v in combinations(sorted(set(G.vertices()) - spec.vertices), 2):
+            found = _path_search(adj, alive, _Budget(node_limit, "path", (u, v), spec), (u, v))
             if found is None:
                 return HamiltonicityReport(False, None, spec, (u, v))
             if witness is None and spec.size == 0:

@@ -1,11 +1,11 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
-from wheelembed.graphs import Graph, build_graph
+from wheelembed.graphs import Graph, build_graph, edge_key
 
 
 @st.composite
@@ -58,3 +58,15 @@ def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
 
     monkeypatch.setattr(graphs_mod, "single_source_distances", recording)
     return runs
+
+
+def brute_spanning_paths(G: Graph, without_vertices=(), without_edges=()):
+    """Every spanning path of G minus the faults as a vertex sequence, in
+    lexicographic order: all permutations of the surviving vertices, filtered."""
+    dead_v = set(without_vertices)
+    dead_e = {edge_key(u, v) for u, v in without_edges}
+    alive = [v for v in G.vertices() if v not in dead_v]
+    for seq in permutations(alive):
+        if seq and all(G.has_edge(a, b) and edge_key(a, b) not in dead_e
+                       for a, b in zip(seq, seq[1:])):
+            yield seq

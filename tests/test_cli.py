@@ -12,6 +12,9 @@ from wheelembed.families import circulant, hypertree
 from wheelembed.graphs import graph_from_json, graph_to_json
 
 
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -214,6 +217,20 @@ class TestHam:
                            "--node-limit", "2")
         assert code == 2
         assert "inconclusive" in err
+
+    def test_inconclusive_message_names_the_query(self, capsys):
+        code, out, err = run(capsys, "ham", "--graph", str(INPUTS / "petersen-5-2.json"),
+                             "--query", "ffault-trace", "--f", "1", "--node-limit", "2")
+        assert (code, out) == (2, "")
+        assert err == ("inconclusive: path search for pair (1, 2) on fault set "
+                       "vertices [] edges [] exhausted node budget 2\n")
+
+    @pytest.mark.parametrize("ends", ["1", "1,2,3"])
+    def test_malformed_ends(self, capsys, ends):
+        code, out, err = run(capsys, "ham", "--graph", str(INPUTS / "petersen-5-2.json"),
+                             "--query", "path", "--ends", ends)
+        assert (code, out) == (1, "")
+        assert err == f"error: --ends must have the form u,v with two vertex ids, got {ends!r}\n"
 
 
 class TestOracleCommand:

@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import graphs
-from wheelembed.families import circulant, complete, cycle, generalized_petersen, path
-from wheelembed.graphs import build_graph
+from helpers import brute_spanning_paths, connected_graphs, graphs
+from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
+from wheelembed.graphs import build_graph, edge_key, graph_from_json
 from wheelembed.hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
@@ -17,6 +21,7 @@ from wheelembed.hamiltonian import (
 )
 
 PETERSEN = generalized_petersen(5, 2)
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def assert_valid_cycle(G, witness, excluded=frozenset()):
@@ -81,6 +86,60 @@ class TestSearch:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             find_hamiltonian_cycle(cycle(4), node_limit=0)
+
+    def test_failed_edge_must_be_an_edge(self):
+        G = cycle(10)
+        for bad in ((1, 99), (1, 3)):
+            with pytest.raises(ValueError, match=rf"failed edge \({bad[0]}, {bad[1]}\)"):
+                find_hamiltonian_cycle(G, without_edges=[bad])
+            with pytest.raises(ValueError, match="not an edge"):
+                find_hamiltonian_path(G, without_edges=[bad])
+        assert find_hamiltonian_path(G, without_edges=[(2, 1)]) == (1,) + tuple(range(10, 1, -1))
+
+    def test_budget_message_names_the_search(self):
+        with pytest.raises(SearchBudgetExceeded,
+                           match=r"^cycle search exhausted node budget 3$"):
+            find_hamiltonian_cycle(circulant(12, {1, 2, 3}), node_limit=3)
+        with pytest.raises(SearchBudgetExceeded,
+                           match=r"^path search for pair \(1, 2\) exhausted node budget 5$"):
+            find_hamiltonian_path(PETERSEN, (1, 2), node_limit=5)
+        with pytest.raises(SearchBudgetExceeded,
+                           match=r"^cycle search on fault set vertices \[\] edges \[\[1, 5\]\] "
+                                 r"exhausted node budget 5$"):
+            is_f_fault_hamiltonian(complete(5), 1, node_limit=5)
+
+
+def _input(name):
+    return graph_from_json((INPUTS / f"{name}.json").read_text())
+
+
+# smallest node_limit under which each query completes; a change here means
+# the search expands different nodes, not just that it got faster or slower
+NODE_BUDGETS = [
+    ("cycle-petersen5", lambda L: find_hamiltonian_cycle(PETERSEN, node_limit=L), 142, None),
+    ("path-petersen5", lambda L: find_hamiltonian_path(PETERSEN, node_limit=L), 10,
+     (1, 2, 3, 4, 5, 10, 7, 9, 6, 8)),
+    ("path-petersen5-ends", lambda L: find_hamiltonian_path(PETERSEN, (1, 2), node_limit=L),
+     47, None),
+    ("fham3-complete9",
+     lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 46, True),
+    ("fham2-circulant16",
+     lambda L: is_f_fault_hamiltonian(_input("circulant-16-1-2-4"), 2, node_limit=L).verdict,
+     32, True),
+    ("ftrace1-circulant16",
+     lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 624, True),
+    # needs the closing-edge test of the cycle search to stay at 23
+    ("fham1-torus3x3",
+     lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 23, True),
+]
+
+
+@pytest.mark.parametrize("query, limit, expected", [row[1:] for row in NODE_BUDGETS],
+                         ids=[row[0] for row in NODE_BUDGETS])
+def test_node_budget_is_unchanged(query, limit, expected):
+    assert query(limit) == expected
+    with pytest.raises(SearchBudgetExceeded):
+        query(limit - 1)
 
 
 class TestFaultEnumeration:
@@ -208,3 +267,28 @@ def test_cycle_witnesses_are_valid(G):
     path_witness = find_hamiltonian_path(G)
     if path_witness is not None:
         assert_valid_path(G, path_witness)
+
+
+@st.composite
+def faulted_graphs(draw):
+    G = draw(connected_graphs(min_order=1, max_order=7))
+    vertices = draw(st.sets(st.sampled_from(list(G.vertices())), max_size=2))
+    edges = draw(st.sets(st.sampled_from(G.edge_list()), max_size=2)) if G.edges else set()
+    return G, sorted(vertices), sorted(edges)
+
+
+@given(faulted_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_witnesses_match_brute_force(case, data):
+    G, vertices, edges = case
+    faults = {"without_vertices": vertices, "without_edges": edges}
+    paths = list(brute_spanning_paths(G, vertices, edges))
+    cycles = [p for p in paths if len(p) >= 3 and p[0] == min(p)
+              and G.has_edge(p[-1], p[0]) and edge_key(p[-1], p[0]) not in edges]
+    assert find_hamiltonian_cycle(G, **faults) == (cycles[0] if cycles else None)
+    assert find_hamiltonian_path(G, **faults) == (paths[0] if paths else None)
+    alive = [v for v in G.vertices() if v not in vertices]
+    if len(alive) >= 2:
+        ends = tuple(data.draw(st.permutations(alive))[:2])
+        joining = [p for p in paths if (p[0], p[-1]) == ends]
+        assert find_hamiltonian_path(G, ends, **faults) == (joining[0] if joining else None)
