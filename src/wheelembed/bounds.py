@@ -25,7 +25,7 @@ from .graphs import Graph, has_universal_vertex, max_degree, radius_diameter, st
 
 THEOREM_IDS = ("dil-hypertree", "dil-sibling", "dil-xtree", "ec-windmill", "wl-wheel", "wl-fan")
 
-_DIL_HOST_KINDS = {
+DIL_HOST_KINDS = {
     "dil-hypertree": "hypertree",
     "dil-sibling": "sibling_tree",
     "dil-xtree": "x_tree",
@@ -125,15 +125,18 @@ def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
                    node_limit: Optional[int] = None) -> BoundReport:
     """Build one claimed-sharp instance and compare achieved against the bound.
 
-    Recognized ids: dil-hypertree / dil-sibling / dil-xtree (kind, level),
-    ec-windmill (n), wl-wheel / wl-fan (host).
+    Recognized ids: dil-hypertree / dil-sibling / dil-xtree (kind, level, and
+    optionally host: the theorem's tree host of that level, shared by several
+    calls so they reuse its distance rows), ec-windmill (n), wl-wheel / wl-fan
+    (host).
     """
-    if theorem_id in _DIL_HOST_KINDS:
+    if theorem_id in DIL_HOST_KINDS:
         if kind is None or level is None:
             raise ValueError(f"{theorem_id} needs kind= and level=")
         if kind not in GUEST_KINDS:
             raise ValueError(f"kind must be one of {GUEST_KINDS}, got {kind!r}")
-        emb = embed_wheel_like_into_tree_host(kind, level, _DIL_HOST_KINDS[theorem_id])
+        emb = embed_wheel_like_into_tree_host(kind, level, DIL_HOST_KINDS[theorem_id],
+                                              host=host)
         r, _ = radius_diameter(emb.host)
         achieved = evaluate(emb).max_dilation
         notes = f"claimed dilation {level - 1}; host radius {r}"

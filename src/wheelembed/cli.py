@@ -28,6 +28,7 @@ from .embedding import (
     evaluate,
     preorder_sequence,
     route_shortest,
+    tree_host,
 )
 from .graphs import Graph, graph_from_json, graph_to_json
 from .hamiltonian import (
@@ -298,9 +299,13 @@ def _cmd_bound(args) -> int:
 
 def _parse_sweep(text: str) -> range:
     lo, _, hi = text.partition("..")
-    start, stop = int(lo), int(hi)
+    message = f"--sweep must have the form A..B with integers A <= B, got {text!r}"
+    try:
+        start, stop = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(message) from None
     if stop < start:
-        raise ValueError(f"empty sweep range {text!r}")
+        raise ValueError(message)
     return range(start, stop + 1)
 
 
@@ -312,8 +317,11 @@ def _verify_rows(args) -> list[dict]:
         if levels == [None]:
             raise ValueError(f"{args.theorem} needs --level or --sweep")
         for level in levels:
+            # one host per level: every kind reads the same cached distance rows
+            host = tree_host(bounds_mod.DIL_HOST_KINDS[args.theorem], level)
             for kind in kinds:
-                report = bounds_mod.verify_theorem(args.theorem, kind=kind, level=level)
+                report = bounds_mod.verify_theorem(args.theorem, kind=kind, level=level,
+                                                   host=host)
                 rows.append({"kind": kind, "level": level, **_bound_payload(report)})
     elif args.theorem == "ec-windmill":
         ns = list(_parse_sweep(args.sweep)) if args.sweep else [args.n]
@@ -325,7 +333,11 @@ def _verify_rows(args) -> list[dict]:
     elif args.theorem in ("wl-wheel", "wl-fan"):
         if args.sweep:
             # the sweep walks the two-jump circulant hosts G(n; +-{1,2})
-            for n in _parse_sweep(args.sweep):
+            orders = _parse_sweep(args.sweep)
+            if orders.start < 4:
+                raise ValueError(f"{args.theorem} --sweep starts at host order {orders.start}, "
+                                 f"below the minimum host order 4")
+            for n in orders:
                 host = families.circulant(n, {1, 2})
                 report = bounds_mod.verify_theorem(args.theorem, host=host,
                                                    node_limit=args.node_limit)

@@ -9,6 +9,7 @@ spanning-path) placement of wheels and fans into arbitrary hosts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -64,6 +65,10 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
         canonical[edge_key(*e)] = tuple(route)
     if set(canonical) != guest.edges:
         raise ValueError("routes must cover exactly the guest edges")
+    # both orientations of every host edge, so a route's hops are tested in one
+    # C-level issuperset; only a failing route is walked hop by hop
+    arcs = set(host.edges)
+    arcs.update((b, a) for a, b in host.edges)
     for (u, v), route in canonical.items():
         if not route:
             raise ValueError(f"route for guest edge ({u}, {v}) is empty")
@@ -71,10 +76,10 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
             raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
         if len(set(route)) != len(route):
             raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
-        for a, b in zip(route, route[1:]):
-            if not host.has_edge(a, b):
-                raise ValueError(
-                    f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
+        if not arcs.issuperset(zip(route, route[1:])):
+            a, b = next(hop for hop in zip(route, route[1:]) if hop not in arcs)
+            raise ValueError(
+                f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
     return EmbeddingMap(guest, host, dict(vmap), canonical)
 
 
@@ -105,11 +110,14 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
 def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
     """Per-edge dilation and congestion; their sums coincide in the wirelength."""
     dil = {}
-    cong = {e: 0 for e in emb.host.edges}
+    hops: Counter = Counter()
     for e, route in emb.routes.items():
         dil[e] = len(route) - 1
-        for a, b in zip(route, route[1:]):
-            cong[edge_key(a, b)] += 1
+        hops.update(zip(route, route[1:]))
+    # fold the directed hop counts onto the canonical host edges
+    cong = {e: 0 for e in emb.host.edges}
+    for (a, b), count in hops.items():
+        cong[edge_key(a, b)] += count
     wirelength = sum(dil.values())
     if wirelength != sum(cong.values()):  # both sums count each route edge once
         raise ValueError("dilation and congestion sums differ: the routes do not "
@@ -138,7 +146,8 @@ def preorder_sequence(level: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _tree_host(host_kind: str, level: int) -> Graph:
+def tree_host(host_kind: str, level: int) -> Graph:
+    """The named tree host (one of TREE_HOST_KINDS) of a level >= 3."""
     builders = {
         "hypertree": families.hypertree,
         "sibling_tree": families.sibling_tree,
@@ -146,6 +155,8 @@ def _tree_host(host_kind: str, level: int) -> Graph:
     }
     if host_kind not in builders:
         raise ValueError(f"host kind must be one of {TREE_HOST_KINDS}, got {host_kind!r}")
+    if level < 3:
+        raise ValueError(f"tree-host construction needs level >= 3, got {level}")
     return builders[host_kind](level)
 
 
@@ -161,18 +172,23 @@ def _hub_guest(kind: str, n: int) -> Graph:
     raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
 
 
-def embed_wheel_like_into_tree_host(kind: str, level: int, host_kind: str) -> EmbeddingMap:
+def embed_wheel_like_into_tree_host(kind: str, level: int, host_kind: str, *,
+                                    host: Optional[Graph] = None) -> EmbeddingMap:
     """Place guest vertex g on the host vertex of pre-order rank g, hub on the root.
 
     The guest order is 2**level - 1; all routes are shortest host paths. The
     resulting maximum dilation is expected to equal level - 1, the host radius;
     that claim is checked by the bound-verification layer rather than assumed.
+    A given `host` must equal the `host_kind` tree of that level; passing one
+    instance for several guests lets them share its cached distance rows.
     """
-    if level < 3:
-        raise ValueError(f"tree-host construction needs level >= 3, got {level}")
+    named = tree_host(host_kind, level)
+    if host is None:
+        host = named
+    elif host != named:
+        raise ValueError(f"host {host!r} is not the {host_kind} of level {level}")
     n = 2 ** level - 1
     guest = _hub_guest(kind, n)
-    host = _tree_host(host_kind, level)
     order = preorder_sequence(level)
     vmap = {g: order[g - 1] for g in guest.vertices()}
     return route_shortest(guest, host, vmap)
@@ -195,19 +211,22 @@ def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
     host = families.circulant(size, {1, quarter})
     vmap = {x: x for x in guest.vertices()}
 
+    # routes are slices of one id tuple, so all hops share its int objects
+    # instead of allocating a fresh int per hop above 256
+    ids = tuple(range(size + 1))
     routes: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(2, size + 1):
         if 2 <= i <= quarter + 1:
-            route = tuple(range(1, i + 1))                      # clockwise
+            route = ids[1:i + 1]                                # clockwise
         elif 3 * quarter + 1 <= i <= size:
-            route = (1,) + tuple(range(size, i - 1, -1))        # anticlockwise
+            route = (1,) + ids[size:i - 1:-1]                   # anticlockwise
         elif quarter + 2 <= i <= 2 * quarter + 1:
-            route = (1,) + tuple(range(quarter + 1, i + 1))     # chord then clockwise
+            route = (1,) + ids[quarter + 1:i + 1]               # chord then clockwise
         else:
-            route = (1,) + tuple(range(3 * quarter + 1, i - 1, -1))  # chord then anticlockwise
+            route = (1,) + ids[3 * quarter + 1:i - 1:-1]        # chord then anticlockwise
         routes[(1, i)] = route
     for i in range(2, size - 1, 2):
-        routes[(i, i + 1)] = (i, i + 1)
+        routes[(i, i + 1)] = ids[i:i + 2]
     return build_embedding(guest, host, vmap, routes)
 
 

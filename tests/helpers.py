@@ -60,6 +60,15 @@ def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
     return runs
 
 
+def hop_congestion(emb) -> dict[tuple[int, int], int]:
+    """Per-host-edge congestion counted hop by hop, the reference for `evaluate`."""
+    cong = {e: 0 for e in emb.host.edges}
+    for route in emb.routes.values():
+        for a, b in zip(route, route[1:]):
+            cong[edge_key(a, b)] += 1
+    return cong
+
+
 def brute_spanning_paths(G: Graph, without_vertices=(), without_edges=()):
     """Every spanning path of G minus the faults as a vertex sequence, in
     lexicographic order: all permutations of the surviving vertices, filtered."""

@@ -136,6 +136,10 @@ class TestVerifyTheorem:
         pairs = [(id(G), source) for G, source in runs]
         assert pairs and len(set(pairs)) == len(pairs)
 
+    def test_dilation_host_must_match_the_theorem(self):
+        with pytest.raises(ValueError, match="x_tree of level 4"):
+            verify_theorem("dil-xtree", kind="wheel", level=4, host=hypertree(4))
+
     def test_dilation_all_hosts(self):
         for theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
             report = verify_theorem(theorem, kind="wheel", level=3)

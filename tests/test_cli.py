@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import wheelembed
+from helpers import record_bfs
 from wheelembed.cli import JOBS_ENV_VAR, main
 from wheelembed.families import circulant, hypertree
 from wheelembed.graphs import graph_from_json, graph_to_json
@@ -170,6 +171,34 @@ class TestBoundAndVerify:
         rows = json.loads(out)
         assert [row["n"] for row in rows] == [3, 4, 5, 6]
         assert all(row["sharp"] for row in rows)
+
+    def test_dilation_sweep_shares_one_host_per_level(self, capsys, monkeypatch):
+        runs = record_bfs(monkeypatch)
+        code, out, _ = run(capsys, "verify", "dil-hypertree", "--sweep", "3..5",
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == 12
+        pairs = [(id(G), source) for G, source in runs]
+        assert len(set(pairs)) == len(pairs) == 7 + 15 + 31
+
+    @pytest.mark.parametrize("theorem, sweep", [
+        ("dil-hypertree", "3"),
+        ("dil-hypertree", "a..b"),
+        ("ec-windmill", "5..3"),
+        ("wl-fan", "6.."),
+    ])
+    def test_malformed_sweep_names_the_form(self, capsys, theorem, sweep):
+        code, _, err = run(capsys, "verify", theorem, "--sweep", sweep)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "A..B" in err and repr(sweep) in err
+
+    @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
+    def test_wirelength_sweep_below_order_four(self, capsys, theorem):
+        code, _, err = run(capsys, "verify", theorem, "--sweep", "3..4")
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "minimum host order 4" in err
 
     def test_verify_dilation_text_table(self, capsys):
         code, out, _ = run(capsys, "verify", "dil-hypertree", "--kind", "star",

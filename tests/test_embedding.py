@@ -2,8 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import connected_graphs
+from helpers import connected_graphs, hop_congestion
 from wheelembed.embedding import (
     HostNotHamiltonianError,
     build_embedding,
@@ -21,9 +22,12 @@ from wheelembed.families import (
     cycle,
     fan,
     generalized_petersen,
+    hypertree,
+    sibling_tree,
     star,
     torus,
     wheel,
+    windmill,
 )
 from wheelembed.graphs import all_pairs_distances, build_graph
 
@@ -100,6 +104,18 @@ class TestBuildEmbeddingValidation:
         with pytest.raises(ValueError, match="repeats"):
             build_embedding(guest, host, identity(guest), routes)
 
+    def test_first_defect_in_route_order_is_reported(self):
+        # the second route breaks a hop, the third misses its image: the hop
+        # defect comes first in route order even though the join check is
+        # the earlier check within a route
+        G = cycle(4)
+        routes = {(1, 2): (1, 2), (2, 3): (2, 4, 3), (3, 4): (3, 1), (1, 4): (1, 4)}
+        with pytest.raises(ValueError, match=r"\(2, 3\) uses the non-edge \(2, 4\)"):
+            build_embedding(G, G, identity(G), routes)
+        routes[(2, 3)] = (2, 3)
+        with pytest.raises(ValueError, match=r"\(3, 4\) does not join"):
+            build_embedding(G, G, identity(G), routes)
+
     def test_routes_must_cover_guest_edges(self):
         G = cycle(4)
         routes = {e: e for e in list(G.edges)[:-1]}
@@ -142,6 +158,19 @@ class TestTreeHostConstruction:
                 emb = embed_wheel_like_into_tree_host(kind, level, host_kind)
                 assert evaluate(emb).max_dilation == level - 1
 
+    def test_shared_host_instance(self):
+        host = sibling_tree(4)
+        for kind in ("wheel", "fan"):
+            emb = embed_wheel_like_into_tree_host(kind, 4, "sibling_tree", host=host)
+            assert emb.host is host
+            assert emb.routes == embed_wheel_like_into_tree_host(kind, 4, "sibling_tree").routes
+
+    def test_host_must_be_the_named_tree(self):
+        with pytest.raises(ValueError, match="not the sibling_tree of level 4"):
+            embed_wheel_like_into_tree_host("wheel", 4, "sibling_tree", host=hypertree(4))
+        with pytest.raises(ValueError, match="level 4"):
+            embed_wheel_like_into_tree_host("wheel", 4, "hypertree", host=hypertree(5))
+
     def test_level_minimum(self):
         with pytest.raises(ValueError):
             embed_wheel_like_into_tree_host("wheel", 2, "hypertree")
@@ -181,6 +210,25 @@ class TestWindmillConstruction:
     def test_domain(self):
         with pytest.raises(ValueError):
             embed_windmill_into_circulant(2)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_routes_equal_the_four_ranges(self, n):
+        size, quarter = 2 ** n, 2 ** (n - 2)
+        expected = {}
+        for i in range(2, size + 1):
+            if i <= quarter + 1:
+                expected[(1, i)] = tuple(range(1, i + 1))
+            elif i >= 3 * quarter + 1:
+                expected[(1, i)] = (1,) + tuple(range(size, i - 1, -1))
+            elif i <= 2 * quarter + 1:
+                expected[(1, i)] = (1,) + tuple(range(quarter + 1, i + 1))
+            else:
+                expected[(1, i)] = (1,) + tuple(range(3 * quarter + 1, i - 1, -1))
+        for i in range(2, size - 1, 2):
+            expected[(i, i + 1)] = (i, i + 1)
+        emb = embed_windmill_into_circulant(n)
+        assert emb.guest == windmill(2 ** (n - 1))
+        assert emb.routes == expected
 
 
 class TestMedianConstructions:
@@ -240,3 +288,20 @@ def test_shortest_routing_meets_distance_lower_bound(host):
     table = all_pairs_distances(host)
     for (u, v), d in evaluate(emb).dil_per_edge.items():
         assert d == table.between(emb.vmap[u], emb.vmap[v])
+
+
+@st.composite
+def routed_bijections(draw):
+    """A connected guest and host of one order, joined by a random bijection."""
+    guest = draw(connected_graphs(min_order=2, max_order=8))
+    host = draw(connected_graphs(min_order=guest.order, max_order=guest.order))
+    images = draw(st.permutations(list(host.vertices())))
+    return route_shortest(guest, host, dict(zip(guest.vertices(), images)))
+
+
+@given(routed_bijections())
+@settings(max_examples=80)
+def test_congestion_equals_per_hop_count(emb):
+    metrics = evaluate(emb)
+    assert metrics.cong_per_edge == hop_congestion(emb)
+    assert metrics.max_congestion == max(hop_congestion(emb).values())
