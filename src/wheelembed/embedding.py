@@ -116,18 +116,21 @@ def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
         hops.update(zip(route, route[1:]))
     # fold the directed hop counts onto the canonical host edges
     cong = {e: 0 for e in emb.host.edges}
-    for (a, b), count in hops.items():
-        cong[edge_key(a, b)] += count
-    wirelength = sum(dil.values())
-    if wirelength != sum(cong.values()):  # both sums count each route edge once
-        raise ValueError("dilation and congestion sums differ: the routes do not "
-                         "match the host edges")
+    try:
+        for (a, b), count in hops.items():
+            cong[edge_key(a, b)] += count
+    except KeyError:
+        # an embedding not built by `build_embedding` may route over a non-edge
+        (u, v), (a, b) = next((e, hop) for e, route in emb.routes.items()
+                              for hop in zip(route, route[1:]) if edge_key(*hop) not in cong)
+        raise ValueError(
+            f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})") from None
     return EmbeddingMetrics(
         dil_per_edge=dil,
         cong_per_edge=cong,
         max_dilation=max(dil.values(), default=0),
         max_congestion=max(cong.values(), default=0),
-        wirelength=wirelength,
+        wirelength=sum(dil.values()),
     )
 
 

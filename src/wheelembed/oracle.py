@@ -7,6 +7,15 @@ space, which the result's `exact` flag and notes record instead of hiding.
 Branch-and-bound pruning never changes the optimum, and the reported witness
 is always the lexicographically least optimal bijection.
 
+The pruning bound is an assignment bound: the unplaced neighbors of a placed
+guest vertex must take distinct free host vertices, so they are charged the
+nearest free distances from its image, read from per-host-vertex lists in
+(distance, id) order that are built once per instance. For a wheel or fan
+the hub's spokes are charged exactly the status of the hub's image, the
+paper's own bound. Since the bound at a leaf is its exact value (dilation,
+wirelength), the leaves reached are the strict running minima in
+lexicographic order, whichever admissible bound prunes above them.
+
 No symmetry is assumed by default. A caller who knows the host's automorphism
 orbits may pass them as `host_orbits` to pin the first guest vertex to one
 representative per orbit; correctness is then the caller's responsibility,
@@ -63,6 +72,29 @@ def _prior_neighbors(guest: Graph) -> list[list[int]]:
     return prior
 
 
+def _pending(guest: Graph) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """pending[k] lists (g, m) for each g <= k with m > 0 neighbors after k;
+    both_free[k] counts the edges with both ends after k."""
+    n = guest.order
+    pending: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    both_free = [0] * (n + 1)
+    for k in range(n + 1):
+        for g in range(1, k + 1):
+            m = sum(u > k for u in guest.adjacency[g])
+            if m:
+                pending[k].append((g, m))
+        both_free[k] = sum(u > k for u, _ in guest.edges)  # edges are stored as (u, v), u < v
+    return pending, both_free
+
+
+def _nearest(dist) -> list[list[tuple[int, int]]]:
+    """near[h] lists (distance, vertex) for every host vertex other than h,
+    in (distance, id) order."""
+    n = len(dist) - 1
+    return [[]] + [sorted((dist[h][v], v) for v in range(1, n + 1) if v != h)
+                   for h in range(1, n + 1)]
+
+
 def _search(args):
     """One branch-and-bound DFS over bijections in lexicographic order.
 
@@ -70,25 +102,60 @@ def _search(args):
     image first. A placement extends the cost of the edges it closes: their
     max host distance (dilation) or their sum (wirelength, congestion). The
     subtree is skipped when an admissible lower bound reaches the best value
-    so far: the cost itself for dilation, the cost plus one per unclosed edge
-    for wirelength, and for congestion the larger of the running hub bound
-    ceil(deg_G(g)/deg_H(f(g))) and that edge total spread over |E(H)|. A
-    leaf's value is its cost, or for congestion its best shortest-path
-    routing. Returns (best, witness, leaves, capped); leaves counts every
-    complete bijection reached (routed, for congestion).
+    so far. The bound charges the edges still open by assignment: a placed g
+    with m unplaced neighbors sends them to m distinct free host vertices, so
+    those edges cost at least the sum of the m smallest free distances from
+    f(g) (wirelength), and at least the m-th smallest of them (dilation).
+    Wirelength adds one per edge with both ends unplaced. For a wheel or fan
+    this charges the hub's spokes exactly the status of its image. Congestion
+    takes the larger of the running hub bound ceil(deg_G(g)/deg_H(f(g))) and
+    the wirelength bound spread over |E(H)|. A leaf's value is its cost, or
+    for congestion its best shortest-path routing. Returns (best, witness,
+    leaves, capped, nodes); leaves counts every complete bijection reached
+    (routed, for congestion) and nodes every call of the recursion.
     """
-    n, prior, dist, rest_after, first_images, prune, minimax, cong = args
+    n, prior, dist, near, pending, both_free, first_images, prune, minimax, cong = args
     if cong is not None:
         hub, host_edge_count, guest_edges, route_table, route_cap = cong
     best = math.inf
     witness = None
     leaves = 0
     capped = False
+    nodes = 0
     images = [0] * (n + 1)
     used = [False] * (n + 1)
 
+    def below(k: int, total: int, limit) -> bool:
+        """Whether `total`, the cost so far, stays below `limit` once the
+        bound on the edges still open after placing k is added to it (taken
+        as a max, for dilation)."""
+        if minimax:
+            for g, m in pending[k]:
+                for d, v in near[images[g]]:
+                    if not used[v]:
+                        m -= 1
+                        if not m:
+                            break
+                if d > total:
+                    total = d
+                    if total >= limit:
+                        return False
+            return True
+        total += both_free[k]
+        for g, m in pending[k]:
+            if total >= limit:
+                return False
+            for d, v in near[images[g]]:
+                if not used[v]:
+                    total += d
+                    m -= 1
+                    if not m:
+                        break
+        return total < limit
+
     def rec(k: int, cur: int, hub_max: int) -> None:
-        nonlocal best, witness, leaves, capped
+        nonlocal best, witness, leaves, capped, nodes
+        nodes += 1
         if k > n:
             leaves += 1
             value = cur
@@ -114,25 +181,28 @@ def _search(args):
                     d = row[images[j]]
                     if d > val:
                         val = d
-                bound = val
             else:
                 for j in prior[k]:
                     val += row[images[j]]
-                bound = val + rest_after[k]
             top = hub_max
+            limit = best
             if cong is not None:
                 top = max(hub_max, hub[k][h])
-                bound = max(top, -(bound // -host_edge_count))
-            if prune and bound >= best:
+                if prune and top >= best:
+                    continue
+                # ceil(total / |E(H)|) < best  <=>  total <= (best - 1) * |E(H)|
+                limit = (best - 1) * host_edge_count + 1
+            if prune and val >= limit:
                 continue
             images[k] = h
             used[h] = True
-            rec(k + 1, val, top)
+            if not prune or below(k, val, limit):
+                rec(k + 1, val, top)
             used[h] = False
         images[k] = 0
 
     rec(1, 0, 0)
-    return best, witness, leaves, capped
+    return best, witness, leaves, capped, nodes
 
 
 def _reduce(parts):
@@ -140,13 +210,15 @@ def _reduce(parts):
     witness = None
     leaves = 0
     capped = False
-    for value, vmap, count, part_capped in parts:
+    nodes = 0
+    for value, vmap, count, part_capped, part_nodes in parts:
         leaves += count
         capped |= part_capped
+        nodes += part_nodes
         if vmap is not None and (value < best or (value == best and (witness is None or vmap < witness))):
             best = value
             witness = vmap
-    return best, witness, leaves, capped
+    return best, witness, leaves, capped, nodes
 
 
 def _first_candidates(n: int, host_orbits) -> list[int]:
@@ -174,14 +246,12 @@ def _run_partitioned(guest: Graph, dist, host_orbits, prune: bool, jobs: int, *,
     """Run `_search` serially, or with one pool task per first image."""
     n = guest.order
     prior = _prior_neighbors(guest)
-    # rest_after[k] = guest edges still missing an endpoint once 1..k are placed
-    rest_after = [len(guest.edges)] * (n + 1)
-    for k in range(1, n + 1):
-        rest_after[k] = rest_after[k - 1] - len(prior[k])
+    near = _nearest(dist)
+    pending, both_free = _pending(guest)
     firsts = _first_candidates(n, host_orbits)
 
     def make_args(hs):
-        return (n, prior, dist, rest_after, hs, prune, minimax, cong)
+        return (n, prior, dist, near, pending, both_free, hs, prune, minimax, cong)
 
     if jobs <= 1:
         return _search(make_args(firsts))
@@ -195,8 +265,8 @@ def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     """Exact dil(guest, host): shortest routing makes per-edge dilation equal
     to the host distance of the images, so bijections alone decide the value."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
-                                                minimax=True)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
+                                                   minimax=True)
     return OracleResult("dilation", int(best), witness, leaves, exact=True)
 
 
@@ -206,7 +276,7 @@ def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     """Exact WL(guest, host): minimum over bijections of the summed host
     distances between adjacent images."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs)
     return OracleResult("wirelength", int(best), witness, leaves, exact=True)
 
 
@@ -294,8 +364,8 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     hub = [()] + [[0] + [-(guest.degree(g) // -max(host.degree(h), 1)) for h in host.vertices()]
                   for g in guest.vertices()]
     cong = (hub, max(len(host.edges), 1), guest.edge_list(), route_table, route_cap)
-    best, witness, leaves, capped = _run_partitioned(guest, dist, host_orbits, prune, jobs,
-                                                     cong=cong)
+    best, witness, leaves, capped, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
+                                                        cong=cong)
 
     tree_host = _is_tree(host)
     exact = tree_host and not capped

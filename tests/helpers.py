@@ -79,3 +79,17 @@ def brute_spanning_paths(G: Graph, without_vertices=(), without_edges=()):
         if seq and all(G.has_edge(a, b) and edge_key(a, b) not in dead_e
                        for a, b in zip(seq, seq[1:])):
             yield seq
+
+
+def brute_running_minima(guest: Graph, host: Graph, minimax: bool):
+    """Walk all bijections in lexicographic order; return the number of strict
+    running minima of the dilation (minimax) or wirelength, the optimum and
+    the first bijection attaining it."""
+    dist = brute_distances(host)
+    count, best, witness = 0, float("inf"), None
+    for images in permutations(host.vertices()):
+        lengths = [dist[(images[u - 1], images[v - 1])] for u, v in guest.edges]
+        value = max(lengths, default=0) if minimax else sum(lengths)
+        if value < best:
+            count, best, witness = count + 1, value, images
+    return count, best, witness

@@ -201,3 +201,22 @@ def test_criterion_9_fault_classification_regression():
     # distinction is exactly what the hypohamiltonicity check surfaces
     assert is_hypohamiltonian(petersen)
     clock.finish()
+
+
+def test_criterion_10_oracle_certifies_the_theorems_at_their_sizes():
+    # the assignment bound lets the oracle prove optimality well past its
+    # default order cap, at the orders the theorem sweeps check
+    clock = _Clock("criterion 10 (oracle at wl n = 6..20 and dil level 4)", 10.0)
+    for n in range(6, 21):
+        host = circulant(n, {1, 2})
+        for theorem, guest in (("wl-wheel", wheel(n)), ("wl-fan", fan(n))):
+            report = verify_theorem(theorem, host=host)
+            result = exact_wirelength(guest, host, limit=n)
+            assert result.optimum == report.bound == report.achieved, (theorem, n)
+    for theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
+        for kind in GUEST_KINDS:
+            report = verify_theorem(theorem, kind=kind, level=4)
+            emb = report.witness
+            result = exact_dilation(emb.guest, emb.host, limit=emb.host.order)
+            assert result.optimum == report.bound == report.achieved, (theorem, kind)
+    clock.finish()

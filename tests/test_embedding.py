@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import connected_graphs, hop_congestion
 from wheelembed.embedding import (
+    EmbeddingMap,
     HostNotHamiltonianError,
     build_embedding,
     embed_fan_via_median,
@@ -80,6 +81,15 @@ class TestRouteShortestAndEvaluate:
         G = cycle(4)
         with pytest.raises(ValueError, match="bijection"):
             route_shortest(G, G, {1: 1, 2: 1, 3: 3, 4: 4})
+
+    def test_evaluate_names_a_non_edge_hop(self):
+        # an EmbeddingMap built directly skips build_embedding's hop check
+        G = cycle(4)
+        routes = {e: e for e in G.edges}
+        routes[(1, 2)] = (1, 3, 2)
+        emb = EmbeddingMap(G, G, identity(G), routes)
+        with pytest.raises(ValueError, match=r"\(1, 2\) uses the non-edge \(1, 3\)"):
+            evaluate(emb)
 
 
 class TestBuildEmbeddingValidation:

@@ -6,22 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs
+from helpers import brute_running_minima, connected_graphs
 from wheelembed.embedding import embed_wheel_like_into_tree_host, evaluate, route_shortest
 from wheelembed.families import (
     circulant,
     complete,
     complete_binary_tree,
     cycle,
+    fan,
+    generalized_petersen,
     hypertree,
     path,
+    sibling_tree,
     star,
     torus,
     wheel,
     windmill,
+    x_tree,
 )
 from wheelembed.graphs import all_pairs_distances
-from wheelembed.oracle import exact_congestion, exact_dilation, exact_wirelength
+from wheelembed.oracle import (
+    _check_instance,
+    _run_partitioned,
+    exact_congestion,
+    exact_dilation,
+    exact_wirelength,
+)
 
 
 class TestExactDilation:
@@ -168,6 +178,22 @@ class TestDeterminismAndPruning:
             assert (pruned.optimum, pruned.witness_vmap) == (free.optimum, free.witness_vmap)
         assert exact_congestion(guest, host, prune=False).search_space == math.factorial(guest.order)
 
+    @given(st.integers(3, 7).flatmap(
+        lambda n: st.tuples(connected_graphs(n, n), connected_graphs(n, n))))
+    @settings(max_examples=40, deadline=None)
+    def test_search_space_counts_strict_running_minima(self, pair):
+        # the bound at a leaf is its exact value, so with pruning the leaves
+        # reached are the strict running minima in lexicographic order,
+        # whatever admissible bound prunes above them
+        guest, host = pair
+        for runner, minimax in ((exact_dilation, True), (exact_wirelength, False)):
+            count, best, witness = brute_running_minima(guest, host, minimax)
+            pruned = runner(guest, host)
+            free = runner(guest, host, prune=False)
+            assert (pruned.search_space, free.search_space) == (count, math.factorial(guest.order))
+            for result in (pruned, free):
+                assert (result.optimum, result.witness_vmap) == (best, witness)
+
     def test_unpruned_search_space_is_factorial(self):
         result = exact_wirelength(cycle(5), cycle(5), prune=False)
         assert result.search_space == 120
@@ -185,6 +211,28 @@ class TestDeterminismAndPruning:
         result = exact_wirelength(guest, host)
         emb = route_shortest(guest, host, dict(zip(guest.vertices(), result.witness_vmap)))
         assert evaluate(emb).wirelength == result.optimum
+
+
+class TestAssignmentBound:
+    """Nodes the search expands (calls of its recursion, leaves included) on
+    the benchmark's wirelength instances and the level-4 dilation theorems.
+    Charging each placed vertex for its unplaced neighbors by the free
+    distances from its image needs a handful of nodes per level; one per
+    unclosed edge needed 1 362 387, 206 303 and 111 075 wirelength nodes, and
+    the cost alone 130 693 and 31 629 dilation nodes on the last two rows."""
+
+    @pytest.mark.parametrize("guest,host,minimax,nodes", [
+        (wheel(11), circulant(11, {1, 2}), False, 12),
+        (fan(10), circulant(10, {1, 3}), False, 11),
+        (wheel(10), generalized_petersen(5, 2), False, 40),
+        (star(15), hypertree(4), True, 16),
+        (wheel(15), x_tree(4), True, 24),
+        (wheel(15), hypertree(4), True, 130),
+        (wheel(15), sibling_tree(4), True, 958),
+    ])
+    def test_node_count(self, guest, host, minimax, nodes):
+        dist = _check_instance(guest, host, guest.order)
+        assert _run_partitioned(guest, dist, None, True, 1, minimax=minimax)[4] == nodes
 
 
 class TestOrbitPinning:
