@@ -19,6 +19,7 @@ from .embedding import (
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
+    preorder_placement,
     preorder_sequence,
     route_shortest,
 )

@@ -3,16 +3,15 @@ hamiltonicity queries, oracle runs, and DOT export.
 
 Exit codes: 0 for success (a "bound not sharp" finding is a finding, not a
 failure), 1 for input or validation errors, 2 when a search gives up on its
-node budget and the outcome is inconclusive. All reports are valid JSON under
---format json, and identical inputs (including seeds) produce byte-identical
-output.
+node budget or outgrows the interpreter's recursion limit and the outcome is
+inconclusive. All reports are valid JSON under --format json, and identical
+inputs (including seeds) produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Optional
@@ -26,11 +25,11 @@ from .embedding import (
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
-    preorder_sequence,
+    preorder_placement,
     route_shortest,
     tree_host,
 )
-from .graphs import Graph, graph_from_json, graph_to_json
+from .graphs import Graph, graph_from_json, graph_to_json, parse_json
 from .hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
@@ -45,7 +44,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 VERSION = "wheelembed 0.1.0"
-JOBS_ENV_VAR = "WHEELEMBED_JOBS"
 
 EMBED_METHODS = ("preorder", "windmill", "median-wheel", "median-fan", "identity")
 
@@ -103,7 +101,7 @@ def _is_vertex_list(value) -> bool:
 
 def embedding_from_json(guest: Graph, host: Graph, text: str) -> EmbeddingMap:
     """Parse and re-validate an embedding JSON against its guest and host."""
-    data = json.loads(text)
+    data = parse_json(text, "embedding")
     if not isinstance(data, dict) or "vmap" not in data or "routes" not in data:
         raise ValueError("embedding JSON must contain 'vmap' and 'routes'")
     vmap_list = data["vmap"]
@@ -197,12 +195,7 @@ def _build_embedding_for_method(method: str, guest: Graph, host: Graph,
     if method == "identity":
         return route_shortest(guest, host, {v: v for v in guest.vertices()})
     if method == "preorder":
-        level = host.order.bit_length()
-        if 2 ** level - 1 != host.order or level < 3:
-            raise ValueError("preorder placement needs a host of order 2**level - 1, level >= 3")
-        order = preorder_sequence(level)
-        vmap = {g: order[g - 1] for g in guest.vertices()}
-        return route_shortest(guest, host, vmap)
+        return preorder_placement(guest, host)
     if method == "windmill":
         n = host.order.bit_length() - 1
         if 2 ** n != host.order:
@@ -211,15 +204,12 @@ def _build_embedding_for_method(method: str, guest: Graph, host: Graph,
         if emb.guest.edges != guest.edges or emb.host.edges != host.edges:
             raise ValueError("guest/host do not match the windmill-into-circulant construction")
         return emb
-    if method == "median-wheel":
-        emb = embed_wheel_via_median(host, node_limit=node_limit)
+    if method in ("median-wheel", "median-fan"):
+        kind = method.removeprefix("median-")
+        construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
+        emb = construct(host, node_limit=node_limit)
         if emb.guest.edges != guest.edges:
-            raise ValueError("guest is not the wheel of the host's order")
-        return emb
-    if method == "median-fan":
-        emb = embed_fan_via_median(host, node_limit=node_limit)
-        if emb.guest.edges != guest.edges:
-            raise ValueError("guest is not the fan of the host's order")
+            raise ValueError(f"guest is not the {kind} of the host's order")
         return emb
     raise ValueError(f"unknown method {method!r}")
 
@@ -403,25 +393,16 @@ def _cmd_ham(args) -> int:
     return EXIT_OK
 
 
-def _jobs_from_env() -> int:
-    text = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(int(text), 1)
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {text!r}") from None
-
-
 def _cmd_oracle(args) -> int:
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
-    jobs = args.jobs if args.jobs is not None else _jobs_from_env()
     if args.metric == "dil":
-        result = oracle.exact_dilation(guest, host, args.limit, jobs=jobs)
+        result = oracle.exact_dilation(guest, host, args.limit, jobs=args.jobs)
     elif args.metric == "wl":
-        result = oracle.exact_wirelength(guest, host, args.limit, jobs=jobs)
+        result = oracle.exact_wirelength(guest, host, args.limit, jobs=args.jobs)
     else:
         result = oracle.exact_congestion(guest, host, args.limit,
-                                         route_cap=args.route_cap, jobs=jobs)
+                                         route_cap=args.route_cap, jobs=args.jobs)
     payload = {
         "metric": result.metric,
         "optimum": result.optimum,
@@ -519,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--metric", required=True, choices=("dil", "ec", "wl"))
     p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_LIMIT)
-    p.add_argument("--jobs", type=_positive,
-                   help=f"worker processes (default: ${JOBS_ENV_VAR}, else 1)")
+    p.add_argument("--jobs", type=_positive, default=1, help="worker processes")
     p.add_argument("--route-cap", type=_positive, default=oracle.DEFAULT_ROUTE_CAP)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_oracle)
@@ -543,7 +523,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         return args.handler(args)
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, RecursionError) as exc:
+        # a search that recurses once per vertex can outgrow the interpreter's
+        # stack on a large graph; like an exhausted budget, that decides nothing
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:

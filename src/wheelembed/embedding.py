@@ -151,16 +151,29 @@ def preorder_sequence(level: int) -> tuple[int, ...]:
 
 def tree_host(host_kind: str, level: int) -> Graph:
     """The named tree host (one of TREE_HOST_KINDS) of a level >= 3."""
-    builders = {
-        "hypertree": families.hypertree,
-        "sibling_tree": families.sibling_tree,
-        "x_tree": families.x_tree,
-    }
-    if host_kind not in builders:
+    if host_kind not in TREE_HOST_KINDS:
         raise ValueError(f"host kind must be one of {TREE_HOST_KINDS}, got {host_kind!r}")
     if level < 3:
         raise ValueError(f"tree-host construction needs level >= 3, got {level}")
-    return builders[host_kind](level)
+    return families.build_family(host_kind, [level])
+
+
+def preorder_placement(guest: Graph, host: Graph) -> EmbeddingMap:
+    """Guest vertex g on the host vertex of pre-order rank g, every guest edge
+    on a shortest host path.
+
+    The host must have order 2**level - 1 with level >= 3, and the guest the
+    same order. On a heap-labeled tree host the hub (vertex 1) of a
+    hub-centered guest lands on the root.
+    """
+    level = host.order.bit_length()
+    if 2 ** level - 1 != host.order or level < 3:
+        raise ValueError("preorder placement needs a host of order 2**level - 1, level >= 3")
+    if guest.order != host.order:
+        raise ValueError(
+            f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
+    order = preorder_sequence(level)
+    return route_shortest(guest, host, {g: order[g - 1] for g in guest.vertices()})
 
 
 def _hub_guest(kind: str, n: int) -> Graph:
@@ -190,11 +203,7 @@ def embed_wheel_like_into_tree_host(kind: str, level: int, host_kind: str, *,
         host = named
     elif host != named:
         raise ValueError(f"host {host!r} is not the {host_kind} of level {level}")
-    n = 2 ** level - 1
-    guest = _hub_guest(kind, n)
-    order = preorder_sequence(level)
-    vmap = {g: order[g - 1] for g in guest.vertices()}
-    return route_shortest(guest, host, vmap)
+    return preorder_placement(_hub_guest(kind, 2 ** level - 1), host)
 
 
 def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
@@ -233,15 +242,27 @@ def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
     return build_embedding(guest, host, vmap, routes)
 
 
-def _median_with_rim(host: Graph, find, what: str,
-                     node_limit: Optional[int]) -> tuple[int, tuple[int, ...]]:
-    """The first median, in id order, whose removal leaves a spanning `what`
-    (cycle or path found by `find`), together with that spanning subgraph."""
+def _embed_via_median(kind: str, host: Graph, node_limit: Optional[int]) -> EmbeddingMap:
+    """Wheel or fan of the host's order: hub on the first median, in id order,
+    whose removal leaves a spanning cycle (wheel) or path (fan), rim on that
+    cycle or path, spokes on shortest paths."""
+    if not is_connected(host):
+        raise ValueError("median construction requires a connected host")
+    n = host.order
+    least = 4 if kind == "wheel" else 3
+    if n < least:
+        raise ValueError(f"{kind} guest needs host order >= {least}, got {n}")
+    find, what = ((find_hamiltonian_cycle, "cycle") if kind == "wheel"
+                  else (find_hamiltonian_path, "path"))
     medians, _ = status_and_median(host)
     for hub_image in medians:
         rim = find(host, without_vertices=(hub_image,), node_limit=node_limit)
         if rim is not None:
-            return hub_image, rim
+            # rim images are host-adjacent, so shortest routing keeps every rim
+            # edge on its single host edge and the spokes on shortest paths
+            vmap = {1: hub_image}
+            vmap.update({g: rim[g - 2] for g in range(2, n + 1)})
+            return route_shortest(_hub_guest(kind, n), host, vmap)
     listed = ", ".join(map(str, medians))
     raise HostNotHamiltonianError(
         f"host minus any of its medians ({listed}) has no hamiltonian {what}")
@@ -249,33 +270,11 @@ def _median_with_rim(host: Graph, find, what: str,
 
 def embed_wheel_via_median(host: Graph, *,
                            node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Wheel of the host's order: hub on the first median whose removal leaves
-    a spanning cycle, rim on that cycle, spokes on shortest paths."""
-    if not is_connected(host):
-        raise ValueError("median construction requires a connected host")
-    n = host.order
-    if n < 4:
-        raise ValueError(f"wheel guest needs host order >= 4, got {n}")
-    hub_image, rim = _median_with_rim(host, find_hamiltonian_cycle, "cycle", node_limit)
-    guest = families.wheel(n)
-    vmap = {1: hub_image}
-    vmap.update({g: rim[g - 2] for g in range(2, n + 1)})
-    # rim images are host-adjacent, so shortest routing keeps every rim edge on
-    # its single cycle edge and the spokes on shortest paths
-    return route_shortest(guest, host, vmap)
+    """Wheel of the host's order by the median construction."""
+    return _embed_via_median("wheel", host, node_limit)
 
 
 def embed_fan_via_median(host: Graph, *,
                          node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Fan of the host's order: hub on the first median whose removal leaves a
-    spanning path, rim path on that path, spokes on shortest paths."""
-    if not is_connected(host):
-        raise ValueError("median construction requires a connected host")
-    n = host.order
-    if n < 3:
-        raise ValueError(f"fan guest needs host order >= 3, got {n}")
-    hub_image, rim = _median_with_rim(host, find_hamiltonian_path, "path", node_limit)
-    guest = families.fan(n)
-    vmap = {1: hub_image}
-    vmap.update({g: rim[g - 2] for g in range(2, n + 1)})
-    return route_shortest(guest, host, vmap)
+    """Fan of the host's order by the median construction."""
+    return _embed_via_median("fan", host, node_limit)

@@ -111,10 +111,6 @@ class DistanceTable:
     def between(self, u: int, v: int) -> float:
         return self.dist[u - 1][v - 1]
 
-    def eccentricity(self, v: int) -> float:
-        row = self.dist[v - 1]
-        return max(row) if self.order > 1 else 0
-
 
 @dataclass(frozen=True)
 class Shells:
@@ -229,9 +225,17 @@ def graph_to_json(G: Graph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def parse_json(text: str, what: str):
+    """`json.loads`, reporting input nested too deeply for the parser as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply") from None
+
+
 def graph_from_json(text: str) -> Graph:
     """Parse the graph interchange schema, validating through build_graph."""
-    data = json.loads(text)
+    data = parse_json(text, "graph")
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     for key in ("order", "edges"):

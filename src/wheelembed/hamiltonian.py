@@ -250,7 +250,9 @@ def fault_specs(G: Graph, f: int) -> Iterator[FaultSpec]:
     Sizes ascend; within one size, all-vertex sets come first (ids ascending),
     then all-edge sets (lexicographic), then mixed sets ordered by decreasing
     vertex count and lexicographic parts. The first failure under this order
-    is the canonical certificate.
+    is the canonical certificate. A mixed set that fails an edge at one of its
+    failed vertices is not yielded: it leaves the survivor graph of the
+    smaller set without that edge, which comes earlier.
     """
     if f < 0:
         raise ValueError(f"fault budget must be non-negative, got {f}")
@@ -266,14 +268,9 @@ def fault_specs(G: Graph, f: int) -> Iterator[FaultSpec]:
             yield FaultSpec(frozenset(), frozenset(es))
         for nv in range(size - 1, 0, -1):
             for vs in combinations(verts, nv):
-                for es in combinations(edges, size - nv):
+                free = [(u, v) for u, v in edges if u not in vs and v not in vs]
+                for es in combinations(free, size - nv):
                     yield FaultSpec(frozenset(vs), frozenset(es))
-
-
-def _redundant(spec: FaultSpec) -> bool:
-    # an edge incident to a failed vertex leaves the same survivor graph as the
-    # smaller fault set already checked earlier in the enumeration
-    return any(u in spec.vertices or v in spec.vertices for u, v in spec.edges)
 
 
 def is_f_fault_hamiltonian(G: Graph, f: int, *,
@@ -287,8 +284,6 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
     witness = None
     base = _masks(G)
     for spec in fault_specs(G, f):
-        if _redundant(spec):
-            continue
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
         cyc = _cycle_search(adj, alive, _Budget(node_limit, "cycle", spec=spec))
         if cyc is None:
@@ -305,8 +300,6 @@ def is_f_fault_traceable(G: Graph, f: int, *,
     witness = None
     base = _masks(G)
     for spec in fault_specs(G, f):
-        if _redundant(spec):
-            continue
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
         for u, v in combinations(sorted(set(G.vertices()) - spec.vertices), 2):
             found = _path_search(adj, alive, _Budget(node_limit, "path", (u, v), spec), (u, v))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
+from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
 
 
 @st.composite
@@ -93,3 +94,43 @@ def brute_running_minima(guest: Graph, host: Graph, minimax: bool):
         if value < best:
             count, best, witness = count + 1, value, images
     return count, best, witness
+
+
+def reference_fault_sets(G: Graph, f: int):
+    """Every fault set of size <= f as (vertices, edges) tuples in canonical
+    order: sizes ascending; within a size, vertex sets, then edge sets, then
+    mixed sets by decreasing vertex count. A set that fails an edge at one of
+    its failed vertices is skipped, because the smaller set without that edge
+    leaves the same survivor graph and comes earlier."""
+    verts, edges = list(G.vertices()), G.edge_list()
+    for size in range(f + 1):
+        splits = [(size, 0), (0, size)] if size else [(0, 0)]
+        splits += [(nv, size - nv) for nv in range(size - 1, 0, -1)]
+        for nv, ne in splits:
+            for vs in combinations(verts, nv):
+                for es in combinations(edges, ne):
+                    if not any(u in vs or v in vs for u, v in es):
+                        yield vs, es
+
+
+def reference_fault_sweep(G: Graph, f: int, traceable: bool):
+    """(verdict, witness, failing fault, failing pair) of the f-fault
+    hamiltonian or traceable check, one plain search per fault set and pair."""
+    witness = None
+    for vs, es in reference_fault_sets(G, f):
+        faults = {"without_vertices": vs, "without_edges": es}
+        spec = FaultSpec(frozenset(vs), frozenset(es))
+        if not traceable:
+            found = find_hamiltonian_cycle(G, **faults)
+            if found is None:
+                return False, None, spec, None
+            if not (vs or es):
+                witness = found
+            continue
+        for pair in combinations([v for v in G.vertices() if v not in vs], 2):
+            found = find_hamiltonian_path(G, pair, **faults)
+            if found is None:
+                return False, None, spec, pair
+            if witness is None and not (vs or es):
+                witness = found
+    return True, witness, None, None

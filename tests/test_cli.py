@@ -8,8 +8,8 @@ import pytest
 
 import wheelembed
 from helpers import record_bfs
-from wheelembed.cli import JOBS_ENV_VAR, main
-from wheelembed.families import circulant, hypertree
+from wheelembed.cli import main
+from wheelembed.families import circulant, cycle, hypertree, star
 from wheelembed.graphs import graph_from_json, graph_to_json
 
 
@@ -28,10 +28,10 @@ def write_graph(tmp_path, G, filename):
     return str(target)
 
 
-def run_process(*argv, env=None):
+def run_process(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
     src = str(Path(wheelembed.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "wheelembed.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
@@ -254,6 +254,14 @@ class TestHam:
         assert err == ("inconclusive: path search for pair (1, 2) on fault set "
                        "vertices [] edges [] exhausted node budget 2\n")
 
+    def test_search_deeper_than_the_recursion_limit_exits_two(self, tmp_path):
+        # the cycle search recurses once per vertex
+        g = write_graph(tmp_path, cycle(1500), "g.json")
+        proc = run_process("ham", "--graph", g, "--query", "cycle")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("inconclusive: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("ends", ["1", "1,2,3"])
     def test_malformed_ends(self, capsys, ends):
         code, out, err = run(capsys, "ham", "--graph", str(INPUTS / "petersen-5-2.json"),
@@ -333,6 +341,8 @@ class TestHostileInput:
     @pytest.mark.parametrize("text", [
         '{"edges": 5, "order": 3}',
         '{"order": true, "edges": []}',
+        pytest.param('{"order": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     id="nested-too-deeply"),
     ])
     def test_malformed_graph_json(self, tmp_path, text):
         target = tmp_path / "bad.json"
@@ -348,12 +358,12 @@ class TestHostileInput:
         assert_one_line_input_error(run_process("metrics", "--guest", g, "--host", g,
                                                 "--embedding", str(emb)))
 
-    def test_non_integer_jobs_variable(self, tmp_path):
-        g = write_graph(tmp_path, circulant(4, {1}), "g.json")
-        proc = run_process("oracle", "--guest", g, "--host", g, "--metric", "dil",
-                           env={JOBS_ENV_VAR: "abc"})
+    def test_preorder_guest_larger_than_host(self, tmp_path):
+        g = write_graph(tmp_path, star(16), "g.json")
+        h = write_graph(tmp_path, hypertree(4), "h.json")
+        proc = run_process("embed", "--guest", g, "--host", h, "--method", "preorder")
         assert_one_line_input_error(proc)
-        assert JOBS_ENV_VAR in proc.stderr
+        assert "equal orders, got 16 vs 15" in proc.stderr
 
     @pytest.mark.parametrize("payload", [
         {"vmap": 5, "routes": {}},
@@ -361,11 +371,12 @@ class TestHostileInput:
         {"vmap": [1, 2, 3, 4], "routes": [[1, 2]]},
         {"vmap": [1, 2, 3, 4], "routes": {"1-2": 7}},
         {"vmap": [1, 2, 3, 4], "routes": {"a-b": [1, 2]}},
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
     ])
     def test_malformed_embedding_shapes(self, capsys, tmp_path, payload):
         g = write_graph(tmp_path, circulant(4, {1}), "g.json")
         emb = tmp_path / "emb.json"
-        emb.write_text(json.dumps(payload))
+        emb.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, _, err = run(capsys, "metrics", "--guest", g, "--host", g, "--embedding", str(emb))
         assert code == 1
         assert err.startswith("error: ")

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_spanning_paths, connected_graphs, graphs
+from helpers import (
+    brute_spanning_paths,
+    connected_graphs,
+    graphs,
+    reference_fault_sets,
+    reference_fault_sweep,
+)
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
 from wheelembed.graphs import build_graph, edge_key, graph_from_json
 from wheelembed.hamiltonian import (
@@ -153,7 +159,16 @@ class TestFaultEnumeration:
         # size two: vertex pairs, then edge pairs, then mixed
         assert specs[6] == FaultSpec(frozenset({1, 2}), frozenset())
         assert specs[9] == FaultSpec(frozenset(), frozenset({(1, 2), (2, 3)}))
-        assert specs[10] == FaultSpec(frozenset({1}), frozenset({(1, 2)}))
+        # mixed: an edge at the failed vertex would repeat an earlier survivor graph
+        assert specs[10] == FaultSpec(frozenset({1}), frozenset({(2, 3)}))
+        assert len(specs) == 12
+
+    @pytest.mark.parametrize("G, f", [(path(3), 2), (complete(5), 3), (PETERSEN, 2)])
+    def test_no_set_fails_an_edge_at_a_failed_vertex(self, G, f):
+        specs = list(fault_specs(G, f))
+        assert not any(u in s.vertices or v in s.vertices for s in specs for u, v in s.edges)
+        assert [(tuple(sorted(s.vertices)), tuple(sorted(s.edges))) for s in specs] == \
+            list(reference_fault_sets(G, f))
 
     def test_budget_must_be_non_negative(self):
         with pytest.raises(ValueError):
@@ -292,3 +307,22 @@ def test_witnesses_match_brute_force(case, data):
         ends = tuple(data.draw(st.permutations(alive))[:2])
         joining = [p for p in paths if (p[0], p[-1]) == ends]
         assert find_hamiltonian_path(G, ends, **faults) == (joining[0] if joining else None)
+
+
+@st.composite
+def dense_graphs(draw):
+    """Complete graphs on at most seven vertices minus a few edges: many of
+    them pass every fault set of size two, so the mixed sets get searched."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=n // 2)) if pairs else set()
+    return build_graph(n, [p for p in pairs if p not in removed])
+
+
+@given(st.one_of(graphs(max_order=6), dense_graphs()), st.integers(0, 2), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fault_sweeps_match_the_reference(G, f, traceable):
+    sweep = is_f_fault_traceable if traceable else is_f_fault_hamiltonian
+    report = sweep(G, f)
+    assert (report.verdict, report.witness, report.failing_fault, report.failing_pair) == \
+        reference_fault_sweep(G, f, traceable)
