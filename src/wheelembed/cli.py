@@ -3,9 +3,9 @@ hamiltonicity queries, oracle runs, and DOT export.
 
 Exit codes: 0 for success (a "bound not sharp" finding is a finding, not a
 failure), 1 for input or validation errors, 2 when a search gives up on its
-node budget or outgrows the interpreter's recursion limit and the outcome is
-inconclusive. All reports are valid JSON under --format json, and identical
-inputs (including seeds) produce byte-identical output.
+node budget or the oracle's DFS outgrows the interpreter's recursion limit
+and the outcome is inconclusive. All reports are valid JSON under --format
+json, and identical inputs (including seeds) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -524,8 +524,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except (SearchBudgetExceeded, RecursionError) as exc:
-        # a search that recurses once per vertex can outgrow the interpreter's
-        # stack on a large graph; like an exhausted budget, that decides nothing
+        # the oracle DFS recurses once per guest vertex, so a large guest can
+        # outgrow the interpreter's stack; like an exhausted budget, that decides nothing
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:

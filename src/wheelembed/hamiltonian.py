@@ -1,13 +1,15 @@
 """Exact hamiltonian cycle/path search and fault-tolerant hamiltonicity checks.
 
-Backtracking with reachability and anchor-degree pruning on bitmasks: a
-survivor graph is a list of neighbour masks indexed by vertex id (bit w of
-adj[v] set iff edge vw survives) plus a mask of surviving vertices, and the
-search passes its unvisited set down as one int. Children are tried lowest
-bit first, so witnesses are lexicographically least. Verdicts are exact; a
-node-expansion cap turns long searches into an explicit inconclusive
-outcome instead of a wrong answer. Intended for graphs up to around 16
-vertices when sweeping fault sets.
+One backtracking search, `_spanning`, answers cycle and path queries alike,
+with reachability and anchor-degree pruning on bitmasks: a survivor graph is
+a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff edge
+vw survives) plus a mask of surviving vertices, and the unvisited set is one
+int. The search keeps an explicit stack instead of recursing, so its depth
+is bounded by memory, not by the interpreter's recursion limit. Children are
+tried lowest bit first, so witnesses are lexicographically least. Verdicts
+are exact; a node-expansion cap turns long searches into an explicit
+inconclusive outcome instead of a wrong answer. Intended for graphs up to
+around 16 vertices when sweeping fault sets.
 """
 
 from __future__ import annotations
@@ -140,24 +142,37 @@ def _feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
     return not rest
 
 
-def _extend_cycle(adj, path, unvisited, start, budget) -> bool:
-    budget.spend()
-    cur = path[-1]
-    if not unvisited:
-        return adj[cur] >> start & 1 == 1
-    if not adj[start] & unvisited:
-        return False  # the closing edge back to start can never form
-    if not _feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
-        return False
-    children = adj[cur] & unvisited
-    while children:
+def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int]]:
+    """Depth-first search for a spanning path from `start` over `unvisited`.
+
+    `close` is start's bit when the path must close into a cycle, else 0;
+    `target` is the bit of a fixed final endpoint, else 0. The search keeps
+    its own stack of untried-children masks, one per path vertex, so its
+    depth is bounded by memory. Each visited node spends one unit of budget.
+    """
+    weak_ok = target or (0 if close else -1)  # where a path may end
+    path, stack = [start], []
+    while True:
+        budget.spend()
+        cur = path[-1]
+        children = 0
+        if not unvisited:
+            if not close or adj[cur] & close:
+                return path
+        elif ((not close or adj[start] & unvisited)  # a cycle's closing edge can still form
+              and _feasible(adj, unvisited, unvisited | 1 << cur | close, weak_ok, cur)):
+            children = adj[cur] & unvisited
+            if unvisited != target:
+                children &= ~target  # a fixed endpoint may only be placed last
+        while not children:
+            if not stack:
+                return None
+            children = stack.pop()
+            unvisited |= 1 << path.pop()
         low = children & -children
+        stack.append(children ^ low)
+        unvisited ^= low
         path.append(low.bit_length() - 1)
-        if _extend_cycle(adj, path, unvisited ^ low, start, budget):
-            return True
-        path.pop()
-        children ^= low
-    return False
 
 
 def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
@@ -170,32 +185,8 @@ def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
         if a & (a - 1) == 0:
             return None  # a vertex with fewer than two neighbors
         rest ^= low
-    start = (alive & -alive).bit_length() - 1
-    path = [start]
-    if _extend_cycle(adj, path, alive ^ 1 << start, start, budget):
-        return path
-    return None
-
-
-def _extend_path(adj, path, unvisited, target, budget) -> bool:
-    budget.spend()
-    if not unvisited:
-        return True  # a fixed endpoint is only ever placed last
-    cur = path[-1]
-    # `target` is the fixed final endpoint's bit, or 0 when the path end is free
-    if not _feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
-        return False
-    children = adj[cur] & unvisited
-    if unvisited != target:
-        children &= ~target  # a fixed endpoint may only be placed last
-    while children:
-        low = children & -children
-        path.append(low.bit_length() - 1)
-        if _extend_path(adj, path, unvisited ^ low, target, budget):
-            return True
-        path.pop()
-        children ^= low
-    return False
+    low = alive & -alive
+    return _spanning(adj, low.bit_length() - 1, alive ^ low, low, 0, budget)
 
 
 def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
@@ -211,9 +202,9 @@ def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
             raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
         starts, target = [s], 1 << t
     for s in starts:
-        path = [s]
-        if _extend_path(adj, path, alive ^ 1 << s, target, budget):
-            return path
+        found = _spanning(adj, s, alive ^ 1 << s, 0, target, budget)
+        if found is not None:
+            return found
     return None
 
 

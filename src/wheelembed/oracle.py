@@ -15,11 +15,6 @@ the hub's spokes are charged exactly the status of the hub's image, the
 paper's own bound. Since the bound at a leaf is its exact value (dilation,
 wirelength), the leaves reached are the strict running minima in
 lexicographic order, whichever admissible bound prunes above them.
-
-No symmetry is assumed by default. A caller who knows the host's automorphism
-orbits may pass them as `host_orbits` to pin the first guest vertex to one
-representative per orbit; correctness is then the caller's responsibility,
-and the witness is the lexicographically least within the reduced space.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ class OracleResult:
 
     `search_space` counts the leaves the search reached: complete bijections
     that survived pruning (each routed, for congestion). With `prune=False`
-    and no `host_orbits` it is n!.
+    it is n!.
     """
 
     metric: str
@@ -221,34 +216,14 @@ def _reduce(parts):
     return best, witness, leaves, capped, nodes
 
 
-def _first_candidates(n: int, host_orbits) -> list[int]:
-    """Images allowed for guest vertex 1: all, or one representative per
-    externally supplied host-automorphism orbit (caller vouches for them)."""
-    if host_orbits is None:
-        return list(range(1, n + 1))
-    seen: set[int] = set()
-    reps = []
-    for orbit in host_orbits:
-        members = set(orbit)
-        if not members:
-            raise ValueError("orbits must be non-empty")
-        if members & seen:
-            raise ValueError("orbits must be disjoint")
-        seen |= members
-        reps.append(min(members))
-    if seen != set(range(1, n + 1)):
-        raise ValueError(f"orbits must partition 1..{n}")
-    return sorted(reps)
-
-
-def _run_partitioned(guest: Graph, dist, host_orbits, prune: bool, jobs: int, *,
+def _run_partitioned(guest: Graph, dist, prune: bool, jobs: int, *,
                      minimax: bool = False, cong=None):
     """Run `_search` serially, or with one pool task per first image."""
     n = guest.order
     prior = _prior_neighbors(guest)
     near = _nearest(dist)
     pending, both_free = _pending(guest)
-    firsts = _first_candidates(n, host_orbits)
+    firsts = range(1, n + 1)
 
     def make_args(hs):
         return (n, prior, dist, near, pending, both_free, hs, prune, minimax, cong)
@@ -260,23 +235,20 @@ def _run_partitioned(guest: Graph, dist, host_orbits, prune: bool, jobs: int, *,
 
 
 def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
-                   prune: bool = True, jobs: int = 1,
-                   host_orbits=None) -> OracleResult:
+                   prune: bool = True, jobs: int = 1) -> OracleResult:
     """Exact dil(guest, host): shortest routing makes per-edge dilation equal
     to the host distance of the images, so bijections alone decide the value."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
-                                                   minimax=True)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, prune, jobs, minimax=True)
     return OracleResult("dilation", int(best), witness, leaves, exact=True)
 
 
 def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
-                     prune: bool = True, jobs: int = 1,
-                     host_orbits=None) -> OracleResult:
+                     prune: bool = True, jobs: int = 1) -> OracleResult:
     """Exact WL(guest, host): minimum over bijections of the summed host
     distances between adjacent images."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, prune, jobs)
     return OracleResult("wirelength", int(best), witness, leaves, exact=True)
 
 
@@ -346,7 +318,7 @@ def _is_tree(G: Graph) -> bool:
 
 def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
                      route_cap: int = DEFAULT_ROUTE_CAP, prune: bool = True,
-                     jobs: int = 1, host_orbits=None) -> OracleResult:
+                     jobs: int = 1) -> OracleResult:
     """Minimum over bijections and per-edge shortest-path choices of the max
     edge congestion.
 
@@ -364,8 +336,7 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     hub = [()] + [[0] + [-(guest.degree(g) // -max(host.degree(h), 1)) for h in host.vertices()]
                   for g in guest.vertices()]
     cong = (hub, max(len(host.edges), 1), guest.edge_list(), route_table, route_cap)
-    best, witness, leaves, capped, _ = _run_partitioned(guest, dist, host_orbits, prune, jobs,
-                                                        cong=cong)
+    best, witness, leaves, capped, _ = _run_partitioned(guest, dist, prune, jobs, cong=cong)
 
     tree_host = _is_tree(host)
     exact = tree_host and not capped

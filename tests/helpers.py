@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
-from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
+from wheelembed.hamiltonian import (
+    FaultSpec,
+    _feasible,
+    find_hamiltonian_cycle,
+    find_hamiltonian_path,
+)
 
 
 @st.composite
@@ -134,3 +139,83 @@ def reference_fault_sweep(G: Graph, f: int, traceable: bool):
             if witness is None and not (vs or es):
                 witness = found
     return True, witness, None, None
+
+
+def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
+    budget.spend()
+    cur = path[-1]
+    if not unvisited:
+        return adj[cur] >> start & 1 == 1
+    if not adj[start] & unvisited:
+        return False  # the closing edge back to start can never form
+    if not _feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
+        return False
+    children = adj[cur] & unvisited
+    while children:
+        low = children & -children
+        path.append(low.bit_length() - 1)
+        if _reference_extend_cycle(adj, path, unvisited ^ low, start, budget):
+            return True
+        path.pop()
+        children ^= low
+    return False
+
+
+def reference_cycle_search(adj, alive, budget):
+    """The recursive cycle search the stack-based `_spanning` replaced: same
+    witness and the same nodes spent, one interpreter frame per path vertex."""
+    if alive.bit_count() < 3:
+        return None
+    rest = alive
+    while rest:
+        low = rest & -rest
+        a = adj[low.bit_length() - 1]
+        if a & (a - 1) == 0:
+            return None  # a vertex with fewer than two neighbors
+        rest ^= low
+    start = (alive & -alive).bit_length() - 1
+    path = [start]
+    if _reference_extend_cycle(adj, path, alive ^ 1 << start, start, budget):
+        return path
+    return None
+
+
+def _reference_extend_path(adj, path, unvisited, target, budget) -> bool:
+    budget.spend()
+    if not unvisited:
+        return True  # a fixed endpoint is only ever placed last
+    cur = path[-1]
+    # `target` is the fixed final endpoint's bit, or 0 when the path end is free
+    if not _feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
+        return False
+    children = adj[cur] & unvisited
+    if unvisited != target:
+        children &= ~target  # a fixed endpoint may only be placed last
+    while children:
+        low = children & -children
+        path.append(low.bit_length() - 1)
+        if _reference_extend_path(adj, path, unvisited ^ low, target, budget):
+            return True
+        path.pop()
+        children ^= low
+    return False
+
+
+def reference_path_search(adj, alive, budget, ends=None):
+    """The recursive path search the stack-based `_spanning` replaced."""
+    if not alive:
+        return None
+    if ends is None:
+        starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
+        if len(starts) == 1:
+            return starts
+    else:
+        s, t = ends
+        if s == t or not all(v >= 0 and alive >> v & 1 for v in ends):
+            raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
+        starts, target = [s], 1 << t
+    for s in starts:
+        path = [s]
+        if _reference_extend_path(adj, path, alive ^ 1 << s, target, budget):
+            return path
+    return None

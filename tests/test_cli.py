@@ -206,6 +206,14 @@ class TestBoundAndVerify:
         assert code == 0
         assert "True" in out
 
+    @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
+    def test_median_construction_deeper_than_the_recursion_limit(self, capsys, theorem):
+        # the rim is a spanning cycle or path of 1199 host vertices
+        code, out, _ = run(capsys, "verify", theorem, "--sweep", "1200..1200",
+                           "--format", "json")
+        assert code == 0
+        assert [row["sharp"] for row in json.loads(out)] == [True]
+
     def test_verify_wirelength_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "wl-fan", "--sweep", "6..8",
                            "--format", "json")
@@ -254,13 +262,24 @@ class TestHam:
         assert err == ("inconclusive: path search for pair (1, 2) on fault set "
                        "vertices [] edges [] exhausted node budget 2\n")
 
-    def test_search_deeper_than_the_recursion_limit_exits_two(self, tmp_path):
-        # the cycle search recurses once per vertex
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # the search keeps its own stack, so 1500 path vertices are no deeper
+        # for the interpreter than 15
         g = write_graph(tmp_path, cycle(1500), "g.json")
-        proc = run_process("ham", "--graph", g, "--query", "cycle")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("inconclusive: ")
-        assert len(proc.stderr.strip().splitlines()) == 1
+        code, out, _ = run(capsys, "ham", "--graph", g, "--query", "cycle")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is True
+        assert payload["witness"] == list(range(1, 1501))
+
+    def test_fixed_end_path_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        from wheelembed.families import path as path_family
+        g = write_graph(tmp_path, path_family(1500), "g.json")
+        code, out, _ = run(capsys, "ham", "--graph", g, "--query", "path", "--ends", "1,1500")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is True
+        assert payload["witness"] == list(range(1, 1501))
 
     @pytest.mark.parametrize("ends", ["1", "1,2,3"])
     def test_malformed_ends(self, capsys, ends):
@@ -291,6 +310,17 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["exact"] is False
         assert "route-combination cap 1" in payload["notes"]
+
+    def test_search_deeper_than_the_recursion_limit_exits_two(self, tmp_path):
+        # the oracle DFS recurses once per guest vertex
+        from wheelembed.families import wheel
+        g = write_graph(tmp_path, wheel(1050), "g.json")
+        h = write_graph(tmp_path, circulant(1050, {1, 2}), "h.json")
+        proc = run_process("oracle", "--metric", "wl", "--guest", g, "--host", h,
+                           "--limit", "1050")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("inconclusive: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_limit_violation_exits_one(self, capsys, tmp_path):
         from wheelembed.families import cycle

@@ -2,21 +2,28 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_spanning_paths,
     connected_graphs,
     graphs,
+    reference_cycle_search,
     reference_fault_sets,
     reference_fault_sweep,
+    reference_path_search,
 )
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
 from wheelembed.graphs import build_graph, edge_key, graph_from_json
 from wheelembed.hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
+    _Budget,
+    _cycle_search,
+    _masks,
+    _path_search,
+    _survivors,
     fault_specs,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
@@ -285,8 +292,8 @@ def test_cycle_witnesses_are_valid(G):
 
 
 @st.composite
-def faulted_graphs(draw):
-    G = draw(connected_graphs(min_order=1, max_order=7))
+def faulted_graphs(draw, base=connected_graphs(min_order=1, max_order=7)):
+    G = draw(base)
     vertices = draw(st.sets(st.sampled_from(list(G.vertices())), max_size=2))
     edges = draw(st.sets(st.sampled_from(G.edge_list()), max_size=2)) if G.edges else set()
     return G, sorted(vertices), sorted(edges)
@@ -307,6 +314,29 @@ def test_witnesses_match_brute_force(case, data):
         ends = tuple(data.draw(st.permutations(alive))[:2])
         joining = [p for p in paths if (p[0], p[-1]) == ends]
         assert find_hamiltonian_path(G, ends, **faults) == (joining[0] if joining else None)
+
+
+@given(faulted_graphs(graphs(max_order=8)), st.sampled_from(["cycle", "path", "ends"]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_recursive_reference(case, query, data):
+    # same witness and same nodes spent as the recursive search it replaced
+    G, vertices, edges = case
+    adj, alive = _survivors(G, _masks(G), vertices, edges)
+    if query == "cycle":
+        searches, extra = (_cycle_search, reference_cycle_search), ()
+    else:
+        ends = None
+        if query == "ends":
+            survivors = [v for v in G.vertices() if v not in vertices]
+            assume(len(survivors) >= 2)
+            ends = tuple(data.draw(st.permutations(survivors))[:2])
+        searches, extra = (_path_search, reference_path_search), (ends,)
+    outcomes = []
+    for search in searches:
+        budget = _Budget(10 ** 6, query)
+        outcomes.append((search(adj, alive, budget, *extra), budget.limit - budget.remaining))
+    assert outcomes[0] == outcomes[1]
 
 
 @st.composite

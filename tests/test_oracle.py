@@ -232,27 +232,7 @@ class TestAssignmentBound:
     ])
     def test_node_count(self, guest, host, minimax, nodes):
         dist = _check_instance(guest, host, guest.order)
-        assert _run_partitioned(guest, dist, None, True, 1, minimax=minimax)[4] == nodes
-
-
-class TestOrbitPinning:
-    def test_single_orbit_on_vertex_transitive_host(self):
-        # all circulant vertices form one automorphism orbit, so pinning the
-        # first guest vertex to its representative loses nothing
-        guest, host = wheel(6), circulant(6, {1, 2})
-        free = exact_wirelength(guest, host)
-        pinned = exact_wirelength(guest, host, host_orbits=[range(1, 7)])
-        assert pinned.optimum == free.optimum
-        assert pinned.witness_vmap == free.witness_vmap
-        assert pinned.search_space <= free.search_space
-        pinned_dil = exact_dilation(guest, host, host_orbits=[range(1, 7)])
-        assert pinned_dil.optimum == exact_dilation(guest, host).optimum
-
-    def test_orbits_must_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            exact_dilation(cycle(4), cycle(4), host_orbits=[{1, 2}])
-        with pytest.raises(ValueError, match="disjoint"):
-            exact_dilation(cycle(4), cycle(4), host_orbits=[{1, 2}, {2, 3, 4}])
+        assert _run_partitioned(guest, dist, True, 1, minimax=minimax)[4] == nodes
 
 
 class TestOracleAgreesWithConstructions:
