@@ -59,7 +59,6 @@ from .graphs import (
 from .hamiltonian import (
     FaultSpec,
     HamiltonicityReport,
-    LemmaPath,
     SearchBudgetExceeded,
     fault_specs,
     find_hamiltonian_cycle,
@@ -67,7 +66,6 @@ from .hamiltonian import (
     is_f_fault_hamiltonian,
     is_f_fault_traceable,
     is_hypohamiltonian,
-    path_from_2fault_hamiltonian,
 )
 from .oracle import OracleResult, exact_congestion, exact_dilation, exact_wirelength
 

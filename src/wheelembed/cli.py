@@ -3,9 +3,10 @@ hamiltonicity queries, oracle runs, and DOT export.
 
 Exit codes: 0 for success (a "bound not sharp" finding is a finding, not a
 failure), 1 for input or validation errors, 2 when a search gives up on its
-node budget or the oracle's DFS outgrows the interpreter's recursion limit
-and the outcome is inconclusive. All reports are valid JSON under --format
-json, and identical inputs (including seeds) produce byte-identical output.
+node budget and the outcome is inconclusive. Every search keeps its own
+stack, so no search depth reaches the interpreter's recursion limit. All
+reports are valid JSON under --format json, and identical inputs (including
+seeds) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def embedding_from_json(guest: Graph, host: Graph, text: str) -> EmbeddingMap:
 
 def export_dot(G: Graph, congestion: Optional[dict[tuple[int, int], int]] = None) -> str:
     """Deterministic DOT rendering; optional congestion counts as edge labels."""
-    title = G.name or "graph"
+    title = (G.name or "graph").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{title}" {{']
     for v in G.vertices():
         lines.append(f"  {v};")
@@ -523,9 +524,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         return args.handler(args)
-    except (SearchBudgetExceeded, RecursionError) as exc:
-        # the oracle DFS recurses once per guest vertex, so a large guest can
-        # outgrow the interpreter's stack; like an exhausted budget, that decides nothing
+    except SearchBudgetExceeded as exc:
+        # an exhausted node budget decides nothing
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, edge_key
 
@@ -51,11 +51,6 @@ class HamiltonicityReport:
     witness: Optional[tuple[int, ...]] = None
     failing_fault: Optional[FaultSpec] = None
     failing_pair: Optional[tuple[int, int]] = None
-
-
-class LemmaPath(NamedTuple):
-    path: tuple[int, ...]
-    via_construction: bool
 
 
 class _Budget:
@@ -312,39 +307,3 @@ def is_hypohamiltonian(G: Graph, *, node_limit: Optional[int] = None) -> bool:
         for v in G.vertices()
     )
 
-
-def path_from_2fault_hamiltonian(G: Graph, *,
-                                 node_limit: Optional[int] = None) -> LemmaPath:
-    """Spanning path of a verified 2-fault hamiltonian graph.
-
-    Removes the two smallest vertices, takes a spanning cycle of the rest,
-    opens it at a neighbor of one removed vertex and tries to hang the other
-    removed vertex off either free end. When no such extension covers both
-    removed vertices the result falls back to a direct spanning-path search;
-    `via_construction` records which route produced the witness.
-    """
-    report = is_f_fault_hamiltonian(G, 2, node_limit=node_limit)
-    if not report.verdict:
-        raise ValueError("graph is not 2-fault hamiltonian")
-    u, v = 1, 2
-    cyc = find_hamiltonian_cycle(G, without_vertices=(u, v), node_limit=node_limit)
-    if cyc is not None:
-        m = len(cyc)
-        for first, second in ((u, v), (v, u)):
-            for i in range(m):
-                if not G.has_edge(first, cyc[i]):
-                    continue
-                forward = cyc[i:] + cyc[:i]
-                backward = (cyc[i],) + tuple(reversed(forward[1:]))
-                for opened in (forward, backward):
-                    candidate = (first,) + opened
-                    if G.has_edge(candidate[-1], second):
-                        return LemmaPath(candidate + (second,), True)
-                    if G.has_edge(second, candidate[0]):
-                        return LemmaPath((second,) + candidate, True)
-    direct = find_hamiltonian_path(G, node_limit=node_limit)
-    if direct is None:
-        raise RuntimeError(
-            "2-fault hamiltonian graph with no spanning path found; "
-            "this contradicts the expected property and deserves a close look")
-    return LemmaPath(direct, False)

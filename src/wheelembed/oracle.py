@@ -105,9 +105,11 @@ def _search(args):
     this charges the hub's spokes exactly the status of its image. Congestion
     takes the larger of the running hub bound ceil(deg_G(g)/deg_H(f(g))) and
     the wirelength bound spread over |E(H)|. A leaf's value is its cost, or
-    for congestion its best shortest-path routing. Returns (best, witness,
-    leaves, capped, nodes); leaves counts every complete bijection reached
-    (routed, for congestion) and nodes every call of the recursion.
+    for congestion its best shortest-path routing. The search keeps its own
+    stack of frames, one per placed depth, so its depth is bounded by memory,
+    not by the interpreter's recursion limit. Returns (best, witness, leaves,
+    capped, nodes); leaves counts every complete bijection reached (routed,
+    for congestion) and nodes every push onto the stack, the root included.
     """
     n, prior, dist, near, pending, both_free, first_images, prune, minimax, cong = args
     if cong is not None:
@@ -116,9 +118,9 @@ def _search(args):
     witness = None
     leaves = 0
     capped = False
-    nodes = 0
     images = [0] * (n + 1)
     used = [False] * (n + 1)
+    everyone = range(1, n + 1)
 
     def below(k: int, total: int, limit) -> bool:
         """Whether `total`, the cost so far, stays below `limit` once the
@@ -148,10 +150,15 @@ def _search(args):
                         break
         return total < limit
 
-    def rec(k: int, cur: int, hub_max: int) -> None:
-        nonlocal best, witness, leaves, capped, nodes
-        nodes += 1
+    # frame k - 1 holds the candidates still to try for guest vertex k, the
+    # cost so far and the hub bound; images[k] is k's latest image
+    frames = [(iter(first_images), 0, 0)]
+    nodes = 1
+    while frames:
+        k = len(frames)
+        candidates, cur, hub_max = frames[-1]
         if k > n:
+            frames.pop()
             leaves += 1
             value = cur
             if cong is not None:
@@ -164,8 +171,8 @@ def _search(args):
             if value is not None and value < best:
                 best = value
                 witness = tuple(images[1:])
-            return
-        candidates = first_images if k == 1 else range(1, n + 1)
+            continue
+        used[images[k]] = False  # slot 0 is spare, so a fresh frame clears nothing
         for h in candidates:
             if used[h]:
                 continue
@@ -192,11 +199,13 @@ def _search(args):
             images[k] = h
             used[h] = True
             if not prune or below(k, val, limit):
-                rec(k + 1, val, top)
+                frames.append((iter(everyone), val, top))
+                nodes += 1
+                break
             used[h] = False
-        images[k] = 0
-
-    rec(1, 0, 0)
+        else:
+            images[k] = 0
+            frames.pop()
     return best, witness, leaves, capped, nodes
 
 
@@ -254,28 +263,20 @@ def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
 
 def _all_shortest_routes(host: Graph, a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
     """Every shortest a-b path as a tuple of canonical host edges, in
-    lexicographic vertex-sequence order."""
+    lexicographic vertex-sequence order: the prefixes grow one BFS layer at a
+    time towards b, each in order, and every route has the same length."""
     dist_b = host.distance_row(b)
-    routes = []
-
-    def walk(cur, edges_so_far):
-        if cur == b:
-            routes.append(tuple(edges_so_far))
-            return
-        for w in host.adjacency[cur]:
-            if dist_b[w] == dist_b[cur] - 1:
-                edges_so_far.append(edge_key(cur, w))
-                walk(w, edges_so_far)
-                edges_so_far.pop()
-
-    walk(a, [])
-    return routes
+    prefixes = [(a, ())]
+    for step in range(dist_b[a] - 1, -1, -1):
+        prefixes = [(w, edges + (edge_key(cur, w),)) for cur, edges in prefixes
+                    for w in host.adjacency[cur] if dist_b[w] == step]
+    return [edges for _, edges in prefixes]
 
 
 def _min_congestion_for_choices(choices, upper: float):
     """Min over route combinations of the max edge load, considering only
     combinations strictly below `upper`; None when there are none."""
-    order = sorted(range(len(choices)), key=lambda i: len(choices[i]))
+    choices = sorted(choices, key=len)  # stable: fewest routes first
     loads: dict[tuple[int, int], int] = {}
     best = upper
 
@@ -287,19 +288,21 @@ def _min_congestion_for_choices(choices, upper: float):
                 top = loads[e]
         return top
 
-    def rec(idx: int, cur_max: int) -> None:
-        nonlocal best
+    # (edge index, next route to try, running max); route `nxt - 1` of the
+    # edge is placed while its frame waits under the frame it spawned
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, nxt, cur_max = stack.pop()
+        if nxt:
+            place(choices[idx][nxt - 1], -1)
         if cur_max >= best:
-            return
-        if idx == len(order):
+            continue
+        if idx == len(choices):
             best = cur_max
-            return
-        for route in choices[order[idx]]:
-            top = place(route, 1)
-            rec(idx + 1, max(cur_max, top))
-            place(route, -1)
-
-    rec(0, 0)
+        elif nxt < len(choices[idx]):
+            top = place(choices[idx][nxt], 1)
+            stack.append((idx, nxt + 1, cur_max))
+            stack.append((idx + 1, 0, max(cur_max, top)))
     return int(best) if best < upper else None
 
 

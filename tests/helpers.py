@@ -1,5 +1,7 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
+import sys
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -34,6 +36,22 @@ def connected_graphs(draw, min_order=2, max_order=8):
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
     edges.update(p for i, p in enumerate(pairs) if mask >> i & 1)
     return build_graph(n, sorted(edges), f"random-connected-{n}")
+
+
+@contextmanager
+def shallow_recursion_limit(headroom: int = 30):
+    """Lower the interpreter's recursion limit to `headroom` frames above the
+    current stack depth inside the block, so that code recursing once per
+    vertex, edge or hop of a larger input fails there; restored on exit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def brute_distances(G: Graph) -> dict[tuple[int, int], float]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wheelembed
-from helpers import record_bfs
-from wheelembed.cli import main
+from helpers import graphs, record_bfs, shallow_recursion_limit
+from wheelembed.cli import EMBED_METHODS, main
 from wheelembed.families import circulant, cycle, hypertree, star
 from wheelembed.graphs import graph_from_json, graph_to_json
 
@@ -311,16 +315,19 @@ class TestOracleCommand:
         assert payload["exact"] is False
         assert "route-combination cap 1" in payload["notes"]
 
-    def test_search_deeper_than_the_recursion_limit_exits_two(self, tmp_path):
-        # the oracle DFS recurses once per guest vertex
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # the oracle keeps its own stack: 200 placed guest vertices take no
+        # interpreter frames, and the bound prunes every leaf after the first
         from wheelembed.families import wheel
-        g = write_graph(tmp_path, wheel(1050), "g.json")
-        h = write_graph(tmp_path, circulant(1050, {1, 2}), "h.json")
-        proc = run_process("oracle", "--metric", "wl", "--guest", g, "--host", h,
-                           "--limit", "1050")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("inconclusive: ")
-        assert len(proc.stderr.strip().splitlines()) == 1
+        g = write_graph(tmp_path, wheel(200), "g.json")
+        h = write_graph(tmp_path, circulant(200, {1, 2}), "h.json")
+        with shallow_recursion_limit():
+            code, out, err = run(capsys, "oracle", "--metric", "wl", "--guest", g,
+                                 "--host", h, "--limit", "200")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["optimum"], payload["search_space"]) == (5249, 1)
+        assert payload["witness_vmap"] == list(range(1, 201))
 
     def test_limit_violation_exits_one(self, capsys, tmp_path):
         from wheelembed.families import cycle
@@ -361,6 +368,13 @@ class TestExport:
         assert code == 0
         labels = [int(part.split('"')[1]) for part in out.splitlines() if "label" in part]
         assert sum(labels) == wirelength
+
+    def test_title_escapes_quote_and_backslash(self, capsys, tmp_path):
+        from wheelembed.graphs import build_graph
+        g = write_graph(tmp_path, build_graph(2, [(1, 2)], 'a"b\\'), "g.json")
+        code, out, _ = run(capsys, "export", "--graph", g)
+        assert code == 0
+        assert out.splitlines()[0] == r'graph "a\"b\\" {'
 
     def test_missing_file_exits_one(self, capsys):
         code, _, _ = run(capsys, "export", "--graph", "/nonexistent/graph.json")
@@ -422,3 +436,70 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "gen" in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+VERTEX_LISTS = st.lists(st.integers(-1, 8), max_size=8)
+NEAR_GRAPHS = st.fixed_dictionaries(
+    {"order": st.integers(-1, 8) | JSON_VALUES,
+     "edges": st.lists(st.lists(st.integers(0, 8) | JSON_VALUES, max_size=3), max_size=10)
+     | JSON_VALUES},
+    optional={"name": JSON_VALUES})
+
+
+@st.composite
+def cli_files(draw):
+    """Guest, host and embedding file texts. A graph is well formed (one shared
+    order, at most 7) half the time; otherwise, like the embedding, it is a
+    near miss, a JSON value of any shape, or not JSON at all."""
+    n = draw(st.integers(1, 7))
+    guest, host = draw(graphs(n, n)), draw(graphs(n, n))
+    vmap = draw(st.permutations(range(1, n + 1)))
+    hops = {f"{u}-{v}": [vmap[u - 1], vmap[v - 1]] for u, v in guest.edge_list()}
+    keys = st.sampled_from(["1-2", "2-3", "1-3", "2-1", "1-", "x-2"]) | st.text("0123456789-",
+                                                                                max_size=4)
+    routes = st.just(hops) | st.dictionaries(keys, VERTEX_LISTS | JSON_VALUES, max_size=6)
+    near_embedding = st.fixed_dictionaries({"vmap": st.just(vmap) | VERTEX_LISTS | JSON_VALUES,
+                                            "routes": routes | JSON_VALUES})
+
+    def text(G, near):
+        if G is not None and draw(st.booleans()):
+            return graph_to_json(G)
+        return draw(near.map(json.dumps) | JSON_VALUES.map(json.dumps) | st.text(max_size=8))
+
+    return {"G": text(guest, NEAR_GRAPHS), "H": text(host, NEAR_GRAPHS),
+            "E": text(None, near_embedding)}
+
+
+COMMANDS = [
+    ["metrics", "--guest", "G", "--host", "H", "--embedding", "E", "--format", "json"],
+    ["metrics", "--guest", "G", "--host", "H", "--random", "2"],
+    ["export", "--graph", "H"],
+    ["export", "--graph", "H", "--guest", "G", "--embedding", "E"],
+    *(["ham", "--graph", "G", "--query", query, "--node-limit", "50"]
+      for query in ("cycle", "path", "ffault-ham", "ffault-trace")),
+    *(["bound", "--metric", metric, "--guest", "G", "--host", "H", "--kind", "wheel",
+       "--node-limit", "50"] for metric in ("dil", "ec", "wl")),
+    *(["oracle", "--metric", metric, "--guest", "G", "--host", "H"]
+      for metric in ("dil", "ec", "wl")),
+    *(["embed", "--guest", "G", "--host", "H", "--method", method, "--node-limit", "50"]
+      for method in EMBED_METHODS),
+]
+
+
+@given(files=cli_files(), argv=st.sampled_from(COMMANDS))
+@settings(max_examples=150, deadline=None)
+def test_malformed_json_shapes_end_in_an_exit_code(tmp_path_factory, files, argv):
+    folder = tmp_path_factory.mktemp("shapes")
+    for key, text in files.items():
+        (folder / key).write_text(text, encoding="utf-8")
+    argv = [str(folder / arg) if arg in files else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -30,7 +30,6 @@ from wheelembed.hamiltonian import (
     is_f_fault_hamiltonian,
     is_f_fault_traceable,
     is_hypohamiltonian,
-    path_from_2fault_hamiltonian,
 )
 
 PETERSEN = generalized_petersen(5, 2)
@@ -248,30 +247,6 @@ class TestHypohamiltonian:
     def test_cycle_minus_vertex_is_a_path(self):
         # a plain cycle is not hypohamiltonian either: it is hamiltonian itself
         assert not is_hypohamiltonian(cycle(7))
-
-
-class TestLemmaPath:
-    def test_complete_graph(self):
-        result = path_from_2fault_hamiltonian(complete(5))
-        assert_valid_path(complete(5), result.path)
-
-    def test_dense_circulant(self):
-        G = circulant(8, {1, 2, 3})
-        result = path_from_2fault_hamiltonian(G)
-        assert_valid_path(G, result.path)
-
-    def test_two_jump_circulant_when_applicable(self):
-        G = circulant(8, {1, 2})
-        if is_f_fault_hamiltonian(G, 2).verdict:
-            result = path_from_2fault_hamiltonian(G)
-            assert_valid_path(G, result.path)
-        else:
-            with pytest.raises(ValueError):
-                path_from_2fault_hamiltonian(G)
-
-    def test_rejects_unqualified_graph(self):
-        with pytest.raises(ValueError, match="not 2-fault"):
-            path_from_2fault_hamiltonian(cycle(5))
 
 
 @given(graphs(max_order=6))

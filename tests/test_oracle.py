@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_running_minima, connected_graphs
+from helpers import brute_running_minima, connected_graphs, shallow_recursion_limit
 from wheelembed.embedding import embed_wheel_like_into_tree_host, evaluate, route_shortest
 from wheelembed.families import (
     circulant,
@@ -214,7 +214,7 @@ class TestDeterminismAndPruning:
 
 
 class TestAssignmentBound:
-    """Nodes the search expands (calls of its recursion, leaves included) on
+    """Nodes the search expands (pushes onto its stack, leaves included) on
     the benchmark's wirelength instances and the level-4 dilation theorems.
     Charging each placed vertex for its unplaced neighbors by the free
     distances from its image needs a handful of nodes per level; one per
@@ -233,6 +233,28 @@ class TestAssignmentBound:
     def test_node_count(self, guest, host, minimax, nodes):
         dist = _check_instance(guest, host, guest.order)
         assert _run_partitioned(guest, dist, True, 1, minimax=minimax)[4] == nodes
+
+
+class TestDeeperThanTheRecursionLimit:
+    """The search, its route enumeration and its congestion leaf keep their
+    own stacks, so an instance deeper than the interpreter's recursion limit
+    gets the same result as at the normal limit."""
+
+    def test_wirelength_search(self):
+        guest, host = wheel(200), circulant(200, {1, 2})
+        with shallow_recursion_limit():
+            result = exact_wirelength(guest, host, limit=200)
+        assert (result.optimum, result.search_space) == (5249, 1)
+        assert result.witness_vmap == tuple(range(1, 201))
+
+    def test_congestion_routes_and_leaf(self):
+        # the identity places the cycle's closing edge on the path host's
+        # 39-hop route, and the leaf search places 40 routes one under another
+        expected = exact_congestion(cycle(40), path(40), limit=40)
+        with shallow_recursion_limit():
+            result = exact_congestion(cycle(40), path(40), limit=40)
+        assert result == expected
+        assert (result.optimum, result.exact, result.search_space) == (2, True, 1)
 
 
 class TestOracleAgreesWithConstructions:

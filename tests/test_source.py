@@ -18,3 +18,22 @@ def test_no_bare_asserts_in_package():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements: {', '.join(found)}"
+
+
+def test_no_function_calls_itself():
+    # every search keeps an explicit stack, so no input is cut off by the
+    # interpreter's recursion limit; nested closures count as functions too
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(callee, ast.Name) and callee.id == func.name
+                        or isinstance(callee, ast.Attribute) and callee.attr == func.name
+                        and isinstance(callee.value, ast.Name)
+                        and callee.value.id in ("self", "cls")):
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {func.name}")
+    assert not found, f"recursive calls: {', '.join(found)}"
