@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 INFINITY = math.inf
@@ -23,6 +22,22 @@ INFINITY = math.inf
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical form of an undirected edge: endpoints in increasing order."""
     return (u, v) if u < v else (v, u)
+
+
+class _cached:
+    """`functools.cached_property` without the lock it takes on every first
+    read before Python 3.12: for a small graph built for one `is_connected`
+    call, that lock is about a seventh of the call. The value depends only
+    on immutable fields, so two threads that race store equal values."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -37,16 +52,18 @@ class Graph:
     edges: frozenset[tuple[int, int]]
     name: str = field(default="", compare=False)
 
-    @cached_property
+    @_cached
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Sorted neighbor tuple for every vertex."""
-        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices()}
-        for u, v in self.edges:
+        # in sorted edge order, v's smaller neighbors arrive ascending, and
+        # all before its larger ones, so no list needs a sort of its own
+        nbrs: list[list[int]] = [[] for _ in range(self.order + 1)]
+        for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return dict(zip(self.vertices(), map(tuple, nbrs[1:])))
 
-    @cached_property
+    @_cached
     def _distance_rows(self) -> list[Optional[tuple[int, ...]]]:
         # slot v holds the BFS row from v once some caller has asked for it
         return [None] * (self.order + 1)

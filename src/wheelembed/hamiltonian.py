@@ -4,12 +4,20 @@ One backtracking search, `_spanning`, answers cycle and path queries alike,
 with reachability and anchor-degree pruning on bitmasks: a survivor graph is
 a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff edge
 vw survives) plus a mask of surviving vertices, and the unvisited set is one
-int. The search keeps an explicit stack instead of recursing, so its depth
-is bounded by memory, not by the interpreter's recursion limit. Children are
-tried lowest bit first, so witnesses are lexicographically least. Verdicts
-are exact; a node-expansion cap turns long searches into an explicit
-inconclusive outcome instead of a wrong answer. Intended for graphs up to
-around 16 vertices when sweeping fault sets.
+int. Below the root, cycle and fixed-end path queries re-check the degree of
+only the vertices that lost a usable neighbour. The search keeps an explicit
+stack instead of recursing, so its depth is bounded by memory, not by the
+interpreter's recursion limit. Children are tried lowest bit first, so
+witnesses are lexicographically least. Verdicts are exact; a node-expansion
+cap turns long searches into an explicit inconclusive outcome instead of a
+wrong answer. Intended for graphs up to around 16 vertices when sweeping
+fault sets.
+
+Each query does each check once. A connected bipartite survivor graph whose
+colour classes rule the cycle or path out is answered before any search.
+A fault sweep skips a set whose survivor graph keeps a cycle (or u-v path)
+found for an earlier set with the same failed vertices; only passing sets
+are skipped, so every report is that of one search per set.
 """
 
 from __future__ import annotations
@@ -106,16 +114,16 @@ def _survivors(G: Graph, base: list[int], without_vertices=(),
     return adj, alive
 
 
-def _feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
+def _feasible(adj, check, unvisited, usable, weak_ok, cur) -> bool:
     """Can the path ending at `cur` still be completed over `unvisited`?
 
-    Each unvisited vertex needs two neighbors in `usable` (the unvisited
-    vertices plus the open path ends); one vertex of `weak_ok`, where a
-    path may end, gets by with one. All unvisited vertices must be reachable
-    from cur through unvisited ones.
+    Each vertex of `check`, a subset of `unvisited`, needs two neighbors in
+    `usable` (the unvisited vertices plus the open path ends); one vertex of
+    `weak_ok`, where a path may end, gets by with one. All unvisited
+    vertices must be reachable from cur through unvisited ones.
     """
     weak = False
-    rest = unvisited
+    rest = check
     while rest:
         low = rest & -rest
         a = adj[low.bit_length() - 1] & usable
@@ -144,9 +152,16 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
     `target` is the bit of a fixed final endpoint, else 0. The search keeps
     its own stack of untried-children masks, one per path vertex, so its
     depth is bounded by memory. Each visited node spends one unit of budget.
+
+    The root checks the degree of every unvisited vertex. A child's usable
+    set is its parent's minus the parent's path end, so when each vertex
+    keeps its own rule (a cycle, or a fixed final endpoint) only the
+    unvisited neighbors of that end can newly fail; a free end lets any one
+    vertex be weak, so there every node checks them all.
     """
     weak_ok = target or (0 if close else -1)  # where a path may end
     path, stack = [start], []
+    check = unvisited
     while True:
         budget.spend()
         cur = path[-1]
@@ -155,7 +170,7 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
             if not close or adj[cur] & close:
                 return path
         elif ((not close or adj[start] & unvisited)  # a cycle's closing edge can still form
-              and _feasible(adj, unvisited, unvisited | 1 << cur | close, weak_ok, cur)):
+              and _feasible(adj, check, unvisited, unvisited | 1 << cur | close, weak_ok, cur)):
             children = adj[cur] & unvisited
             if unvisited != target:
                 children &= ~target  # a fixed endpoint may only be placed last
@@ -167,6 +182,7 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
         low = children & -children
         stack.append(children ^ low)
         unvisited ^= low
+        check = unvisited if weak_ok == -1 else adj[path[-1]] & unvisited
         path.append(low.bit_length() - 1)
 
 
@@ -192,15 +208,79 @@ def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
         if len(starts) == 1:
             return starts
     else:
-        s, t = ends
-        if s == t or not all(v >= 0 and alive >> v & 1 for v in ends):
-            raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
-        starts, target = [s], 1 << t
+        starts, target = [ends[0]], 1 << ends[1]
     for s in starts:
         found = _spanning(adj, s, alive ^ 1 << s, 0, target, budget)
         if found is not None:
             return found
     return None
+
+
+def _bipartition(adj, alive) -> Optional[tuple[int, int]]:
+    """The colour classes (larger first) of a connected bipartite survivor
+    graph, else None. Breadth-first layers alternate classes; an edge inside
+    one layer closes an odd cycle."""
+    layer = alive & -alive
+    seen, sides = layer, [0, 0]
+    while layer:
+        sides[0] |= layer
+        reached, rest = 0, layer
+        while rest:
+            low = rest & -rest
+            reached |= adj[low.bit_length() - 1]
+            rest ^= low
+        if reached & layer:
+            return None
+        layer = reached & ~seen
+        seen |= layer
+        sides.reverse()
+    if seen != alive:
+        return None
+    big, small = sides
+    return (big, small) if big.bit_count() >= small.bit_count() else (small, big)
+
+
+def _parity_allows(sides, ends=None, cycle=False) -> bool:
+    """False when the colour classes `sides` (from `_bipartition`) rule out a
+    spanning cycle, or a spanning path with free or fixed `ends`.
+
+    A spanning cycle or path alternates classes, so a cycle needs equal
+    classes and a path classes that differ by at most one; with equal
+    classes a path's ends lie in opposite classes, with one class larger by
+    one both ends lie in it.
+    """
+    if sides is None:
+        return True
+    big, small = sides
+    gap = big.bit_count() - small.bit_count()
+    if cycle or gap > 1:
+        return gap == 0
+    if ends is None:
+        return True
+    s, t = ends
+    if gap:
+        return bool(big >> s & big >> t & 1)
+    return (big >> s & 1) != (big >> t & 1)
+
+
+def _witness_bits(G: Graph) -> dict[tuple[int, int], int]:
+    """One bit per edge of `G.edge_list()`, keyed by both orientations, so a
+    cycle or path is stored as one int: the sum of its edges' bits."""
+    bits = {}
+    for i, (u, v) in enumerate(G.edge_list()):
+        bits[u, v] = bits[v, u] = 1 << i
+    return bits
+
+
+def _reuses(witnesses, bits, failed_edges) -> bool:
+    """Does one of `witnesses`, found for the same failed vertices, avoid
+    every failed edge? Only sets that fail edges come after such a witness."""
+    if not witnesses:
+        return False
+    failed = 0
+    for e in failed_edges:
+        failed |= bits[e]
+    return any(not w & failed for w in witnesses)
 
 
 def find_hamiltonian_cycle(G: Graph, *, without_vertices=(), without_edges=(),
@@ -213,7 +293,10 @@ def find_hamiltonian_cycle(G: Graph, *, without_vertices=(), without_edges=(),
     failed vertex outside 1..order, raises ValueError.
     """
     adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
-    found = _cycle_search(adj, alive, _Budget(node_limit, "cycle"))
+    budget = _Budget(node_limit, "cycle")
+    if not _parity_allows(_bipartition(adj, alive), cycle=True):
+        return None
+    found = _cycle_search(adj, alive, budget)
     return tuple(found) if found is not None else None
 
 
@@ -226,7 +309,13 @@ def find_hamiltonian_path(G: Graph, ends: Optional[tuple[int, int]] = None, *,
     are checked as in `find_hamiltonian_cycle`.
     """
     adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
-    found = _path_search(adj, alive, _Budget(node_limit, "path", ends), ends)
+    budget = _Budget(node_limit, "path", ends)
+    if ends is not None and (ends[0] == ends[1]
+                             or not all(v >= 0 and alive >> v & 1 for v in ends)):
+        raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
+    if not _parity_allows(_bipartition(adj, alive), ends):
+        return None
+    found = _path_search(adj, alive, budget, ends)
     return tuple(found) if found is not None else None
 
 
@@ -265,34 +354,56 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
 
     Follows the literal definition: the empty fault set is included, so a
     non-hamiltonian graph fails at zero faults regardless of how well its
-    vertex-deleted subgraphs behave.
+    vertex-deleted subgraphs behave. A set is not searched when a cycle
+    found for an earlier set with the same failed vertices uses none of its
+    failed edges, or when the colour classes of its survivor graph rule a
+    cycle out.
     """
-    witness = None
+    witness = bits = None
     base = _masks(G)
+    found: dict[frozenset[int], list[int]] = {}  # failed vertices -> cycles as edge bits
     for spec in fault_specs(G, f):
+        cycles = found.setdefault(spec.vertices, [])
+        if _reuses(cycles, bits, spec.edges):
+            continue
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
-        cyc = _cycle_search(adj, alive, _Budget(node_limit, "cycle", spec=spec))
+        budget = _Budget(node_limit, "cycle", spec=spec)
+        cyc = (_cycle_search(adj, alive, budget)
+               if _parity_allows(_bipartition(adj, alive), cycle=True) else None)
         if cyc is None:
             return HamiltonicityReport(False, None, spec)
         if spec.size == 0:
             witness = tuple(cyc)
+        bits = bits or _witness_bits(G)
+        cycles.append(sum(map(bits.get, zip(cyc, cyc[1:] + cyc[:1]))))
     return HamiltonicityReport(True, witness, None)
 
 
 def is_f_fault_traceable(G: Graph, f: int, *,
                          node_limit: Optional[int] = None) -> HamiltonicityReport:
     """True iff after any fault set of size <= f, every surviving vertex pair
-    is joined by a spanning path of the survivor graph."""
-    witness = None
+    is joined by a spanning path of the survivor graph. A pair is skipped as
+    in `is_f_fault_hamiltonian`, with the paths found for the same failed
+    vertices and the same pair."""
+    witness = bits = None
     base = _masks(G)
+    found: dict[tuple[frozenset[int], int, int], list[int]] = {}  # ... and pair -> paths
     for spec in fault_specs(G, f):
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
+        sides = _bipartition(adj, alive)
         for u, v in combinations(sorted(set(G.vertices()) - spec.vertices), 2):
-            found = _path_search(adj, alive, _Budget(node_limit, "path", (u, v), spec), (u, v))
-            if found is None:
+            paths = found.setdefault((spec.vertices, u, v), [])
+            if _reuses(paths, bits, spec.edges):
+                continue
+            budget = _Budget(node_limit, "path", (u, v), spec)
+            path = (_path_search(adj, alive, budget, (u, v))
+                    if _parity_allows(sides, (u, v)) else None)
+            if path is None:
                 return HamiltonicityReport(False, None, spec, (u, v))
             if witness is None and spec.size == 0:
-                witness = tuple(found)
+                witness = tuple(path)
+            bits = bits or _witness_bits(G)
+            paths.append(sum(map(bits.get, zip(path, path[1:]))))
     return HamiltonicityReport(True, witness, None)
 
 

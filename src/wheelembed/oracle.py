@@ -20,7 +20,6 @@ lexicographic order, whichever admissible bound prunes above them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph, edge_key, is_connected
@@ -239,6 +238,9 @@ def _run_partitioned(guest: Graph, dist, prune: bool, jobs: int, *,
 
     if jobs <= 1:
         return _search(make_args(firsts))
+    # imported here, not at module level, so that a CLI start that never
+    # uses the pool does not load it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return _reduce(pool.map(_search, [make_args([h]) for h in firsts]))
 

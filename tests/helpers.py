@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
-from wheelembed.hamiltonian import (
-    FaultSpec,
-    _feasible,
-    find_hamiltonian_cycle,
-    find_hamiltonian_path,
-)
+from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
 
 
 @st.composite
@@ -159,6 +154,32 @@ def reference_fault_sweep(G: Graph, f: int, traceable: bool):
     return True, witness, None, None
 
 
+def _reference_feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
+    """The full pruning test: the degree of every unvisited vertex (two
+    neighbors in `usable`, one for a single vertex of `weak_ok`), then a
+    flood fill from cur over the unvisited vertices."""
+    weak = False
+    rest = unvisited
+    while rest:
+        low = rest & -rest
+        a = adj[low.bit_length() - 1] & usable
+        if a & (a - 1) == 0:
+            if a == 0 or weak or not low & weak_ok:
+                return False
+            weak = True
+        rest ^= low
+    rest, frontier = unvisited, adj[cur] & unvisited
+    while frontier:
+        rest ^= frontier
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & rest
+    return not rest
+
+
 def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
     budget.spend()
     cur = path[-1]
@@ -166,7 +187,7 @@ def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
         return adj[cur] >> start & 1 == 1
     if not adj[start] & unvisited:
         return False  # the closing edge back to start can never form
-    if not _feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
+    if not _reference_feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
         return False
     children = adj[cur] & unvisited
     while children:
@@ -204,7 +225,7 @@ def _reference_extend_path(adj, path, unvisited, target, budget) -> bool:
         return True  # a fixed endpoint is only ever placed last
     cur = path[-1]
     # `target` is the fixed final endpoint's bit, or 0 when the path end is free
-    if not _feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
+    if not _reference_feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
         return False
     children = adj[cur] & unvisited
     if unvisited != target:

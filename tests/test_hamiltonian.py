@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,17 @@ from helpers import (
     reference_fault_sweep,
     reference_path_search,
 )
+from wheelembed import hamiltonian
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
 from wheelembed.graphs import build_graph, edge_key, graph_from_json
 from wheelembed.hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
+    _bipartition,
     _Budget,
     _cycle_search,
     _masks,
+    _parity_allows,
     _path_search,
     _survivors,
     fault_specs,
@@ -108,6 +112,23 @@ class TestSearch:
                 find_hamiltonian_path(G, without_edges=[bad])
         assert find_hamiltonian_path(G, without_edges=[(2, 1)]) == (1,) + tuple(range(10, 1, -1))
 
+    def test_parity_answers_without_a_search(self):
+        # the 35 survivors of torus 6x6 minus a vertex are bipartite, 17 against 18
+        G = torus((6, 6))
+        assert find_hamiltonian_cycle(G, without_vertices=(1,), node_limit=1) is None
+        assert find_hamiltonian_path(G, (1, 2), without_vertices=(3,), node_limit=1) is None
+
+    def test_bipartition(self):
+        adj, alive = _survivors(path(4), _masks(path(4)))
+        assert _bipartition(adj, alive) == (0b01010, 0b10100)
+        for G in (cycle(5), build_graph(4, [(1, 2), (3, 4)])):
+            assert _bipartition(*_survivors(G, _masks(G))) is None
+
+    def test_bad_ends_are_reported_before_parity(self):
+        for ends in ((1, 1), (1, 5), (0, 2)):
+            with pytest.raises(ValueError, match="distinct surviving vertices"):
+                find_hamiltonian_path(path(4), ends)
+
     def test_budget_message_names_the_search(self):
         with pytest.raises(SearchBudgetExceeded,
                            match=r"^cycle search exhausted node budget 3$"):
@@ -135,14 +156,26 @@ NODE_BUDGETS = [
      47, None),
     ("fham3-complete9",
      lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 46, True),
+    # a sweep's limit is that of its largest search; sets answered by an
+    # earlier witness are not searched
     ("fham2-circulant16",
      lambda L: is_f_fault_hamiltonian(_input("circulant-16-1-2-4"), 2, node_limit=L).verdict,
-     32, True),
+     26, True),
+    # the search that set the row above before witnesses were reused
+    ("cycle-circulant16-minus-2-edges",
+     lambda L: find_hamiltonian_cycle(_input("circulant-16-1-2-4"),
+                                      without_edges=[(13, 15), (15, 16)], node_limit=L),
+     32, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
     ("ftrace1-circulant16",
      lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 624, True),
-    # needs the closing-edge test of the cycle search to stay at 23
     ("fham1-torus3x3",
-     lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 23, True),
+     lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 13, True),
+    # needs the closing-edge test of the cycle search to stay at 23
+    ("cycle-torus3x3-minus-edge",
+     lambda L: find_hamiltonian_cycle(torus((3, 3)), without_edges=[(5, 8)], node_limit=L),
+     23, (1, 2, 5, 4, 6, 3, 9, 8, 7)),
+    ("cycle-petersen23",
+     lambda L: find_hamiltonian_cycle(_input("petersen-23-2"), node_limit=L), 84842, None),
 ]
 
 
@@ -315,6 +348,53 @@ def test_search_matches_the_recursive_reference(case, query, data):
 
 
 @st.composite
+def bipartite_graphs(draw, max_order=8):
+    """(G, side): G on at most `max_order` vertices has only edges between
+    the two classes of `side` (one bool per vertex); possibly disconnected."""
+    n = draw(st.integers(1, max_order))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(1, n + 1), 2) if side[u - 1] != side[v - 1]]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    return build_graph(n, edges), side
+
+
+@given(bipartite_graphs())
+@settings(max_examples=150, deadline=None)
+def test_parity_agrees_with_brute_force(case):
+    G, side = case
+    adj, alive = _survivors(G, _masks(G))
+    sides = _bipartition(adj, alive)
+    paths = list(brute_spanning_paths(G))
+    cycles = [p for p in paths if len(p) >= 3 and G.has_edge(p[-1], p[0])]
+    if sides is None:  # G is bipartite, so it is disconnected
+        assert not paths
+    else:
+        # a connected graph's classes are those of `side`, up to a swap
+        classes = [sum(1 << v for v in G.vertices() if side[v - 1] == flag)
+                   for flag in (True, False)]
+        assert sorted(sides) == sorted(classes)
+        big, small = sorted(classes, key=int.bit_count, reverse=True)
+        gap = big.bit_count() - small.bit_count()
+        assert _parity_allows(sides, cycle=True) == (gap == 0)
+        assert _parity_allows(sides) == (gap <= 1)
+        for s, t in permutations(G.vertices(), 2):
+            expected = (gap == 0 and (big >> s & 1) != (big >> t & 1)
+                        or gap == 1 and big >> s & big >> t & 1 == 1)
+            assert _parity_allows(sides, (s, t)) == expected
+    # the rule is sound: what it rules out has no brute-force witness
+    if not _parity_allows(sides, cycle=True):
+        assert not cycles
+    if not _parity_allows(sides):
+        assert not paths
+    for ends in permutations(G.vertices(), 2):
+        if not _parity_allows(sides, ends):
+            assert not any((p[0], p[-1]) == ends for p in paths)
+    # with the parity test in front, the answers are still the brute-force ones
+    assert find_hamiltonian_cycle(G) == next((p for p in cycles if p[0] == 1), None)
+    assert find_hamiltonian_path(G) == (paths[0] if paths else None)
+
+
+@st.composite
 def dense_graphs(draw):
     """Complete graphs on at most seven vertices minus a few edges: many of
     them pass every fault set of size two, so the mixed sets get searched."""
@@ -331,3 +411,19 @@ def test_fault_sweeps_match_the_reference(G, f, traceable):
     report = sweep(G, f)
     assert (report.verdict, report.witness, report.failing_fault, report.failing_pair) == \
         reference_fault_sweep(G, f, traceable)
+
+
+@pytest.mark.parametrize("sweep", [is_f_fault_hamiltonian, is_f_fault_traceable])
+def test_sweeps_consume_every_fault_set(sweep, monkeypatch):
+    # a set answered by an earlier witness is skipped, not left unread
+    yielded = []
+    specs = hamiltonian.fault_specs
+
+    def counting(G, f):
+        for spec in specs(G, f):
+            yielded.append(spec)
+            yield spec
+
+    monkeypatch.setattr(hamiltonian, "fault_specs", counting)
+    assert sweep(complete(6), 2).verdict
+    assert yielded == list(specs(complete(6), 2))
