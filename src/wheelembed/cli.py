@@ -116,7 +116,10 @@ def embedding_from_json(guest: Graph, host: Graph, text: str) -> EmbeddingMap:
     routes = {}
     for key, seq in data["routes"].items():
         u_text, _, v_text = key.partition("-")
-        if not (u_text.isdecimal() and v_text.isdecimal()):
+        # one spelling per pair of ids ('01-2' is not '1-2'), so that no two
+        # keys name one edge; build_embedding rejects '2-1'
+        if not (u_text.isdecimal() and v_text.isdecimal()
+                and key == f"{int(u_text)}-{int(v_text)}"):
             raise ValueError(f"route key {key!r} is not a guest edge 'u-v'")
         if not _is_vertex_list(seq):
             raise ValueError(f"route {key!r} must be a list of integer vertex ids")

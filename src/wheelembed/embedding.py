@@ -61,8 +61,10 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
     if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
         raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
     canonical = {}
-    for e, route in routes.items():
-        canonical[edge_key(*e)] = tuple(route)
+    for (u, v), route in routes.items():
+        if not u < v:  # else (1, 2) and (2, 1) could both route one edge
+            raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
+        canonical[u, v] = tuple(route)
     if set(canonical) != guest.edges:
         raise ValueError("routes must cover exactly the guest edges")
     # both orientations of every host edge, so a route's hops are tested in one

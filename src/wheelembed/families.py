@@ -10,6 +10,7 @@ vertices run 1..n around the ring.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 from .graphs import Graph, build_graph, edge_key
@@ -148,31 +149,14 @@ def torus(dims: Sequence[int]) -> Graph:
     for d in dims:
         if d < 3:
             raise ValueError(f"torus dimensions must be >= 3, got {d}")
-    order = 1
-    for d in dims:
-        order *= d
-
-    def vertex_id(coords):
-        idx = 0
-        for c, d in zip(coords, dims):
-            idx = idx * d + c
-        return idx + 1
-
+    # product runs the last axis fastest, so its order is the row-major numbering
+    ids = {c: v for v, c in enumerate(product(*map(range, dims)), 1)}
     edges = set()
-    coords = [0] * len(dims)
-    for _ in range(order):
-        v = vertex_id(coords)
+    for c, v in ids.items():
         for axis, d in enumerate(dims):
-            nxt = coords.copy()
-            nxt[axis] = (nxt[axis] + 1) % d
-            edges.add(edge_key(v, vertex_id(nxt)))
-        for axis in reversed(range(len(dims))):
-            coords[axis] += 1
-            if coords[axis] < dims[axis]:
-                break
-            coords[axis] = 0
+            edges.add(edge_key(v, ids[c[:axis] + ((c[axis] + 1) % d,) + c[axis + 1:]]))
     tag = "x".join(str(d) for d in dims)
-    return build_graph(order, sorted(edges), f"torus-{tag}")
+    return build_graph(len(ids), sorted(edges), f"torus-{tag}")
 
 
 def path(n: int) -> Graph:

@@ -1,9 +1,10 @@
 """Labeled simple undirected graphs and their distance-based invariants.
 
 Vertices are numbered 1..order everywhere in this package. A Graph's fields
-are immutable after construction. The only state added later is the lazy,
-per-instance cache of BFS distance rows behind `Graph.distance_row`: each row
-is computed on first use and then shared by every distance consumer
+are immutable after construction, which also sets its sorted adjacency and
+the empty slots of its per-instance cache of BFS distance rows. The only
+state added later is that cache, behind `Graph.distance_row`: each row is
+computed on first use and then shared by every distance consumer
 (connectivity, radius, median, shells, shortest routes, oracles). Two threads
 that miss on the same row both compute it and store equal tuples, so sharing
 a Graph across threads stays safe; the cache never changes `==` or `hash`.
@@ -24,49 +25,30 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class _cached:
-    """`functools.cached_property` without the lock it takes on every first
-    read before Python 3.12: for a small graph built for one `is_connected`
-    call, that lock is about a seventh of the call. The value depends only
-    on immutable fields, so two threads that race store equal values."""
-
-    def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..order.
 
     `edges` holds canonical (u, v) pairs with u < v. The `name` tag is a
-    free-form family label and does not take part in equality.
+    free-form family label and does not take part in equality. `adjacency`
+    maps every vertex to its sorted neighbor tuple.
     """
 
     order: int
     edges: frozenset[tuple[int, int]]
     name: str = field(default="", compare=False)
 
-    @_cached
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbor tuple for every vertex."""
+    def __post_init__(self):
         # in sorted edge order, v's smaller neighbors arrive ascending, and
         # all before its larger ones, so no list needs a sort of its own
         nbrs: list[list[int]] = [[] for _ in range(self.order + 1)]
         for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return dict(zip(self.vertices(), map(tuple, nbrs[1:])))
-
-    @_cached
-    def _distance_rows(self) -> list[Optional[tuple[int, ...]]]:
-        # slot v holds the BFS row from v once some caller has asked for it
-        return [None] * (self.order + 1)
+        # not fields, so equality and hash ignore them; slot v of the row
+        # cache holds the BFS row from v once some caller has asked for it
+        object.__setattr__(self, "adjacency", dict(zip(self.vertices(), map(tuple, nbrs[1:]))))
+        object.__setattr__(self, "_distance_rows", [None] * (self.order + 1))
 
     def distance_row(self, source: int) -> tuple[int, ...]:
         """Hop distances from `source`, indexed by vertex id; -1 marks an
@@ -243,9 +225,19 @@ def graph_to_json(G: Graph) -> str:
 
 
 def parse_json(text: str, what: str):
-    """`json.loads`, reporting input nested too deeply for the parser as a ValueError."""
+    """`json.loads`, reporting input nested too deeply for the parser, or an
+    object that repeats a key (`json.loads` would keep the last value), as a
+    ValueError."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{what} JSON repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
 

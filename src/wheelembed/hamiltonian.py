@@ -13,11 +13,13 @@ cap turns long searches into an explicit inconclusive outcome instead of a
 wrong answer. Intended for graphs up to around 16 vertices when sweeping
 fault sets.
 
-Each query does each check once. A connected bipartite survivor graph whose
-colour classes rule the cycle or path out is answered before any search.
-A fault sweep skips a set whose survivor graph keeps a cycle (or u-v path)
-found for an earlier set with the same failed vertices; only passing sets
-are skipped, so every report is that of one search per set.
+Each query does each check once, in `_cycle_search` or `_path_search`,
+cheapest first: order and path ends, then degree (two neighbours each, for
+a cycle), then parity (the colour classes of a connected bipartite survivor
+graph), then the search; only the search spends budget. A fault sweep skips
+a set whose survivor graph keeps a cycle (or u-v path) found for an earlier
+set with the same failed vertices; only passing sets are skipped, so every
+report is that of one search per set.
 """
 
 from __future__ import annotations
@@ -187,28 +189,29 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
 
 
 def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
-    if alive.bit_count() < 3:
+    """A spanning cycle of the survivor graph from its smallest vertex, or
+    None. The degree rule is `_feasible`'s, with an empty flood fill."""
+    if (alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0)
+            or not _parity_allows(adj, alive, cycle=True)):
         return None
-    rest = alive
-    while rest:
-        low = rest & -rest
-        a = adj[low.bit_length() - 1]
-        if a & (a - 1) == 0:
-            return None  # a vertex with fewer than two neighbors
-        rest ^= low
     low = alive & -alive
     return _spanning(adj, low.bit_length() - 1, alive ^ low, low, 0, budget)
 
 
 def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
-    if not alive:
-        return None
+    """A spanning path of the survivor graph, joining `ends` when given, or
+    None. The degree rule is left to the root of each search, which spends
+    budget, so that node counts stay those of one search per start."""
     if ends is None:
         starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
-        if len(starts) == 1:
-            return starts
+        if len(starts) < 2:
+            return starts or None
+    elif ends[0] == ends[1] or not all(v >= 0 and alive >> v & 1 for v in ends):
+        raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
     else:
         starts, target = [ends[0]], 1 << ends[1]
+    if not _parity_allows(adj, alive, ends):
+        return None
     for s in starts:
         found = _spanning(adj, s, alive ^ 1 << s, 0, target, budget)
         if found is not None:
@@ -216,10 +219,17 @@ def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
     return None
 
 
-def _bipartition(adj, alive) -> Optional[tuple[int, int]]:
-    """The colour classes (larger first) of a connected bipartite survivor
-    graph, else None. Breadth-first layers alternate classes; an edge inside
-    one layer closes an odd cycle."""
+def _parity_allows(adj, alive, ends=None, cycle=False) -> bool:
+    """False when the survivor graph is connected and bipartite and its
+    colour classes rule out a spanning cycle, or a spanning path with free
+    or fixed `ends`; True otherwise.
+
+    Breadth-first layers alternate classes; an edge inside one layer closes
+    an odd cycle. A spanning cycle or path alternates classes, so a cycle
+    needs equal classes and a path classes that differ by at most one; with
+    equal classes a path's ends lie in opposite classes, with one class
+    larger by one both ends lie in it.
+    """
     layer = alive & -alive
     seen, sides = layer, [0, 0]
     while layer:
@@ -230,28 +240,13 @@ def _bipartition(adj, alive) -> Optional[tuple[int, int]]:
             reached |= adj[low.bit_length() - 1]
             rest ^= low
         if reached & layer:
-            return None
+            return True
         layer = reached & ~seen
         seen |= layer
         sides.reverse()
     if seen != alive:
-        return None
-    big, small = sides
-    return (big, small) if big.bit_count() >= small.bit_count() else (small, big)
-
-
-def _parity_allows(sides, ends=None, cycle=False) -> bool:
-    """False when the colour classes `sides` (from `_bipartition`) rule out a
-    spanning cycle, or a spanning path with free or fixed `ends`.
-
-    A spanning cycle or path alternates classes, so a cycle needs equal
-    classes and a path classes that differ by at most one; with equal
-    classes a path's ends lie in opposite classes, with one class larger by
-    one both ends lie in it.
-    """
-    if sides is None:
         return True
-    big, small = sides
+    big, small = sorted(sides, key=int.bit_count, reverse=True)
     gap = big.bit_count() - small.bit_count()
     if cycle or gap > 1:
         return gap == 0
@@ -293,10 +288,7 @@ def find_hamiltonian_cycle(G: Graph, *, without_vertices=(), without_edges=(),
     failed vertex outside 1..order, raises ValueError.
     """
     adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
-    budget = _Budget(node_limit, "cycle")
-    if not _parity_allows(_bipartition(adj, alive), cycle=True):
-        return None
-    found = _cycle_search(adj, alive, budget)
+    found = _cycle_search(adj, alive, _Budget(node_limit, "cycle"))
     return tuple(found) if found is not None else None
 
 
@@ -309,13 +301,7 @@ def find_hamiltonian_path(G: Graph, ends: Optional[tuple[int, int]] = None, *,
     are checked as in `find_hamiltonian_cycle`.
     """
     adj, alive = _survivors(G, _masks(G), without_vertices, without_edges)
-    budget = _Budget(node_limit, "path", ends)
-    if ends is not None and (ends[0] == ends[1]
-                             or not all(v >= 0 and alive >> v & 1 for v in ends)):
-        raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
-    if not _parity_allows(_bipartition(adj, alive), ends):
-        return None
-    found = _path_search(adj, alive, budget, ends)
+    found = _path_search(adj, alive, _Budget(node_limit, "path", ends), ends)
     return tuple(found) if found is not None else None
 
 
@@ -356,8 +342,7 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
     non-hamiltonian graph fails at zero faults regardless of how well its
     vertex-deleted subgraphs behave. A set is not searched when a cycle
     found for an earlier set with the same failed vertices uses none of its
-    failed edges, or when the colour classes of its survivor graph rule a
-    cycle out.
+    failed edges.
     """
     witness = bits = None
     base = _masks(G)
@@ -367,9 +352,7 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
         if _reuses(cycles, bits, spec.edges):
             continue
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
-        budget = _Budget(node_limit, "cycle", spec=spec)
-        cyc = (_cycle_search(adj, alive, budget)
-               if _parity_allows(_bipartition(adj, alive), cycle=True) else None)
+        cyc = _cycle_search(adj, alive, _Budget(node_limit, "cycle", spec=spec))
         if cyc is None:
             return HamiltonicityReport(False, None, spec)
         if spec.size == 0:
@@ -390,14 +373,11 @@ def is_f_fault_traceable(G: Graph, f: int, *,
     found: dict[tuple[frozenset[int], int, int], list[int]] = {}  # ... and pair -> paths
     for spec in fault_specs(G, f):
         adj, alive = _survivors(G, base, spec.vertices, spec.edges)
-        sides = _bipartition(adj, alive)
         for u, v in combinations(sorted(set(G.vertices()) - spec.vertices), 2):
             paths = found.setdefault((spec.vertices, u, v), [])
             if _reuses(paths, bits, spec.edges):
                 continue
-            budget = _Budget(node_limit, "path", (u, v), spec)
-            path = (_path_search(adj, alive, budget, (u, v))
-                    if _parity_allows(sides, (u, v)) else None)
+            path = _path_search(adj, alive, _Budget(node_limit, "path", (u, v), spec), (u, v))
             if path is None:
                 return HamiltonicityReport(False, None, spec, (u, v))
             if witness is None and spec.size == 0:

@@ -180,6 +180,38 @@ def _reference_feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
     return not rest
 
 
+def _reference_parity_allows(adj, alive, ends=None, cycle=False) -> bool:
+    """The colour-class rule, stated on its own. Only a connected bipartite
+    survivor graph is ruled on: a spanning cycle needs classes of equal size,
+    a spanning path classes whose sizes differ by at most one, and fixed ends
+    in opposite classes (equal sizes) or both in the larger class."""
+    vertices = [v for v in range(alive.bit_length()) if alive >> v & 1]
+    if not vertices:
+        return True
+    colour, queue = {vertices[0]: 0}, [vertices[0]]
+    for x in queue:
+        for w in vertices:
+            if adj[x] >> w & 1:
+                if w not in colour:
+                    colour[w] = 1 - colour[x]
+                    queue.append(w)
+                elif colour[w] == colour[x]:
+                    return True  # an odd cycle: not bipartite
+    if len(colour) < len(vertices):
+        return True  # disconnected
+    sizes = [list(colour.values()).count(c) for c in (0, 1)]
+    gap = abs(sizes[0] - sizes[1])
+    if cycle:
+        return gap == 0
+    if gap > 1 or ends is None:
+        return gap <= 1
+    s, t = ends
+    if gap == 0:
+        return colour[s] != colour[t]
+    larger = 0 if sizes[0] > sizes[1] else 1
+    return colour[s] == colour[t] == larger
+
+
 def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
     budget.spend()
     cur = path[-1]
@@ -202,7 +234,8 @@ def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
 
 def reference_cycle_search(adj, alive, budget):
     """The recursive cycle search the stack-based `_spanning` replaced: same
-    witness and the same nodes spent, one interpreter frame per path vertex."""
+    witness and the same nodes spent, one interpreter frame per path vertex.
+    Order, degree and parity are ruled on before the search, at no cost."""
     if alive.bit_count() < 3:
         return None
     rest = alive
@@ -212,6 +245,8 @@ def reference_cycle_search(adj, alive, budget):
         if a & (a - 1) == 0:
             return None  # a vertex with fewer than two neighbors
         rest ^= low
+    if not _reference_parity_allows(adj, alive, cycle=True):
+        return None
     start = (alive & -alive).bit_length() - 1
     path = [start]
     if _reference_extend_cycle(adj, path, alive ^ 1 << start, start, budget):
@@ -241,7 +276,8 @@ def _reference_extend_path(adj, path, unvisited, target, budget) -> bool:
 
 
 def reference_path_search(adj, alive, budget, ends=None):
-    """The recursive path search the stack-based `_spanning` replaced."""
+    """The recursive path search the stack-based `_spanning` replaced; order,
+    ends and parity are ruled on before the search, at no cost."""
     if not alive:
         return None
     if ends is None:
@@ -253,6 +289,8 @@ def reference_path_search(adj, alive, budget, ends=None):
         if s == t or not all(v >= 0 and alive >> v & 1 for v in ends):
             raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
         starts, target = [s], 1 << t
+    if not _reference_parity_allows(adj, alive, ends):
+        return None
     for s in starts:
         path = [s]
         if _reference_extend_path(adj, path, alive ^ 1 << s, target, budget):

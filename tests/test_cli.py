@@ -385,6 +385,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("text", [
         '{"edges": 5, "order": 3}',
         '{"order": true, "edges": []}',
+        '{"order": 3, "edges": [[1, 2]], "edges": []}',
         pytest.param('{"order": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}",
                      id="nested-too-deeply"),
     ])
@@ -401,6 +402,21 @@ class TestHostileInput:
                                               "1-4": [1, 4]}}))
         assert_one_line_input_error(run_process("metrics", "--guest", g, "--host", g,
                                                 "--embedding", str(emb)))
+
+    @pytest.mark.parametrize("routes, message", [
+        ('"1-2": [1, 2], "2-1": [2, 1]', "route key (2, 1) is not a guest edge"),
+        ('"1-2": [1, 2], "01-2": [1, 4, 3, 2]', "route key '01-2' is not a guest edge"),
+        ('"1-2": [1, 4, 3, 2], "1-2": [1, 2]', "repeats the key '1-2'"),
+        ('"2-1": [2, 1]', "route key (2, 1) is not a guest edge"),
+    ], ids=["reversed-twice", "leading-zero-twice", "repeated", "reversed-alone"])
+    def test_route_keys_name_each_guest_edge_once(self, tmp_path, routes, message):
+        g = write_graph(tmp_path, circulant(4, {1}), "g.json")
+        emb = tmp_path / "emb.json"
+        emb.write_text('{"vmap": [1, 2, 3, 4], "routes": {%s, '
+                       '"2-3": [2, 3], "3-4": [3, 4], "1-4": [1, 4]}}' % routes)
+        proc = run_process("metrics", "--guest", g, "--host", g, "--embedding", str(emb))
+        assert_one_line_input_error(proc)
+        assert message in proc.stderr
 
     def test_preorder_guest_larger_than_host(self, tmp_path):
         g = write_graph(tmp_path, star(16), "g.json")

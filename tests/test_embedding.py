@@ -126,6 +126,16 @@ class TestBuildEmbeddingValidation:
         with pytest.raises(ValueError, match=r"\(3, 4\) does not join"):
             build_embedding(G, G, identity(G), routes)
 
+    def test_route_keys_are_canonical(self):
+        # (2, 1) would otherwise replace or shadow the route of (1, 2)
+        G = cycle(4)
+        routes = {e: e for e in G.edges}
+        with pytest.raises(ValueError, match=r"route key \(2, 1\) is not a guest edge"):
+            build_embedding(G, G, identity(G), {**routes, (2, 1): (2, 1)})
+        del routes[(1, 2)]
+        with pytest.raises(ValueError, match=r"route key \(2, 1\) is not a guest edge"):
+            build_embedding(G, G, identity(G), {**routes, (2, 1): (1, 2)})
+
     def test_routes_must_cover_guest_edges(self):
         G = cycle(4)
         routes = {e: e for e in list(G.edges)[:-1]}

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 
 from wheelembed.families import (
@@ -154,6 +157,28 @@ class TestOtherHosts:
         assert (G.order, len(G.edges)) == (9, 18)
         assert all(G.degree(v) == 4 for v in G.vertices())
         assert (torus([3, 4]).order, len(torus([3, 4]).edges)) == (12, 24)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 6), (3, 4, 5), (7,)])
+    def test_torus_numbering_is_row_major(self, dims):
+        # vertex v sits at the digits of v - 1 in the mixed radix `dims`, last
+        # axis fastest; neighbors differ by one, cyclically, on one axis
+        def coords(v):
+            digits, rest = [], v - 1
+            for d in reversed(dims):
+                rest, digit = divmod(rest, d)
+                digits.append(digit)
+            return digits[::-1]
+
+        def adjacent(u, v):
+            moved = [(a - b) % d in (1, d - 1)
+                     for a, b, d in zip(coords(u), coords(v), dims) if a != b]
+            return moved == [True]
+
+        order = math.prod(dims)
+        G = torus(dims)
+        assert G.order == order
+        assert G.edges == {(u, v) for u, v in combinations(range(1, order + 1), 2)
+                           if adjacent(u, v)}
 
     def test_torus_dimension_minimum(self):
         with pytest.raises(ValueError):

@@ -17,11 +17,10 @@ from helpers import (
 )
 from wheelembed import hamiltonian
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
-from wheelembed.graphs import build_graph, edge_key, graph_from_json
+from wheelembed.graphs import build_graph, edge_key, graph_from_json, is_connected
 from wheelembed.hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
-    _bipartition,
     _Budget,
     _cycle_search,
     _masks,
@@ -119,10 +118,28 @@ class TestSearch:
         assert find_hamiltonian_path(G, (1, 2), without_vertices=(3,), node_limit=1) is None
 
     def test_bipartition(self):
+        def allowed_ends(G):
+            adj, alive = _survivors(G, _masks(G))
+            return [e for e in permutations(G.vertices(), 2) if _parity_allows(adj, alive, e)]
+
+        # path(4) has classes {1, 3} and {2, 4}: ends in opposite classes
         adj, alive = _survivors(path(4), _masks(path(4)))
-        assert _bipartition(adj, alive) == (0b01010, 0b10100)
+        assert _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+        assert allowed_ends(path(4)) == [(1, 2), (1, 4), (2, 1), (2, 3),
+                                         (3, 2), (3, 4), (4, 1), (4, 3)]
+        # path(5) has classes {1, 3, 5} and {2, 4}: no cycle, ends in the larger
+        adj, alive = _survivors(path(5), _masks(path(5)))
+        assert not _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+        assert allowed_ends(path(5)) == [(1, 3), (1, 5), (3, 1), (3, 5), (5, 1), (5, 3)]
+        # a star on four vertices has classes of one and three: no path at all
+        star = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        assert not _parity_allows(*_survivors(star, _masks(star)))
+        assert allowed_ends(star) == []
+        # an odd cycle or a disconnected graph is not ruled on
         for G in (cycle(5), build_graph(4, [(1, 2), (3, 4)])):
-            assert _bipartition(*_survivors(G, _masks(G))) is None
+            adj, alive = _survivors(G, _masks(G))
+            assert _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+            assert allowed_ends(G) == list(permutations(G.vertices(), 2))
 
     def test_bad_ends_are_reported_before_parity(self):
         for ends in ((1, 1), (1, 5), (0, 2)):
@@ -300,6 +317,17 @@ def test_cycle_witnesses_are_valid(G):
 
 
 @st.composite
+def bipartite_graphs(draw, max_order=8):
+    """(G, side): G on at most `max_order` vertices has only edges between
+    the two classes of `side` (one bool per vertex); possibly disconnected."""
+    n = draw(st.integers(1, max_order))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(1, n + 1), 2) if side[u - 1] != side[v - 1]]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    return build_graph(n, edges), side
+
+
+@st.composite
 def faulted_graphs(draw, base=connected_graphs(min_order=1, max_order=7)):
     G = draw(base)
     vertices = draw(st.sets(st.sampled_from(list(G.vertices())), max_size=2))
@@ -324,8 +352,8 @@ def test_witnesses_match_brute_force(case, data):
         assert find_hamiltonian_path(G, ends, **faults) == (joining[0] if joining else None)
 
 
-@given(faulted_graphs(graphs(max_order=8)), st.sampled_from(["cycle", "path", "ends"]),
-       st.data())
+@given(faulted_graphs(graphs(max_order=8) | bipartite_graphs().map(lambda case: case[0])),
+       st.sampled_from(["cycle", "path", "ends"]), st.data())
 @settings(max_examples=300, deadline=None)
 def test_search_matches_the_recursive_reference(case, query, data):
     # same witness and same nodes spent as the recursive search it replaced
@@ -347,47 +375,40 @@ def test_search_matches_the_recursive_reference(case, query, data):
     assert outcomes[0] == outcomes[1]
 
 
-@st.composite
-def bipartite_graphs(draw, max_order=8):
-    """(G, side): G on at most `max_order` vertices has only edges between
-    the two classes of `side` (one bool per vertex); possibly disconnected."""
-    n = draw(st.integers(1, max_order))
-    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    pairs = [(u, v) for u, v in combinations(range(1, n + 1), 2) if side[u - 1] != side[v - 1]]
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    return build_graph(n, edges), side
-
-
 @given(bipartite_graphs())
 @settings(max_examples=150, deadline=None)
 def test_parity_agrees_with_brute_force(case):
     G, side = case
     adj, alive = _survivors(G, _masks(G))
-    sides = _bipartition(adj, alive)
+
+    def allows(ends=None, cycle=False):
+        return _parity_allows(adj, alive, ends, cycle)
+
     paths = list(brute_spanning_paths(G))
     cycles = [p for p in paths if len(p) >= 3 and G.has_edge(p[-1], p[0])]
-    if sides is None:  # G is bipartite, so it is disconnected
+    if not is_connected(G):  # not ruled on, and there is nothing to find
+        assert allows(cycle=True) and allows()
+        assert all(allows(ends) for ends in permutations(G.vertices(), 2))
         assert not paths
     else:
         # a connected graph's classes are those of `side`, up to a swap
         classes = [sum(1 << v for v in G.vertices() if side[v - 1] == flag)
                    for flag in (True, False)]
-        assert sorted(sides) == sorted(classes)
         big, small = sorted(classes, key=int.bit_count, reverse=True)
         gap = big.bit_count() - small.bit_count()
-        assert _parity_allows(sides, cycle=True) == (gap == 0)
-        assert _parity_allows(sides) == (gap <= 1)
+        assert allows(cycle=True) == (gap == 0)
+        assert allows() == (gap <= 1)
         for s, t in permutations(G.vertices(), 2):
             expected = (gap == 0 and (big >> s & 1) != (big >> t & 1)
                         or gap == 1 and big >> s & big >> t & 1 == 1)
-            assert _parity_allows(sides, (s, t)) == expected
+            assert allows((s, t)) == expected
     # the rule is sound: what it rules out has no brute-force witness
-    if not _parity_allows(sides, cycle=True):
+    if not allows(cycle=True):
         assert not cycles
-    if not _parity_allows(sides):
+    if not allows():
         assert not paths
     for ends in permutations(G.vertices(), 2):
-        if not _parity_allows(sides, ends):
+        if not allows(ends):
             assert not any((p[0], p[-1]) == ends for p in paths)
     # with the parity test in front, the answers are still the brute-force ones
     assert find_hamiltonian_cycle(G) == next((p for p in cycles if p[0] == 1), None)
