@@ -21,7 +21,8 @@ from .embedding import (
     evaluate,
     route_shortest,
 )
-from .graphs import Graph, has_universal_vertex, max_degree, radius_diameter, status_and_median
+from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
+                     status_and_median)
 
 THEOREM_IDS = ("dil-hypertree", "dil-sibling", "dil-xtree", "ec-windmill", "wl-wheel", "wl-fan")
 
@@ -83,6 +84,8 @@ def congestion_lower_bound(G: Graph, H: Graph) -> BoundReport:
     delta = max_degree(H)
     if delta == 0:
         raise ValueError("host has no edges")
+    if not is_connected(H):
+        raise ValueError("congestion bound requires a connected host")
     n = G.order
     bound = -((n - 1) // -delta)
     return BoundReport(metric="congestion", bound=bound,

@@ -16,10 +16,14 @@ fault sets.
 Each query does each check once, in `_cycle_search` or `_path_search`,
 cheapest first: order and path ends, then degree (two neighbours each, for
 a cycle), then parity (the colour classes of a connected bipartite survivor
-graph), then the search; only the search spends budget. A fault sweep skips
-a set whose survivor graph keeps a cycle (or u-v path) found for an earlier
-set with the same failed vertices; only passing sets are skipped, so every
-report is that of one search per set.
+graph), then the search; only the search spends budget.
+
+Both fault sweeps are one loop, `_sweep`, over the (vertices, edges) tuple
+pairs of `fault_specs`: one cycle query per set, or one path query per
+surviving pair. It skips a query whose survivor graph keeps a cycle (or u-v
+path) found for an earlier set with the same failed vertices; only passing
+queries are skipped, so every report is that of one search per query. A
+`FaultSpec` is built only for the failing set a report returns.
 """
 
 from __future__ import annotations
@@ -37,24 +41,24 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """A concrete set of failed vertices and failed edges."""
+    """A concrete set of failed vertices and failed edges: the certificate of
+    a failing fault sweep."""
 
     vertices: frozenset[int] = frozenset()
     edges: frozenset[tuple[int, int]] = frozenset()
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices) + len(self.edges)
 
 
 @dataclass(frozen=True)
 class HamiltonicityReport:
     """Outcome of a fault-tolerance query.
 
-    For a true cycle verdict, `witness` is a spanning cycle of the fault-free
-    graph. On failure, `failing_fault` is the first fault set (in canonical
-    enumeration order) whose survivor graph has no spanning cycle or path;
-    traceability failures also record the vertex pair with no spanning path.
+    For a true cycle verdict, `witness` is the spanning cycle of the
+    fault-free graph. For a true traceable verdict, it is the spanning path
+    of the fault-free graph between its first vertex pair (1, 2), or None
+    when the graph has fewer than two vertices. On failure, `failing_fault`
+    is the first fault set (in canonical enumeration order) whose survivor
+    graph has no spanning cycle or path; traceability failures also record
+    the vertex pair with no spanning path.
     """
 
     verdict: bool
@@ -65,16 +69,17 @@ class HamiltonicityReport:
 
 class _Budget:
     """Node-expansion counter of one search; None means unlimited. `kind`,
-    `pair` and `spec` only name the search when the budget runs out."""
+    `pair` and `faults`, a (vertices, edges) pair from `fault_specs`, only
+    name the search when the budget runs out."""
 
-    __slots__ = ("remaining", "limit", "kind", "pair", "spec")
+    __slots__ = ("remaining", "limit", "kind", "pair", "faults")
 
     def __init__(self, limit: Optional[int], kind: str,
-                 pair: Optional[tuple[int, int]] = None, spec: Optional[FaultSpec] = None):
+                 pair: Optional[tuple[int, int]] = None, faults: Optional[tuple] = None):
         if limit is not None and limit <= 0:
             raise ValueError(f"node_limit must be positive, got {limit}")
         self.remaining = self.limit = limit
-        self.kind, self.pair, self.spec = kind, pair, spec
+        self.kind, self.pair, self.faults = kind, pair, faults
 
     def spend(self) -> None:
         if self.remaining is None:
@@ -82,9 +87,9 @@ class _Budget:
         self.remaining -= 1
         if self.remaining < 0:
             pair = "" if self.pair is None else f" for pair {self.pair}"
-            faults = "" if self.spec is None else (
-                f" on fault set vertices {sorted(self.spec.vertices)}"
-                f" edges {[list(e) for e in sorted(self.spec.edges)]}")
+            faults = "" if self.faults is None else (
+                f" on fault set vertices {list(self.faults[0])}"
+                f" edges {[list(e) for e in self.faults[1]]}")
             raise SearchBudgetExceeded(
                 f"{self.kind} search{pair}{faults} exhausted node budget {self.limit}")
 
@@ -267,17 +272,6 @@ def _witness_bits(G: Graph) -> dict[tuple[int, int], int]:
     return bits
 
 
-def _reuses(witnesses, bits, failed_edges) -> bool:
-    """Does one of `witnesses`, found for the same failed vertices, avoid
-    every failed edge? Only sets that fail edges come after such a witness."""
-    if not witnesses:
-        return False
-    failed = 0
-    for e in failed_edges:
-        failed |= bits[e]
-    return any(not w & failed for w in witnesses)
-
-
 def find_hamiltonian_cycle(G: Graph, *, without_vertices=(), without_edges=(),
                            node_limit: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """Spanning cycle of G minus the excluded faults, or None.
@@ -305,8 +299,9 @@ def find_hamiltonian_path(G: Graph, ends: Optional[tuple[int, int]] = None, *,
     return tuple(found) if found is not None else None
 
 
-def fault_specs(G: Graph, f: int) -> Iterator[FaultSpec]:
-    """All fault sets of total size <= f in canonical order.
+def fault_specs(G: Graph, f: int) -> Iterator[tuple[tuple, tuple]]:
+    """All fault sets of total size <= f in canonical order, each a pair
+    (failed vertices, failed edges) of sorted tuples.
 
     Sizes ascend; within one size, all-vertex sets come first (ids ascending),
     then all-edge sets (lexicographic), then mixed sets ordered by decreasing
@@ -319,19 +314,50 @@ def fault_specs(G: Graph, f: int) -> Iterator[FaultSpec]:
         raise ValueError(f"fault budget must be non-negative, got {f}")
     verts = list(G.vertices())
     edges = G.edge_list()
-    for size in range(f + 1):
-        if size == 0:
-            yield FaultSpec()
-            continue
+    yield (), ()
+    for size in range(1, f + 1):
         for vs in combinations(verts, size):
-            yield FaultSpec(frozenset(vs), frozenset())
+            yield vs, ()
         for es in combinations(edges, size):
-            yield FaultSpec(frozenset(), frozenset(es))
+            yield (), es
         for nv in range(size - 1, 0, -1):
             for vs in combinations(verts, nv):
                 free = [(u, v) for u, v in edges if u not in vs and v not in vs]
                 for es in combinations(free, size - nv):
-                    yield FaultSpec(frozenset(vs), frozenset(es))
+                    yield vs, es
+
+
+def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> HamiltonicityReport:
+    """Query each fault set in canonical order: a spanning cycle (pair None),
+    or with `pairs` a spanning u-v path per surviving pair. The first failure
+    is the certificate and the first fault-free query gives the witness. A
+    query is skipped when a cycle or path found for the same failed vertices
+    and pair avoids its failed edges (only sets that fail edges come later)."""
+    witness = bits = None
+    base = _masks(G)
+    found: dict = {}  # (failed vertices, pair) -> cycles or paths, as sums of edge bits
+    for vs, es in fault_specs(G, f):
+        failed = sum(map(bits.get, es)) if bits else 0
+        queries = combinations([v for v in G.vertices() if v not in vs], 2) if pairs else [None]
+        adj = None
+        for pair in queries:
+            walks = found.setdefault((vs, pair), [])
+            if any(not w & failed for w in walks):
+                continue
+            if adj is None:
+                adj, alive = _survivors(G, base, vs, es)
+            budget = _Budget(node_limit, "cycle" if pair is None else "path", pair, (vs, es))
+            walk = (_cycle_search(adj, alive, budget) if pair is None
+                    else _path_search(adj, alive, budget, pair))
+            if walk is None:
+                return HamiltonicityReport(False, None, FaultSpec(frozenset(vs), frozenset(es)),
+                                           pair)
+            if witness is None and not (vs or es):
+                witness = tuple(walk)
+            bits = bits or _witness_bits(G)
+            closing = walk[:1] if pair is None else []
+            walks.append(sum(map(bits.get, zip(walk, walk[1:] + closing))))
+    return HamiltonicityReport(True, witness, None)
 
 
 def is_f_fault_hamiltonian(G: Graph, f: int, *,
@@ -340,51 +366,16 @@ def is_f_fault_hamiltonian(G: Graph, f: int, *,
 
     Follows the literal definition: the empty fault set is included, so a
     non-hamiltonian graph fails at zero faults regardless of how well its
-    vertex-deleted subgraphs behave. A set is not searched when a cycle
-    found for an earlier set with the same failed vertices uses none of its
-    failed edges.
+    vertex-deleted subgraphs behave.
     """
-    witness = bits = None
-    base = _masks(G)
-    found: dict[frozenset[int], list[int]] = {}  # failed vertices -> cycles as edge bits
-    for spec in fault_specs(G, f):
-        cycles = found.setdefault(spec.vertices, [])
-        if _reuses(cycles, bits, spec.edges):
-            continue
-        adj, alive = _survivors(G, base, spec.vertices, spec.edges)
-        cyc = _cycle_search(adj, alive, _Budget(node_limit, "cycle", spec=spec))
-        if cyc is None:
-            return HamiltonicityReport(False, None, spec)
-        if spec.size == 0:
-            witness = tuple(cyc)
-        bits = bits or _witness_bits(G)
-        cycles.append(sum(map(bits.get, zip(cyc, cyc[1:] + cyc[:1]))))
-    return HamiltonicityReport(True, witness, None)
+    return _sweep(G, f, node_limit, pairs=False)
 
 
 def is_f_fault_traceable(G: Graph, f: int, *,
                          node_limit: Optional[int] = None) -> HamiltonicityReport:
     """True iff after any fault set of size <= f, every surviving vertex pair
-    is joined by a spanning path of the survivor graph. A pair is skipped as
-    in `is_f_fault_hamiltonian`, with the paths found for the same failed
-    vertices and the same pair."""
-    witness = bits = None
-    base = _masks(G)
-    found: dict[tuple[frozenset[int], int, int], list[int]] = {}  # ... and pair -> paths
-    for spec in fault_specs(G, f):
-        adj, alive = _survivors(G, base, spec.vertices, spec.edges)
-        for u, v in combinations(sorted(set(G.vertices()) - spec.vertices), 2):
-            paths = found.setdefault((spec.vertices, u, v), [])
-            if _reuses(paths, bits, spec.edges):
-                continue
-            path = _path_search(adj, alive, _Budget(node_limit, "path", (u, v), spec), (u, v))
-            if path is None:
-                return HamiltonicityReport(False, None, spec, (u, v))
-            if witness is None and spec.size == 0:
-                witness = tuple(path)
-            bits = bits or _witness_bits(G)
-            paths.append(sum(map(bits.get, zip(path, path[1:]))))
-    return HamiltonicityReport(True, witness, None)
+    is joined by a spanning path of the survivor graph."""
+    return _sweep(G, f, node_limit, pairs=True)
 
 
 def is_hypohamiltonian(G: Graph, *, node_limit: Optional[int] = None) -> bool:

@@ -58,6 +58,11 @@ class TestCongestionLowerBound:
     def test_star_into_cycle(self):
         assert congestion_lower_bound(star(9), cycle(9)).bound == 4
 
+    def test_disconnected_host(self):
+        # no embedding into this host can route the guest's edges
+        with pytest.raises(ValueError, match="congestion bound requires a connected host"):
+            congestion_lower_bound(wheel(5), build_graph(5, [(1, 2), (3, 4)]))
+
 
 class TestWirelengthLowerBound:
     def test_wheel_sharp_on_circulant(self):

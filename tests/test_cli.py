@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import wheelembed
 from helpers import graphs, record_bfs, shallow_recursion_limit
 from wheelembed.cli import EMBED_METHODS, main
-from wheelembed.families import circulant, cycle, hypertree, star
+from wheelembed.families import circulant, cycle, hypertree, star, wheel
 from wheelembed.graphs import graph_from_json, graph_to_json
 
 
@@ -424,6 +424,16 @@ class TestHostileInput:
         proc = run_process("embed", "--guest", g, "--host", h, "--method", "preorder")
         assert_one_line_input_error(proc)
         assert "equal orders, got 16 vs 15" in proc.stderr
+
+    @pytest.mark.parametrize("metric", ["dil", "ec", "wl"])
+    def test_bound_on_a_disconnected_host(self, tmp_path, metric):
+        g = write_graph(tmp_path, wheel(5), "g.json")
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"order": 5, "edges": [[1, 2], [3, 4]]}))
+        proc = run_process("bound", "--metric", metric, "--kind", "wheel", "--guest", g,
+                           "--host", str(h))
+        assert_one_line_input_error(proc)
+        assert "connected" in proc.stderr
 
     @pytest.mark.parametrize("payload", [
         {"vmap": 5, "routes": {}},
