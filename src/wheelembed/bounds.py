@@ -65,6 +65,8 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
     """
     _require_same_order(G, H)
     _require_universal(G)
+    if not is_connected(H):
+        raise ValueError("dilation bound requires a connected host")
     r, d = radius_diameter(H)
     if r == d:
         witness = route_shortest(G, H, {v: v for v in G.vertices()})
@@ -107,6 +109,8 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
     n = H.order
     if n < 4:
         raise ValueError(f"wirelength bound needs host order >= 4, got {n}")
+    if not is_connected(H):
+        raise ValueError("wirelength bound requires a connected host")
     _, delta = status_and_median(H)
     rim_edges = n - 1 if kind == "wheel" else n - 2
     bound = rim_edges + delta
@@ -130,7 +134,7 @@ def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
 
     Recognized ids: dil-hypertree / dil-sibling / dil-xtree (kind, level, and
     optionally host: the theorem's tree host of that level, shared by several
-    calls so they reuse its distance rows), ec-windmill (n), wl-wheel / wl-fan
+    calls so they reuse its cached radius and route trees), ec-windmill (n), wl-wheel / wl-fan
     (host).
     """
     if theorem_id in DIL_HOST_KINDS:

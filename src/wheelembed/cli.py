@@ -311,7 +311,7 @@ def _verify_rows(args) -> list[dict]:
         if levels == [None]:
             raise ValueError(f"{args.theorem} needs --level or --sweep")
         for level in levels:
-            # one host per level: every kind reads the same cached distance rows
+            # one host per level: every kind reads the same cached radius and route trees
             host = tree_host(bounds_mod.DIL_HOST_KINDS[args.theorem], level)
             for kind in kinds:
                 report = bounds_mod.verify_theorem(args.theorem, kind=kind, level=level,

@@ -10,11 +10,12 @@ spanning-path) placement of wheels and fans into arbitrary hosts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional
 
 from . import families
-from .graphs import Graph, edge_key, is_connected, status_and_median
+from .graphs import Graph, is_connected, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 GUEST_KINDS = ("wheel", "fan", "friendship", "star")
@@ -33,12 +34,15 @@ class EmbeddingMap:
     Routes are keyed by canonical guest edges (u, v) with u < v and stored as
     explicit host vertex sequences from vmap[u] to vmap[v]; congestion is
     therefore well-defined even for routings that are not shortest paths.
+    `build_embedding` stores the per-host-edge loads it counted; an instance
+    built directly counts them on first use.
     """
 
     guest: Graph
     host: Graph
     vmap: Mapping[int, int]
     routes: Mapping[tuple[int, int], tuple[int, ...]]
+    _loads: Optional[dict] = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +56,30 @@ class EmbeddingMetrics:
     wirelength: int
 
 
+def _fold_hops(host: Graph, routes: Mapping) -> Optional[dict]:
+    """Per-host-edge loads of `routes` from one Counter of their hops; None when
+    some hop is not a host edge."""
+    hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in routes.values()))
+    loads = {e: 0 for e in host.edges}
+    for hop, count in hops.items():
+        key = hop if hop in loads else hop[::-1]
+        if key not in loads:
+            return None
+        loads[key] += count
+    return loads
+
+
+def _raise_first_non_edge(host: Graph, routes: Mapping) -> None:
+    for (u, v), route in routes.items():
+        for a, b in zip(route, route[1:]):
+            if not host.has_edge(a, b):
+                raise ValueError(f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
+
+
 def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
                     routes: Mapping[tuple[int, int], tuple[int, ...]]) -> EmbeddingMap:
-    """Validate bijectivity and route wellformedness, then freeze the embedding."""
+    """Validate bijectivity and route wellformedness, then freeze the embedding
+    together with its per-host-edge loads."""
     if guest.order != host.order:
         raise ValueError(
             f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
@@ -67,10 +92,9 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
         canonical[u, v] = tuple(route)
     if set(canonical) != guest.edges:
         raise ValueError("routes must cover exactly the guest edges")
-    # both orientations of every host edge, so a route's hops are tested in one
-    # C-level issuperset; only a failing route is walked hop by hop
-    arcs = set(host.edges)
-    arcs.update((b, a) for a, b in host.edges)
+    # one pass tests every hop; only if one fails are routes walked hop by hop,
+    # so that the first defect in route order is the one reported
+    loads = _fold_hops(host, canonical)
     for (u, v), route in canonical.items():
         if not route:
             raise ValueError(f"route for guest edge ({u}, {v}) is empty")
@@ -78,55 +102,47 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
             raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
         if len(set(route)) != len(route):
             raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
-        if not arcs.issuperset(zip(route, route[1:])):
-            a, b = next(hop for hop in zip(route, route[1:]) if hop not in arcs)
-            raise ValueError(
-                f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
-    return EmbeddingMap(guest, host, dict(vmap), canonical)
-
-
-def _lex_shortest_route(host: Graph, source: int, target: int) -> tuple[int, ...]:
-    # walking greedily to the smallest neighbor that still shrinks the distance
-    # yields the lexicographically least shortest path
-    if not 1 <= source <= host.order:
-        raise ValueError(f"vertex {source} outside 1..{host.order}")
-    dist_to_target = host.distance_row(target)
-    if dist_to_target[source] < 0:
-        raise ValueError(f"host has no path between {source} and {target}")
-    route = [source]
-    cur = source
-    while cur != target:
-        step = dist_to_target[cur] - 1
-        cur = min(w for w in host.adjacency[cur] if dist_to_target[w] == step)
-        route.append(cur)
-    return tuple(route)
+        if loads is None:
+            _raise_first_non_edge(host, {(u, v): route})
+    emb = EmbeddingMap(guest, host, dict(vmap), canonical)
+    object.__setattr__(emb, "_loads", loads)
+    return emb
 
 
 def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> EmbeddingMap:
-    """Route every guest edge on the lexicographically least shortest host path."""
-    routes = {(u, v): _lex_shortest_route(host, vmap[u], vmap[v])
-              for u, v in guest.edge_list()}
+    """Route every guest edge on the lexicographically least shortest host path:
+    one `Graph.route_tree` per source vertex, grown until it reaches that
+    vertex's targets. The first guest edge in `edge_list()` order with an image
+    outside the host or no host path is the one reported."""
+    routes, tree_of = {}, None
+    for u, v in guest.edge_list():
+        s, t = vmap[u], vmap[v]
+        if tree_of != u:  # the edges from u are contiguous in edge_list()
+            tree_of = u
+            parents = host.route_tree(s, [vmap.get(w) for w in guest.adjacency[u] if w > u])
+        if not 1 <= t <= host.order:
+            raise ValueError(f"vertex {t} outside 1..{host.order}")
+        if t not in parents:
+            raise ValueError(f"host has no path between {s} and {t}")
+        route = [t]
+        while t != s:
+            t = parents[t]
+            route.append(t)
+        routes[u, v] = tuple(reversed(route))
     return build_embedding(guest, host, vmap, routes)
 
 
 def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
     """Per-edge dilation and congestion; their sums coincide in the wirelength."""
-    dil = {}
-    hops: Counter = Counter()
-    for e, route in emb.routes.items():
-        dil[e] = len(route) - 1
-        hops.update(zip(route, route[1:]))
-    # fold the directed hop counts onto the canonical host edges
-    cong = {e: 0 for e in emb.host.edges}
-    try:
-        for (a, b), count in hops.items():
-            cong[edge_key(a, b)] += count
-    except KeyError:
+    dil = {e: len(route) - 1 for e, route in emb.routes.items()}
+    loads = emb._loads
+    if loads is None:
         # an embedding not built by `build_embedding` may route over a non-edge
-        (u, v), (a, b) = next((e, hop) for e, route in emb.routes.items()
-                              for hop in zip(route, route[1:]) if edge_key(*hop) not in cong)
-        raise ValueError(
-            f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})") from None
+        loads = _fold_hops(emb.host, emb.routes)
+        if loads is None:
+            _raise_first_non_edge(emb.host, emb.routes)
+        object.__setattr__(emb, "_loads", loads)
+    cong = dict(loads)  # the caller may mutate its copy
     return EmbeddingMetrics(
         dil_per_edge=dil,
         cong_per_edge=cong,
@@ -198,7 +214,7 @@ def embed_wheel_like_into_tree_host(kind: str, level: int, host_kind: str, *,
     resulting maximum dilation is expected to equal level - 1, the host radius;
     that claim is checked by the bound-verification layer rather than assumed.
     A given `host` must equal the `host_kind` tree of that level; passing one
-    instance for several guests lets them share its cached distance rows.
+    instance for several guests lets them share its cached radius and route trees.
     """
     named = tree_host(host_kind, level)
     if host is None:

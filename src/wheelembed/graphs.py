@@ -2,12 +2,15 @@
 
 Vertices are numbered 1..order everywhere in this package. A Graph's fields
 are immutable after construction, which also sets its sorted adjacency and
-the empty slots of its per-instance cache of BFS distance rows. The only
-state added later is that cache, behind `Graph.distance_row`: each row is
-computed on first use and then shared by every distance consumer
-(connectivity, radius, median, shells, shortest routes, oracles). Two threads
-that miss on the same row both compute it and store equal tuples, so sharing
-a Graph across threads stays safe; the cache never changes `==` or `hash`.
+the empty slots of three per-instance caches, each filled on first use: BFS
+distance rows (`Graph.distance_row`) for connectivity, shells and the
+oracles; one ball-growth pass for every eccentricity and status (radius,
+diameter, medians); and lexicographic BFS trees (`Graph.route_tree`) that
+shortest routes grow only as far as their targets and later calls resume.
+A cached value is published whole and never mutated: an extended tree is
+stored as a new value. Two threads that miss on the same slot both compute
+it and store equivalent values, so sharing a Graph across threads stays
+safe; the caches never change `==` or `hash`.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ class Graph:
         for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        # not fields, so equality and hash ignore them; slot v of the row
-        # cache holds the BFS row from v once some caller has asked for it
+        # not fields, so equality and hash ignore them; slot v of the row and
+        # tree caches holds the BFS row or route tree from v once asked for
         object.__setattr__(self, "adjacency", dict(zip(self.vertices(), map(tuple, nbrs[1:]))))
         object.__setattr__(self, "_distance_rows", [None] * (self.order + 1))
+        object.__setattr__(self, "_route_trees", [None] * (self.order + 1))
+        object.__setattr__(self, "_ball_pass", None)
 
     def distance_row(self, source: int) -> tuple[int, ...]:
         """Hop distances from `source`, indexed by vertex id; -1 marks an
@@ -60,6 +65,32 @@ class Graph:
         if row is None:
             row = rows[source] = single_source_distances(self, source)
         return row
+
+    def route_tree(self, source: int, targets: Iterable[int]) -> dict[int, int]:
+        """Parent map of a BFS from `source` over the sorted adjacency, grown a
+        layer at a time until it holds every target or the whole component.
+        FIFO order keeps each layer in the order of its lex-least shortest
+        paths, so a vertex's first discoverer ends its own path from `source`;
+        the source is its own parent."""
+        if not 1 <= source <= self.order:
+            raise ValueError(f"vertex {source} outside 1..{self.order}")
+        trees = self._route_trees
+        parents, frontier = trees[source] or ({source: source}, (source,))
+        missing = [t for t in targets if t not in parents]
+        if missing and frontier:
+            parents = dict(parents)  # a published tree is never mutated
+            adjacency = self.adjacency
+            while missing and frontier:
+                reached = []
+                for x in frontier:
+                    for w in adjacency[x]:
+                        if w not in parents:
+                            parents[w] = x
+                            reached.append(w)
+                frontier = reached
+                missing = [t for t in missing if t not in parents]
+            trees[source] = (parents, frontier)
+        return parents
 
     def vertices(self) -> range:
         return range(1, self.order + 1)
@@ -171,18 +202,49 @@ def _require_connected(G: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a connected graph")
 
 
+def _ball_growth(G: Graph) -> tuple[list[int], list[int]]:
+    """Eccentricities and statuses of a connected graph, indexed by vertex, from
+    bitset balls: ball_0(v) = {v}, ball_k+1(v) = ball_k(v) | the ball_k(w) of
+    v's neighbors w; ecc(v) is the first k with a full ball and status(v) is
+    the sum over k of n - |ball_k(v)|. Costs diameter x |E| big-int ORs."""
+    n, adjacency = G.order, G.adjacency
+    full = (1 << n + 1) - 2  # bit v stands for vertex v
+    balls = [1 << v for v in range(n + 1)]
+    ecc, status = [0] * (n + 1), [0] * (n + 1)
+    growing = [v for v in G.vertices() if balls[v] != full]
+    while growing:
+        grown = balls[:]  # every ball of step k + 1 reads the balls of step k
+        for v in growing:
+            ball = balls[v]
+            ecc[v] += 1
+            status[v] += n - ball.bit_count()
+            for w in adjacency[v]:
+                ball |= balls[w]
+            grown[v] = ball
+        balls = grown
+        growing = [v for v in growing if balls[v] != full]
+    return ecc, status
+
+
+def _ball_stats(G: Graph) -> tuple[list[int], list[int]]:
+    if G._ball_pass is None:
+        object.__setattr__(G, "_ball_pass", _ball_growth(G))
+    return G._ball_pass
+
+
 def radius_diameter(G: Graph) -> tuple[int, int]:
-    """(radius, diameter) of a connected graph: min and max eccentricity."""
+    """(radius, diameter) of a connected graph, from the cached ball pass."""
     _require_connected(G, "radius_diameter")
-    eccs = [max(G.distance_row(v)) for v in G.vertices()]
+    eccs = _ball_stats(G)[0][1:]
     return min(eccs), max(eccs)
 
 
 def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
-    """Median set and its status: vertices minimizing the total distance to all others."""
+    """Median set and its status (least total distance to all others), from
+    the cached ball pass."""
     _require_connected(G, "status_and_median")
-    statuses = {v: sum(G.distance_row(v)) for v in G.vertices()}
-    best = min(statuses.values())
+    statuses = _ball_stats(G)[1]
+    best = min(statuses[1:])
     medians = tuple(v for v in G.vertices() if statuses[v] == best)
     return medians, best
 

@@ -64,6 +64,38 @@ def brute_distances(G: Graph) -> dict[tuple[int, int], float]:
     return dist
 
 
+def brute_lex_route(G: Graph, s: int, t: int):
+    """Lexicographically least shortest s-t path of G, or None: the first of
+    all vertex sequences, by length and then in lexicographic order, whose
+    hops are edges of G."""
+    if s == t:
+        return (s,)
+    others = [v for v in G.vertices() if v not in (s, t)]
+    for inner in range(len(others) + 1):
+        for middle in permutations(others, inner):
+            seq = (s, *middle, t)
+            if all(G.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+                return seq
+    return None
+
+
+def reference_routes(guest: Graph, host: Graph, vmap) -> dict:
+    """Brute-force lex-least shortest routes for the guest edges in
+    `edge_list()` order; the first edge with an image outside the host or no
+    host path raises, source image checked before target image."""
+    routes = {}
+    for u, v in guest.edge_list():
+        s, t = vmap[u], vmap[v]
+        for x in (s, t):
+            if not 1 <= x <= host.order:
+                raise ValueError(f"vertex {x} outside 1..{host.order}")
+        route = brute_lex_route(host, s, t)
+        if route is None:
+            raise ValueError(f"host has no path between {s} and {t}")
+        routes[u, v] = route
+    return routes
+
+
 def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
     """Wrap the BFS kernel; the returned list collects (graph, source) per run.
 

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import connected_graphs, record_bfs
+from wheelembed import graphs as graphs_mod
 from wheelembed.bounds import (
     congestion_lower_bound,
     dilation_lower_bound,
     verify_theorem,
     wirelength_lower_bound,
 )
-from wheelembed.embedding import evaluate
+from wheelembed.embedding import GUEST_KINDS, evaluate
 from wheelembed.families import (
     circulant,
     cycle,
@@ -47,6 +48,10 @@ class TestDilationLowerBound:
         with pytest.raises(ValueError, match="orders"):
             dilation_lower_bound(star(5), cycle(6))
 
+    def test_disconnected_host(self):
+        with pytest.raises(ValueError, match="^dilation bound requires a connected host$"):
+            dilation_lower_bound(star(4), build_graph(4, [(1, 2), (3, 4)]))
+
 
 class TestCongestionLowerBound:
     def test_windmill_into_circulant(self):
@@ -65,6 +70,11 @@ class TestCongestionLowerBound:
 
 
 class TestWirelengthLowerBound:
+    @pytest.mark.parametrize("kind", ["wheel", "fan"])
+    def test_disconnected_host(self, kind):
+        with pytest.raises(ValueError, match="^wirelength bound requires a connected host$"):
+            wirelength_lower_bound(kind, build_graph(4, [(1, 2), (3, 4)]))
+
     def test_wheel_sharp_on_circulant(self):
         report = wirelength_lower_bound("wheel", circulant(8, {1, 2}))
         assert (report.bound, report.achieved, report.sharp) == (17, 17, True)
@@ -140,6 +150,21 @@ class TestVerifyTheorem:
         assert report.sharp
         pairs = [(id(G), source) for G, source in runs]
         assert pairs and len(set(pairs)) == len(pairs)
+
+    def test_dilation_at_level_ten_runs_at_most_one_bfs(self, monkeypatch):
+        runs = record_bfs(monkeypatch)
+        assert verify_theorem("dil-hypertree", kind="wheel", level=10).sharp
+        assert len(runs) <= 1
+
+    def test_ball_pass_runs_once_per_host_across_guest_kinds(self, monkeypatch):
+        calls = []
+        kernel = graphs_mod._ball_growth
+        monkeypatch.setattr(graphs_mod, "_ball_growth",
+                            lambda G: calls.append(G) or kernel(G))
+        host = hypertree(5)
+        for kind in GUEST_KINDS:
+            assert verify_theorem("dil-hypertree", kind=kind, level=5, host=host).sharp
+        assert len(calls) == 1 and calls[0] is host
 
     def test_dilation_host_must_match_the_theorem(self):
         with pytest.raises(ValueError, match="x_tree of level 4"):

@@ -14,7 +14,7 @@ import wheelembed
 from helpers import graphs, record_bfs, shallow_recursion_limit
 from wheelembed.cli import EMBED_METHODS, main
 from wheelembed.families import circulant, cycle, hypertree, star, wheel
-from wheelembed.graphs import graph_from_json, graph_to_json
+from wheelembed.graphs import build_graph, graph_from_json, graph_to_json
 
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -168,6 +168,20 @@ class TestBoundAndVerify:
         assert code == 0
         assert json.loads(out)["sharp"] is False
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--metric", "dil", "--guest", "G", "--host", "H"),
+         "dilation bound requires a connected host"),
+        (("bound", "--metric", "wl", "--kind", "wheel", "--host", "H"),
+         "wirelength bound requires a connected host"),
+        (("verify", "wl-fan", "--host", "H"), "wirelength bound requires a connected host"),
+    ])
+    def test_disconnected_host_names_the_bound(self, tmp_path, argv, message):
+        files = {"G": write_graph(tmp_path, star(4), "g.json"),
+                 "H": write_graph(tmp_path, build_graph(4, [(1, 2), (3, 4)]), "h.json")}
+        proc = run_process(*(files.get(arg, arg) for arg in argv))
+        assert_one_line_input_error(proc)
+        assert proc.stderr.strip() == f"error: {message}"
+
     def test_verify_windmill_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "ec-windmill", "--sweep", "3..6",
                            "--format", "json")
@@ -182,8 +196,10 @@ class TestBoundAndVerify:
                            "--format", "json")
         assert code == 0
         assert len(json.loads(out)) == 12
+        # one connectivity row per level host; radii come from the ball pass
+        # and routes from their own trees
         pairs = [(id(G), source) for G, source in runs]
-        assert len(set(pairs)) == len(pairs) == 7 + 15 + 31
+        assert len(set(pairs)) == len(pairs) == 3
 
     @pytest.mark.parametrize("theorem, sweep", [
         ("dil-hypertree", "3"),

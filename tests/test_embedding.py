@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, hop_congestion
+from helpers import connected_graphs, graphs, hop_congestion, reference_routes
 from wheelembed.embedding import (
     EmbeddingMap,
     HostNotHamiltonianError,
@@ -81,6 +81,35 @@ class TestRouteShortestAndEvaluate:
         G = cycle(4)
         with pytest.raises(ValueError, match="bijection"):
             route_shortest(G, G, {1: 1, 2: 1, 3: 3, 4: 4})
+
+    def test_first_edge_without_a_path_is_named(self):
+        # guest vertices 1 and 3 share an image, so the edges from image 1 are
+        # (1, 2) and (3, 4); (2, 4) comes between them and fails first
+        guest = build_graph(4, [(1, 2), (2, 4), (3, 4)])
+        host = build_graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match=r"^host has no path between 2 and 4$"):
+            route_shortest(guest, host, {1: 1, 2: 2, 3: 1, 4: 4})
+
+    def test_missing_path_precedes_a_later_bad_image(self):
+        guest = build_graph(4, [(1, 2), (1, 3)])
+        host = build_graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match=r"^host has no path between 1 and 3$"):
+            route_shortest(guest, host, {1: 1, 2: 3, 3: 9, 4: 4})
+
+    @pytest.mark.parametrize("vmap, bad", [
+        ({1: 1, 2: 7, 3: 3, 4: 4}, 7),
+        ({1: 0, 2: 2, 3: 3, 4: 4}, 0),
+    ])
+    def test_image_outside_the_host_is_named(self, vmap, bad):
+        G = cycle(4)
+        with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.4$"):
+            route_shortest(G, G, vmap)
+
+    def test_evaluate_hands_out_its_own_congestion_map(self):
+        G = cycle(4)
+        emb = route_shortest(G, G, identity(G))
+        evaluate(emb).cong_per_edge[(1, 2)] += 5
+        assert evaluate(emb).cong_per_edge == hop_congestion(emb)
 
     def test_evaluate_names_a_non_edge_hop(self):
         # an EmbeddingMap built directly skips build_embedding's hop check
@@ -325,3 +354,34 @@ def test_congestion_equals_per_hop_count(emb):
     metrics = evaluate(emb)
     assert metrics.cong_per_edge == hop_congestion(emb)
     assert metrics.max_congestion == max(hop_congestion(emb).values())
+    # an instance built directly counts its loads on first use
+    direct = EmbeddingMap(emb.guest, emb.host, emb.vmap, emb.routes)
+    assert evaluate(direct).cong_per_edge == metrics.cong_per_edge
+
+
+def _outcome(build):
+    try:
+        return build().routes
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def vertex_maps(draw, order):
+    """A bijection onto 1..order, or arbitrary images in 0..order + 1."""
+    if draw(st.booleans()):
+        return dict(zip(range(1, order + 1), draw(st.permutations(range(1, order + 1)))))
+    return {g: draw(st.integers(0, order + 1)) for g in range(1, order + 1)}
+
+
+@given(graphs(max_order=6), st.data())
+@settings(max_examples=150)
+def test_route_shortest_matches_brute_force(guest, data):
+    # hosts may be disconnected and maps may miss the host; the second call
+    # on the same host instance resumes the trees the first one grew
+    host = data.draw(graphs(min_order=guest.order, max_order=guest.order))
+    for _ in range(2):
+        vmap = data.draw(vertex_maps(guest.order))
+        expected = _outcome(lambda: build_embedding(
+            guest, host, vmap, reference_routes(guest, host, vmap)))
+        assert _outcome(lambda: route_shortest(guest, host, vmap)) == expected

@@ -2,8 +2,10 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_distances, connected_graphs, graphs, record_bfs
+from wheelembed import graphs as graphs_mod
 from wheelembed.families import circulant, cycle, generalized_petersen, hypertree, path, star, wheel
 from wheelembed.graphs import (
     all_pairs_distances,
@@ -127,6 +129,24 @@ class TestDistances:
     def test_vertex_transitive_circulant_radius_equals_diameter(self):
         r, d = radius_diameter(circulant(16, {1, 4}))
         assert r == d
+
+    def test_ball_pass_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        kernel = graphs_mod._ball_growth
+        monkeypatch.setattr(graphs_mod, "_ball_growth",
+                            lambda G: calls.append(G) or kernel(G))
+        G = hypertree(4)
+        radius_diameter(G)
+        status_and_median(G)
+        radius_diameter(G)
+        assert len(calls) == 1 and calls[0] is G
+        H = hypertree(4)
+        status_and_median(H)
+        assert len(calls) == 2 and calls[-1] is H
+
+    def test_route_tree_rejects_bad_vertex(self):
+        with pytest.raises(ValueError, match="outside"):
+            cycle(5).route_tree(6, [1])
 
     def test_radius_rejects_disconnected(self):
         with pytest.raises(ValueError, match="connected"):
@@ -252,6 +272,38 @@ def test_shell_status_matches_distance_sums(G):
         total = sum(table.dist[u - 1])
         assert shells(G, u).status == total
         assert (total == delta) == (u in medians)
+
+
+@given(connected_graphs(min_order=1, max_order=8))
+@settings(max_examples=80)
+def test_ball_growth_matches_floyd_warshall(G):
+    oracle = brute_distances(G)
+    eccs = [max(oracle[(u, v)] for v in G.vertices()) for u in G.vertices()]
+    statuses = [sum(oracle[(u, v)] for v in G.vertices()) for u in G.vertices()]
+    kernel_eccs, kernel_statuses = graphs_mod._ball_growth(G)
+    assert (kernel_eccs[1:], kernel_statuses[1:]) == (eccs, statuses)
+    assert radius_diameter(G) == (min(eccs), max(eccs))
+    best = min(statuses)
+    assert status_and_median(G) == (
+        tuple(u for u in G.vertices() if statuses[u - 1] == best), best)
+
+
+@given(connected_graphs(max_order=8), st.data())
+@settings(max_examples=60)
+def test_resumed_route_tree_agrees_with_a_full_one(G, data):
+    # a tree grown in steps keeps every parent a one-step tree assigns, and
+    # no step extends a tree an earlier call returned
+    source = data.draw(st.integers(1, G.order))
+    steps = [data.draw(st.lists(st.integers(1, G.order), max_size=3)) for _ in range(2)]
+    full = build_graph(G.order, G.edges).route_tree(source, G.vertices())
+    assert len(full) == G.order
+    returned = []
+    for targets in steps + [list(G.vertices())]:
+        tree = G.route_tree(source, targets)
+        assert set(targets) <= set(tree)
+        assert all(full[w] == parent for w, parent in tree.items())
+        returned.append((tree, dict(tree)))
+    assert all(tree == snapshot for tree, snapshot in returned)
 
 
 @given(connected_graphs(max_order=8))
