@@ -29,20 +29,54 @@ class HostNotHamiltonianError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """Vertex bijection plus per-guest-edge host routes.
+    """Vertex bijection plus per-guest-edge host routes, validated when built.
 
     Routes are keyed by canonical guest edges (u, v) with u < v and stored as
     explicit host vertex sequences from vmap[u] to vmap[v]; congestion is
     therefore well-defined even for routings that are not shortest paths.
-    `build_embedding` stores the per-host-edge loads it counted; an instance
-    built directly counts them on first use.
+    Construction checks bijectivity and route wellformedness, raising on the
+    first defect, and stores a copy of `vmap`, the routes as tuples and the
+    per-host-edge loads.
     """
 
     guest: Graph
     host: Graph
     vmap: Mapping[int, int]
     routes: Mapping[tuple[int, int], tuple[int, ...]]
-    _loads: Optional[dict] = field(default=None, init=False, repr=False)
+    _loads: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        guest, host, vmap = self.guest, self.host, self.vmap
+        if guest.order != host.order:
+            raise ValueError(
+                f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
+        if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
+            raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
+        canonical = {}
+        for (u, v), route in self.routes.items():
+            if not u < v:  # else (1, 2) and (2, 1) could both route one edge
+                raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
+            canonical[u, v] = tuple(route)
+        if set(canonical) != guest.edges:
+            raise ValueError("routes must cover exactly the guest edges")
+        # one pass tests every hop; only if one fails are routes walked hop by
+        # hop, so that the first defect in route order is the one reported
+        loads = _fold_hops(host, canonical)
+        for (u, v), route in canonical.items():
+            if not route:
+                raise ValueError(f"route for guest edge ({u}, {v}) is empty")
+            if route[0] != vmap[u] or route[-1] != vmap[v]:
+                raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
+            if len(set(route)) != len(route):
+                raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
+            if loads is None:
+                for a, b in zip(route, route[1:]):
+                    if not host.has_edge(a, b):
+                        raise ValueError(
+                            f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
+        object.__setattr__(self, "vmap", dict(vmap))
+        object.__setattr__(self, "routes", canonical)
+        object.__setattr__(self, "_loads", loads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,44 +103,11 @@ def _fold_hops(host: Graph, routes: Mapping) -> Optional[dict]:
     return loads
 
 
-def _raise_first_non_edge(host: Graph, routes: Mapping) -> None:
-    for (u, v), route in routes.items():
-        for a, b in zip(route, route[1:]):
-            if not host.has_edge(a, b):
-                raise ValueError(f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
-
-
 def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
                     routes: Mapping[tuple[int, int], tuple[int, ...]]) -> EmbeddingMap:
-    """Validate bijectivity and route wellformedness, then freeze the embedding
-    together with its per-host-edge loads."""
-    if guest.order != host.order:
-        raise ValueError(
-            f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
-    if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
-        raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
-    canonical = {}
-    for (u, v), route in routes.items():
-        if not u < v:  # else (1, 2) and (2, 1) could both route one edge
-            raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
-        canonical[u, v] = tuple(route)
-    if set(canonical) != guest.edges:
-        raise ValueError("routes must cover exactly the guest edges")
-    # one pass tests every hop; only if one fails are routes walked hop by hop,
-    # so that the first defect in route order is the one reported
-    loads = _fold_hops(host, canonical)
-    for (u, v), route in canonical.items():
-        if not route:
-            raise ValueError(f"route for guest edge ({u}, {v}) is empty")
-        if route[0] != vmap[u] or route[-1] != vmap[v]:
-            raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
-        if len(set(route)) != len(route):
-            raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
-        if loads is None:
-            _raise_first_non_edge(host, {(u, v): route})
-    emb = EmbeddingMap(guest, host, dict(vmap), canonical)
-    object.__setattr__(emb, "_loads", loads)
-    return emb
+    """The validated embedding of `vmap` and `routes`: the one entry through
+    which this package builds an `EmbeddingMap`."""
+    return EmbeddingMap(guest, host, vmap, routes)
 
 
 def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> EmbeddingMap:
@@ -135,14 +136,7 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
 def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
     """Per-edge dilation and congestion; their sums coincide in the wirelength."""
     dil = {e: len(route) - 1 for e, route in emb.routes.items()}
-    loads = emb._loads
-    if loads is None:
-        # an embedding not built by `build_embedding` may route over a non-edge
-        loads = _fold_hops(emb.host, emb.routes)
-        if loads is None:
-            _raise_first_non_edge(emb.host, emb.routes)
-        object.__setattr__(emb, "_loads", loads)
-    cong = dict(loads)  # the caller may mutate its copy
+    cong = dict(emb._loads)  # the caller may mutate its copy
     return EmbeddingMetrics(
         dil_per_edge=dil,
         cong_per_edge=cong,

@@ -2,15 +2,16 @@
 
 Vertices are numbered 1..order everywhere in this package. A Graph's fields
 are immutable after construction, which also sets its sorted adjacency and
-the empty slots of three per-instance caches, each filled on first use: BFS
-distance rows (`Graph.distance_row`) for connectivity, shells and the
-oracles; one ball-growth pass for every eccentricity and status (radius,
-diameter, medians); and lexicographic BFS trees (`Graph.route_tree`) that
-shortest routes grow only as far as their targets and later calls resume.
-A cached value is published whole and never mutated: an extended tree is
-stored as a new value. Two threads that miss on the same slot both compute
-it and store equivalent values, so sharing a Graph across threads stays
-safe; the caches never change `==` or `hash`.
+the empty slots of two per-instance caches, each filled on first use: one
+ball-growth pass for every eccentricity and status (radius, diameter,
+medians), which also decides whether the graph is connected; and
+lexicographic BFS trees (`Graph.route_tree`) that shortest routes grow only
+as far as their targets and later calls resume. Distance rows are not
+cached: `single_source_distances` runs one BFS per call. A cached value is
+published whole and never mutated: an extended tree is stored as a new
+value. Two threads that miss on the same slot both compute it and store
+equivalent values, so sharing a Graph across threads stays safe; the caches
+never change `==` or `hash`.
 """
 
 from __future__ import annotations
@@ -48,23 +49,11 @@ class Graph:
         for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        # not fields, so equality and hash ignore them; slot v of the row and
-        # tree caches holds the BFS row or route tree from v once asked for
+        # not fields, so equality and hash ignore them; slot v of the tree
+        # cache holds the route tree from v once asked for
         object.__setattr__(self, "adjacency", dict(zip(self.vertices(), map(tuple, nbrs[1:]))))
-        object.__setattr__(self, "_distance_rows", [None] * (self.order + 1))
         object.__setattr__(self, "_route_trees", [None] * (self.order + 1))
         object.__setattr__(self, "_ball_pass", None)
-
-    def distance_row(self, source: int) -> tuple[int, ...]:
-        """Hop distances from `source`, indexed by vertex id; -1 marks an
-        unreachable vertex and index 0 holds 0. Computed once per instance."""
-        if not 1 <= source <= self.order:
-            raise ValueError(f"vertex {source} outside 1..{self.order}")
-        rows = self._distance_rows
-        row = rows[source]
-        if row is None:
-            row = rows[source] = single_source_distances(self, source)
-        return row
 
     def route_tree(self, source: int, targets: Iterable[int]) -> dict[int, int]:
         """Parent map of a BFS from `source` over the sorted adjacency, grown a
@@ -159,7 +148,7 @@ class Shells:
 
 
 def single_source_distances(G: Graph, source: int) -> tuple[int, ...]:
-    """One BFS from `source`: the uncached kernel behind `Graph.distance_row`.
+    """Hop distances from `source` by one BFS, computed afresh on every call.
 
     Returns a row indexed by vertex id; -1 marks an unreachable vertex and
     index 0, which names no vertex, holds 0 so that the sum and maximum of a
@@ -185,28 +174,25 @@ def single_source_distances(G: Graph, source: int) -> tuple[int, ...]:
 
 
 def all_pairs_distances(G: Graph) -> DistanceTable:
-    """Hop distances for all pairs from the cached rows, math.inf where unreachable."""
+    """Hop distances for all pairs, one BFS per vertex, math.inf where unreachable."""
     rows = []
     for v in G.vertices():
-        row = G.distance_row(v)
+        row = single_source_distances(G, v)
         rows.append(tuple(INFINITY if d < 0 else d for d in row[1:]))
     return DistanceTable(G.order, tuple(rows))
 
 
 def is_connected(G: Graph) -> bool:
-    return min(G.distance_row(1)) >= 0
+    return min(single_source_distances(G, 1)) >= 0
 
 
-def _require_connected(G: Graph, what: str) -> None:
-    if not is_connected(G):
-        raise ValueError(f"{what} requires a connected graph")
-
-
-def _ball_growth(G: Graph) -> tuple[list[int], list[int]]:
-    """Eccentricities and statuses of a connected graph, indexed by vertex, from
-    bitset balls: ball_0(v) = {v}, ball_k+1(v) = ball_k(v) | the ball_k(w) of
-    v's neighbors w; ecc(v) is the first k with a full ball and status(v) is
-    the sum over k of n - |ball_k(v)|. Costs diameter x |E| big-int ORs."""
+def _ball_growth(G: Graph) -> Optional[tuple[list[int], list[int]]]:
+    """Eccentricities and statuses, indexed by vertex, from bitset balls:
+    ball_0(v) = {v}, ball_k+1(v) = ball_k(v) | the ball_k(w) of v's neighbors
+    w; ecc(v) is the first k with a full ball and status(v) is the sum over k
+    of n - |ball_k(v)|. Costs diameter x |E| big-int ORs. In a connected graph
+    a ball that is not full grows at every step, so a ball that stops short of
+    full shows the graph is disconnected, and the result is None."""
     n, adjacency = G.order, G.adjacency
     full = (1 << n + 1) - 2  # bit v stands for vertex v
     balls = [1 << v for v in range(n + 1)]
@@ -220,30 +206,32 @@ def _ball_growth(G: Graph) -> tuple[list[int], list[int]]:
             status[v] += n - ball.bit_count()
             for w in adjacency[v]:
                 ball |= balls[w]
+            if ball == balls[v]:
+                return None
             grown[v] = ball
         balls = grown
         growing = [v for v in growing if balls[v] != full]
     return ecc, status
 
 
-def _ball_stats(G: Graph) -> tuple[list[int], list[int]]:
-    if G._ball_pass is None:
-        object.__setattr__(G, "_ball_pass", _ball_growth(G))
+def _ball_stats(G: Graph, what: str) -> tuple[list[int], list[int]]:
+    if G._ball_pass is None:  # () caches the verdict on a disconnected graph
+        object.__setattr__(G, "_ball_pass", _ball_growth(G) or ())
+    if not G._ball_pass:
+        raise ValueError(f"{what} requires a connected graph")
     return G._ball_pass
 
 
 def radius_diameter(G: Graph) -> tuple[int, int]:
     """(radius, diameter) of a connected graph, from the cached ball pass."""
-    _require_connected(G, "radius_diameter")
-    eccs = _ball_stats(G)[0][1:]
+    eccs = _ball_stats(G, "radius_diameter")[0][1:]
     return min(eccs), max(eccs)
 
 
 def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
     """Median set and its status (least total distance to all others), from
     the cached ball pass."""
-    _require_connected(G, "status_and_median")
-    statuses = _ball_stats(G)[1]
+    statuses = _ball_stats(G, "status_and_median")[1]
     best = min(statuses[1:])
     medians = tuple(v for v in G.vertices() if statuses[v] == best)
     return medians, best
@@ -251,8 +239,9 @@ def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
 
 def shells(G: Graph, center: int) -> Shells:
     """Distance layers around `center`; together they partition the other vertices."""
-    _require_connected(G, "shells")
-    dist = G.distance_row(center)
+    dist = single_source_distances(G, center)
+    if min(dist) < 0:
+        raise ValueError("shells requires a connected graph")
     layers = [set() for _ in range(max(dist))]
     for v in G.vertices():
         if dist[v] > 0:

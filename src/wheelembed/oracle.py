@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_key, is_connected
+from .graphs import Graph, edge_key, single_source_distances
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
@@ -51,9 +51,10 @@ def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ..
         raise ValueError(f"guest and host orders differ: {guest.order} vs {host.order}")
     if guest.order > limit:
         raise ValueError(f"order {guest.order} exceeds the oracle limit {limit}")
-    if not is_connected(host):
+    dist = [()] + [single_source_distances(host, v) for v in host.vertices()]
+    if min(dist[1]) < 0:
         raise ValueError("oracle requires a connected host")
-    return [()] + [host.distance_row(v) for v in host.vertices()]
+    return dist
 
 
 def _prior_neighbors(guest: Graph) -> list[list[int]]:
@@ -263,11 +264,11 @@ def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     return OracleResult("wirelength", int(best), witness, leaves, exact=True)
 
 
-def _all_shortest_routes(host: Graph, a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every shortest a-b path as a tuple of canonical host edges, in
-    lexicographic vertex-sequence order: the prefixes grow one BFS layer at a
-    time towards b, each in order, and every route has the same length."""
-    dist_b = host.distance_row(b)
+def _all_shortest_routes(host: Graph, a: int, dist_b) -> list[tuple[tuple[int, int], ...]]:
+    """Every shortest path from a to the source b of the row `dist_b` as a
+    tuple of canonical host edges, in lexicographic vertex-sequence order: the
+    prefixes grow one BFS layer at a time towards b, each in order, and every
+    route has the same length."""
     prefixes = [(a, ())]
     for step in range(dist_b[a] - 1, -1, -1):
         prefixes = [(w, edges + (edge_key(cur, w),)) for cur, edges in prefixes
@@ -317,10 +318,6 @@ def _canonical_congestion(choices) -> int:
     return max(loads.values(), default=0)
 
 
-def _is_tree(G: Graph) -> bool:
-    return len(G.edges) == G.order - 1 and is_connected(G)
-
-
 def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
                      route_cap: int = DEFAULT_ROUTE_CAP, prune: bool = True,
                      jobs: int = 1) -> OracleResult:
@@ -334,7 +331,7 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     bound on the unrestricted optimum and `exact` is False.
     """
     dist = _check_instance(guest, host, limit)
-    route_table = {(a, b): _all_shortest_routes(host, a, b)
+    route_table = {(a, b): _all_shortest_routes(host, a, dist[b])
                    for a in host.vertices() for b in range(a + 1, host.order + 1)}
     # hub[g][h] = ceil(deg_G(g) / deg_H(h)) bounds the load of any routing;
     # the max(.., 1) guards only the edgeless order-1 host, where all terms are 0
@@ -343,7 +340,7 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     cong = (hub, max(len(host.edges), 1), guest.edge_list(), route_table, route_cap)
     best, witness, leaves, capped, _ = _run_partitioned(guest, dist, prune, jobs, cong=cong)
 
-    tree_host = _is_tree(host)
+    tree_host = len(host.edges) == host.order - 1  # the host is connected
     exact = tree_host and not capped
     notes = []
     if not tree_host:

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
+from wheelembed import oracle as oracle_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
 from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
 
@@ -97,7 +98,8 @@ def reference_routes(guest: Graph, host: Graph, vmap) -> dict:
 
 
 def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
-    """Wrap the BFS kernel; the returned list collects (graph, source) per run.
+    """Wrap the BFS kernel in `graphs` and in `oracle`, which imports it by
+    name; the returned list collects (graph, source) per run.
 
     The graphs stay referenced, so `id` tells distinct instances apart."""
     runs: list[tuple[Graph, int]] = []
@@ -107,7 +109,8 @@ def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
         runs.append((G, source))
         return kernel(G, source)
 
-    monkeypatch.setattr(graphs_mod, "single_source_distances", recording)
+    for module in (graphs_mod, oracle_mod):
+        monkeypatch.setattr(module, "single_source_distances", recording)
     return runs
 
 

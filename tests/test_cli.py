@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import wheelembed
 from helpers import graphs, record_bfs, shallow_recursion_limit
+from wheelembed import graphs as graphs_mod
 from wheelembed.cli import EMBED_METHODS, main
 from wheelembed.families import circulant, cycle, hypertree, star, wheel
 from wheelembed.graphs import build_graph, graph_from_json, graph_to_json
@@ -192,14 +193,17 @@ class TestBoundAndVerify:
 
     def test_dilation_sweep_shares_one_host_per_level(self, capsys, monkeypatch):
         runs = record_bfs(monkeypatch)
+        passes = []
+        kernel = graphs_mod._ball_growth
+        monkeypatch.setattr(graphs_mod, "_ball_growth", lambda G: passes.append(G) or kernel(G))
         code, out, _ = run(capsys, "verify", "dil-hypertree", "--sweep", "3..5",
                            "--format", "json")
         assert code == 0
         assert len(json.loads(out)) == 12
-        # one connectivity row per level host; radii come from the ball pass
-        # and routes from their own trees
-        pairs = [(id(G), source) for G, source in runs]
-        assert len(set(pairs)) == len(pairs) == 3
+        # one ball pass per level host gives its radius and connectivity;
+        # routes come from their own trees, so no BFS runs
+        assert runs == []
+        assert [G.order for G in passes] == [7, 15, 31]
 
     @pytest.mark.parametrize("theorem, sweep", [
         ("dil-hypertree", "3"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, graphs, hop_congestion, reference_routes
+from helpers import brute_lex_route, connected_graphs, graphs, hop_congestion, reference_routes
 from wheelembed.embedding import (
     EmbeddingMap,
     HostNotHamiltonianError,
@@ -111,14 +111,13 @@ class TestRouteShortestAndEvaluate:
         evaluate(emb).cong_per_edge[(1, 2)] += 5
         assert evaluate(emb).cong_per_edge == hop_congestion(emb)
 
-    def test_evaluate_names_a_non_edge_hop(self):
-        # an EmbeddingMap built directly skips build_embedding's hop check
+    def test_embedding_map_names_a_non_edge_hop(self):
+        # an EmbeddingMap built directly makes build_embedding's hop check
         G = cycle(4)
         routes = {e: e for e in G.edges}
         routes[(1, 2)] = (1, 3, 2)
-        emb = EmbeddingMap(G, G, identity(G), routes)
         with pytest.raises(ValueError, match=r"\(1, 2\) uses the non-edge \(1, 3\)"):
-            evaluate(emb)
+            EmbeddingMap(G, G, identity(G), routes)
 
 
 class TestBuildEmbeddingValidation:
@@ -354,7 +353,7 @@ def test_congestion_equals_per_hop_count(emb):
     metrics = evaluate(emb)
     assert metrics.cong_per_edge == hop_congestion(emb)
     assert metrics.max_congestion == max(hop_congestion(emb).values())
-    # an instance built directly counts its loads on first use
+    # an instance built directly counts its loads when it is built
     direct = EmbeddingMap(emb.guest, emb.host, emb.vmap, emb.routes)
     assert evaluate(direct).cong_per_edge == metrics.cong_per_edge
 
@@ -372,6 +371,52 @@ def vertex_maps(draw, order):
     if draw(st.booleans()):
         return dict(zip(range(1, order + 1), draw(st.permutations(range(1, order + 1)))))
     return {g: draw(st.integers(0, order + 1)) for g in range(1, order + 1)}
+
+
+@st.composite
+def route_maps(draw, guest, host, vmap):
+    """Lex-least shortest routes where the images allow them, except on up to
+    two edges, which get arbitrary vertex sequences, bare or between the
+    images (empty, non-joining, repeating, or over non-edges); now and then
+    one key is reversed or one edge dropped."""
+    edges = guest.edge_list()
+    bad = draw(st.sets(st.sampled_from(edges), max_size=2)) if edges else set()
+    routes = {}
+    for u, v in edges:
+        s, t = vmap[u], vmap[v]
+        route = None
+        if (u, v) not in bad and 1 <= s <= host.order and 1 <= t <= host.order:
+            route = brute_lex_route(host, s, t)
+        if route is None:
+            middle = tuple(draw(st.lists(st.integers(0, host.order + 1), max_size=3)))
+            route = middle if draw(st.booleans()) else (s, *middle, t)
+        routes[u, v] = route
+    if edges and draw(st.integers(0, 3)) == 0:
+        u, v = draw(st.sampled_from(edges))
+        route = routes.pop((u, v))
+        if draw(st.booleans()):
+            routes[v, u] = route
+    return routes
+
+
+@given(graphs(max_order=6), st.data())
+@settings(max_examples=150)
+def test_construction_equals_build_embedding(guest, data):
+    order = max(guest.order - (data.draw(st.integers(0, 7)) == 0), 1)
+    host = data.draw(graphs(min_order=order, max_order=order))
+    vmap = data.draw(vertex_maps(guest.order))
+    routes = data.draw(route_maps(guest, host, vmap))
+
+    def outcome(build):
+        try:
+            emb = build()
+        except ValueError as exc:
+            return str(exc)
+        assert evaluate(emb).cong_per_edge == hop_congestion(emb)
+        return emb.vmap, emb.routes, emb._loads
+
+    direct = outcome(lambda: EmbeddingMap(guest, host, vmap, routes))
+    assert direct == outcome(lambda: build_embedding(guest, host, vmap, routes))
 
 
 @given(graphs(max_order=6), st.data())

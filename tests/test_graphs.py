@@ -17,6 +17,7 @@ from wheelembed.graphs import (
     max_degree,
     radius_diameter,
     shells,
+    single_source_distances,
     status_and_median,
 )
 
@@ -64,29 +65,28 @@ class TestDistanceRows:
     def test_row_layout(self):
         # index 0 names no vertex and holds 0; -1 marks unreachable vertices
         G = build_graph(4, [(1, 2), (2, 3)])
-        assert G.distance_row(1) == (0, 0, 1, 2, -1)
-        assert G.distance_row(4) == (0, -1, -1, -1, 0)
+        assert single_source_distances(G, 1) == (0, 0, 1, 2, -1)
+        assert single_source_distances(G, 4) == (0, -1, -1, -1, 0)
 
     def test_row_rejects_bad_vertex(self):
         with pytest.raises(ValueError, match="outside"):
-            cycle(5).distance_row(6)
+            single_source_distances(cycle(5), 6)
         with pytest.raises(ValueError, match="outside"):
-            cycle(5).distance_row(0)
+            single_source_distances(cycle(5), 0)
 
     def test_rows_are_computed_once(self, monkeypatch):
+        # radius and medians come from the ball pass, a shell reads the row
+        # of its center, and the all-pairs table one row per vertex
         runs = record_bfs(monkeypatch)
         G = hypertree(4)
-        first = G.distance_row(3)
         radius_diameter(G)
         status_and_median(G)
+        assert runs == []
         shells(G, 3)
+        assert [s for _, s in runs] == [3]
         all_pairs_distances(G)
-        assert G.distance_row(3) is first
-        assert sorted(s for _, s in runs) == list(G.vertices())
-        # an equal but distinct instance keeps its own cache
-        H = hypertree(4)
-        H.distance_row(3)
-        assert len(runs) == G.order + 1 and runs[-1][0] is H
+        assert [s for _, s in runs[1:]] == list(G.vertices())
+        assert all(graph is G for graph, _ in runs)
 
     def test_connectivity_costs_one_bfs(self, monkeypatch):
         runs = record_bfs(monkeypatch)
@@ -97,7 +97,8 @@ class TestDistanceRows:
         G, H = circulant(8, {1, 2}), circulant(8, {1, 2})
         before = hash(G)
         assert G == H and hash(G) == hash(H)
-        all_pairs_distances(G)
+        status_and_median(G)
+        G.route_tree(1, G.vertices())
         assert G == H and hash(G) == hash(H) == before
         assert len({G, H}) == 1
         assert G != circulant(8, {1, 3})
@@ -151,6 +152,24 @@ class TestDistances:
     def test_radius_rejects_disconnected(self):
         with pytest.raises(ValueError, match="connected"):
             radius_diameter(build_graph(2, []))
+
+    @pytest.mark.parametrize("G", [
+        build_graph(4, [(1, 2), (2, 3), (1, 3)]),          # an isolated vertex
+        build_graph(5, [(1, 2), (3, 4), (4, 5)]),          # components of sizes 2 and 3
+        build_graph(2, []),
+    ], ids=["isolated-vertex", "unequal-components", "edgeless-order-2"])
+    def test_ball_pass_rejects_disconnected_without_bfs(self, monkeypatch, G):
+        runs = record_bfs(monkeypatch)
+        for invariant in (radius_diameter, status_and_median):
+            with pytest.raises(ValueError,
+                               match=rf"^{invariant.__name__} requires a connected graph$"):
+                invariant(G)
+        assert runs == []
+
+    def test_order_one_graph_is_connected(self):
+        G = build_graph(1, [])
+        assert radius_diameter(G) == (0, 0)
+        assert status_and_median(G) == ((1,), 0)
 
 
 class TestMedianAndShells:
@@ -231,11 +250,11 @@ class TestJsonRoundTrip:
 
 @given(graphs(max_order=8))
 @settings(max_examples=80)
-def test_cached_rows_match_floyd_warshall(G):
+def test_rows_match_floyd_warshall(G):
     oracle = brute_distances(G)
     table = all_pairs_distances(G)
     for u in G.vertices():
-        row = G.distance_row(u)
+        row = single_source_distances(G, u)
         assert row[0] == 0 and len(row) == G.order + 1
         for v in G.vertices():
             expected = oracle[(u, v)]
@@ -286,6 +305,13 @@ def test_ball_growth_matches_floyd_warshall(G):
     best = min(statuses)
     assert status_and_median(G) == (
         tuple(u for u in G.vertices() if statuses[u - 1] == best), best)
+
+
+@given(graphs(max_order=8))
+@settings(max_examples=80)
+def test_ball_growth_decides_connectivity(G):
+    disconnected = math.inf in brute_distances(G).values()
+    assert (graphs_mod._ball_growth(G) is None) == disconnected
 
 
 @given(connected_graphs(max_order=8), st.data())

@@ -24,7 +24,7 @@ from wheelembed.families import (
     windmill,
     x_tree,
 )
-from wheelembed.graphs import all_pairs_distances
+from wheelembed.graphs import all_pairs_distances, build_graph
 from wheelembed.oracle import (
     _check_instance,
     _run_partitioned,
@@ -60,7 +60,6 @@ class TestExactDilation:
             exact_dilation(cycle(4), cycle(5))
 
     def test_disconnected_host_rejected(self):
-        from wheelembed.graphs import build_graph
         with pytest.raises(ValueError, match="connected"):
             exact_dilation(path(4), build_graph(4, [(1, 2), (3, 4)]))
 
@@ -103,6 +102,13 @@ class TestExactCongestion:
         assert result.optimum == 1
         assert result.exact
         assert result.witness_vmap == (1, 2, 3, 4)
+
+    def test_tree_test_needs_a_connected_host(self):
+        # a triangle plus an isolated vertex has n - 1 edges but is no tree
+        host = build_graph(4, [(1, 2), (1, 3), (2, 3)])
+        with pytest.raises(ValueError, match=r"^oracle requires a connected host$"):
+            exact_congestion(star(4), host)
+        assert exact_congestion(star(7), complete_binary_tree(3)).exact
 
 
 class TestRouteCapFallback:

@@ -37,3 +37,17 @@ def test_no_function_calls_itself():
                         and callee.value.id in ("self", "cls")):
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {func.name}")
     assert not found, f"recursive calls: {', '.join(found)}"
+
+
+def test_embedding_maps_are_built_only_by_build_embedding():
+    # every construction then runs inside the one public validation entry
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "build_embedding"
+                  for node in ast.walk(func)}
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EmbeddingMap"]
+    assert not found, f"EmbeddingMap built outside build_embedding: {', '.join(found)}"
