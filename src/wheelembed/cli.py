@@ -304,6 +304,8 @@ def _parse_sweep(text: str) -> range:
 
 
 def _verify_rows(args) -> list[dict]:
+    # a row keeps only its report's payload, so no witness embedding stays
+    # alive while the next instance is built
     rows = []
     if args.theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
         kinds = [args.kind] if args.kind else list(bounds_mod.GUEST_KINDS)
@@ -314,16 +316,16 @@ def _verify_rows(args) -> list[dict]:
             # one host per level: every kind reads the same cached radius and route trees
             host = tree_host(bounds_mod.DIL_HOST_KINDS[args.theorem], level)
             for kind in kinds:
-                report = bounds_mod.verify_theorem(args.theorem, kind=kind, level=level,
-                                                   host=host)
-                rows.append({"kind": kind, "level": level, **_bound_payload(report)})
+                payload = _bound_payload(bounds_mod.verify_theorem(
+                    args.theorem, kind=kind, level=level, host=host))
+                rows.append({"kind": kind, "level": level, **payload})
     elif args.theorem == "ec-windmill":
         ns = list(_parse_sweep(args.sweep)) if args.sweep else [args.n]
         if ns == [None]:
             raise ValueError("ec-windmill needs --n or --sweep")
         for n in ns:
-            report = bounds_mod.verify_theorem("ec-windmill", n=n)
-            rows.append({"n": n, **_bound_payload(report)})
+            payload = _bound_payload(bounds_mod.verify_theorem("ec-windmill", n=n))
+            rows.append({"n": n, **payload})
     elif args.theorem in ("wl-wheel", "wl-fan"):
         if args.sweep:
             # the sweep walks the two-jump circulant hosts G(n; +-{1,2})
@@ -333,16 +335,16 @@ def _verify_rows(args) -> list[dict]:
                                  f"below the minimum host order 4")
             for n in orders:
                 host = families.circulant(n, {1, 2})
-                report = bounds_mod.verify_theorem(args.theorem, host=host,
-                                                   node_limit=args.node_limit)
-                rows.append({"host": host.name, **_bound_payload(report)})
+                payload = _bound_payload(bounds_mod.verify_theorem(
+                    args.theorem, host=host, node_limit=args.node_limit))
+                rows.append({"host": host.name, **payload})
         else:
             if args.host is None:
                 raise ValueError(f"{args.theorem} needs --host or --sweep")
             host = _load_graph(args.host)
-            report = bounds_mod.verify_theorem(args.theorem, host=host,
-                                               node_limit=args.node_limit)
-            rows.append({"host": host.name, **_bound_payload(report)})
+            payload = _bound_payload(bounds_mod.verify_theorem(
+                args.theorem, host=host, node_limit=args.node_limit))
+            rows.append({"host": host.name, **payload})
     else:
         raise ValueError(f"unknown theorem id {args.theorem!r}")
     return rows

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Mapping, Optional
 
 from . import families
-from .graphs import Graph, is_connected, status_and_median
+from .graphs import Graph, edge_key, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 GUEST_KINDS = ("wheel", "fan", "friendship", "star")
@@ -59,21 +59,19 @@ class EmbeddingMap:
             canonical[u, v] = tuple(route)
         if set(canonical) != guest.edges:
             raise ValueError("routes must cover exactly the guest edges")
-        # one pass tests every hop; only if one fails are routes walked hop by
-        # hop, so that the first defect in route order is the one reported
-        loads = _fold_hops(host, canonical)
-        for (u, v), route in canonical.items():
+        # one pass gives the loads and every route's verdicts; they are read in
+        # route order, so the first defect in route order is the one reported
+        loads, repeats, non_edges = _fold_hops(host, list(canonical.values()))
+        for ((u, v), route), repeat, hop in zip(canonical.items(), repeats, non_edges):
             if not route:
                 raise ValueError(f"route for guest edge ({u}, {v}) is empty")
             if route[0] != vmap[u] or route[-1] != vmap[v]:
                 raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
-            if len(set(route)) != len(route):
+            if repeat:
                 raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
-            if loads is None:
-                for a, b in zip(route, route[1:]):
-                    if not host.has_edge(a, b):
-                        raise ValueError(
-                            f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})")
+            if hop is not None:
+                raise ValueError(
+                    f"route for guest edge ({u}, {v}) uses the non-edge ({hop[0]}, {hop[1]})")
         object.__setattr__(self, "vmap", dict(vmap))
         object.__setattr__(self, "routes", canonical)
         object.__setattr__(self, "_loads", loads)
@@ -90,17 +88,69 @@ class EmbeddingMetrics:
     wirelength: int
 
 
-def _fold_hops(host: Graph, routes: Mapping) -> Optional[dict]:
-    """Per-host-edge loads of `routes` from one Counter of their hops; None when
-    some hop is not a host edge."""
-    hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in routes.values()))
+def _fold_hops(host: Graph, routes: list) -> tuple[Optional[dict], list, list]:
+    """Per-host-edge loads of `routes`, and per route whether it repeats a
+    vertex and its first hop that is not a host edge (or None); the loads
+    are None when some hop is not a host edge.
+
+    Routes are read shortest first. A route that is an earlier route plus one
+    hop (its parent, looked up by first and last vertex among the routes of
+    the last shorter length) adds only that hop, and repeats a vertex when
+    its parent does or already holds its last vertex. The hops of every other
+    route go into one Counter. A hop's load is the number of routes through
+    it: read longest first, each route adds its weight (itself and its
+    extensions) to its parent's and to the hops it adds, so every
+    route-extension step is counted once."""
     loads = {e: 0 for e in host.edges}
-    for hop, count in hops.items():
+    count = len(routes)
+    parent, repeats, non_edges = [-1] * count, [False] * count, [None] * count
+    order = sorted(range(count), key=lambda i: len(routes[i]))
+    walked = []  # the routes that extend no earlier route
+    shorter, ends, length = {}, {}, 0  # routes of the last shorter length and of this one, by ends
+    for i in order:
+        route = routes[i]
+        k = len(route)
+        if k != length:
+            shorter, ends, length = ends, {}, k
+        p = shorter.get((route[0], route[-2])) if k > 1 else None
+        if p is not None and routes[p] == route[:-1]:
+            a, b = route[-2], route[-1]
+            parent[i] = p
+            repeats[i] = repeats[p] or b in routes[p]
+            if edge_key(a, b) not in loads:
+                non_edges[i] = (a, b)
+        else:
+            walked.append(route)
+            repeats[i] = len(set(route)) != k
+        if k:
+            ends.setdefault((route[0], route[-1]), i)
+    hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in walked))
+    faulty = any(non_edges)
+    for hop, times in hops.items():
         key = hop if hop in loads else hop[::-1]
         if key not in loads:
-            return None
-        loads[key] += count
-    return loads
+            faulty = True
+            break
+        loads[key] += times
+    if faulty:  # name each route's first non-edge, which an extension inherits
+        for i in order:
+            route, p = routes[i], parent[i]
+            if p >= 0:
+                non_edges[i] = non_edges[p] or non_edges[i]
+            else:
+                non_edges[i] = next(((a, b) for a, b in zip(route, route[1:])
+                                     if not host.has_edge(a, b)), None)
+        return None, repeats, non_edges
+    weight = [1] * count
+    for i in reversed(order):
+        route, p, w = routes[i], parent[i], weight[i]
+        if p >= 0:
+            weight[p] += w
+            loads[edge_key(route[-2], route[-1])] += w
+        elif w > 1:  # the Counter gave each of its hops one route
+            for a, b in zip(route, route[1:]):
+                loads[edge_key(a, b)] += w - 1
+    return loads, repeats, non_edges
 
 
 def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
@@ -258,15 +308,16 @@ def _embed_via_median(kind: str, host: Graph, node_limit: Optional[int]) -> Embe
     """Wheel or fan of the host's order: hub on the first median, in id order,
     whose removal leaves a spanning cycle (wheel) or path (fan), rim on that
     cycle or path, spokes on shortest paths."""
-    if not is_connected(host):
-        raise ValueError("median construction requires a connected host")
+    try:  # the ball pass that yields the medians also decides connectivity
+        medians, _ = status_and_median(host)
+    except ValueError:
+        raise ValueError("median construction requires a connected host") from None
     n = host.order
     least = 4 if kind == "wheel" else 3
     if n < least:
         raise ValueError(f"{kind} guest needs host order >= {least}, got {n}")
     find, what = ((find_hamiltonian_cycle, "cycle") if kind == "wheel"
                   else (find_hamiltonian_path, "path"))
-    medians, _ = status_and_median(host)
     for hub_image in medians:
         rim = find(host, without_vertices=(hub_image,), node_limit=node_limit)
         if rim is not None:

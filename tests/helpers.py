@@ -1,8 +1,9 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
 import sys
+from collections import Counter
 from contextlib import contextmanager
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -121,6 +122,38 @@ def hop_congestion(emb) -> dict[tuple[int, int], int]:
         for a, b in zip(route, route[1:]):
             cong[edge_key(a, b)] += 1
     return cong
+
+
+def reference_fold_hops(host: Graph, routes) -> dict | None:
+    """Per-host-edge loads of the `routes` mapping from one Counter of all
+    their hops, the fold that the route-extension pass replaced; None when
+    some hop is not a host edge."""
+    hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in routes.values()))
+    loads = {e: 0 for e in host.edges}
+    for hop, count in hops.items():
+        key = hop if hop in loads else hop[::-1]
+        if key not in loads:
+            return None
+        loads[key] += count
+    return loads
+
+
+def reference_route_checks(host: Graph, vmap, routes):
+    """Loads of canonical `routes` by the reference fold, or the ValueError
+    text of the first defect in route order: within a route the empty,
+    join, repeated-vertex and non-edge checks, in that order."""
+    loads = reference_fold_hops(host, routes)
+    for (u, v), route in routes.items():
+        if not route:
+            return f"route for guest edge ({u}, {v}) is empty"
+        if route[0] != vmap[u] or route[-1] != vmap[v]:
+            return f"route for guest edge ({u}, {v}) does not join its images"
+        if len(set(route)) != len(route):
+            return f"route for guest edge ({u}, {v}) repeats a vertex"
+        for a, b in zip(route, route[1:]):
+            if not host.has_edge(a, b):
+                return f"route for guest edge ({u}, {v}) uses the non-edge ({a}, {b})"
+    return loads
 
 
 def brute_spanning_paths(G: Graph, without_vertices=(), without_edges=()):

@@ -157,6 +157,14 @@ class TestVerifyTheorem:
         assert verify_theorem("dil-hypertree", kind="wheel", level=10).sharp
         assert len(runs) <= 1
 
+    @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
+    def test_wirelength_runs_no_bfs(self, monkeypatch, theorem):
+        # the bound and the median construction read connectivity from the
+        # ball pass that gives the host's status and medians
+        runs = record_bfs(monkeypatch)
+        assert verify_theorem(theorem, host=circulant(12, {1, 2})).sharp
+        assert runs == []
+
     def test_ball_pass_runs_once_per_host_across_guest_kinds(self, monkeypatch):
         calls = []
         kernel = graphs_mod._ball_growth

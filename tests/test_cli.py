@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import wheelembed
 from helpers import graphs, record_bfs, shallow_recursion_limit
+from wheelembed import bounds as bounds_mod
 from wheelembed import graphs as graphs_mod
 from wheelembed.cli import EMBED_METHODS, main
 from wheelembed.families import circulant, cycle, hypertree, star, wheel
@@ -204,6 +206,26 @@ class TestBoundAndVerify:
         # routes come from their own trees, so no BFS runs
         assert runs == []
         assert [G.order for G in passes] == [7, 15, 31]
+
+    @pytest.mark.parametrize("theorem, sweep", [
+        ("dil-xtree", "3..4"), ("ec-windmill", "3..5"), ("wl-fan", "6..8"),
+    ])
+    def test_no_report_outlives_its_row(self, capsys, monkeypatch, theorem, sweep):
+        # each sweep row keeps only its report's payload, so the witness of
+        # one instance is released before the next one is built
+        reports, verify = [], bounds_mod.verify_theorem
+
+        def recording(*args, **kwargs):
+            assert all(ref() is None for ref in reports)
+            report = verify(*args, **kwargs)
+            reports.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(bounds_mod, "verify_theorem", recording)
+        code, out, _ = run(capsys, "verify", theorem, "--sweep", sweep, "--format", "json")
+        assert code == 0
+        assert len(reports) == len(json.loads(out)) >= 3
+        assert all(ref() is None for ref in reports)
 
     @pytest.mark.parametrize("theorem, sweep", [
         ("dil-hypertree", "3"),

@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_lex_route, connected_graphs, graphs, hop_congestion, reference_routes
+from helpers import (
+    brute_lex_route,
+    connected_graphs,
+    graphs,
+    hop_congestion,
+    reference_fold_hops,
+    reference_route_checks,
+    reference_routes,
+)
 from wheelembed.embedding import (
     EmbeddingMap,
     HostNotHamiltonianError,
+    _fold_hops,
     build_embedding,
     embed_fan_via_median,
     embed_wheel_like_into_tree_host,
@@ -309,6 +318,12 @@ class TestMedianConstructions:
         with pytest.raises(HostNotHamiltonianError):
             embed_wheel_via_median(star(8))
 
+    @pytest.mark.parametrize("construct", [embed_wheel_via_median, embed_fan_via_median])
+    def test_disconnected_host_is_named(self, construct):
+        host = build_graph(5, [(1, 2), (2, 3), (4, 5)])
+        with pytest.raises(ValueError, match=r"^median construction requires a connected host$"):
+            construct(host)
+
     def test_star_host_has_no_spanning_path_either(self):
         with pytest.raises(HostNotHamiltonianError):
             embed_fan_via_median(star(8))
@@ -430,3 +445,139 @@ def test_route_shortest_matches_brute_force(guest, data):
         expected = _outcome(lambda: build_embedding(
             guest, host, vmap, reference_routes(guest, host, vmap)))
         assert _outcome(lambda: route_shortest(guest, host, vmap)) == expected
+
+
+def _random_tree(host, source, rng):
+    """Parent map of a search from `source` that expands a random frontier
+    vertex each step: the tree paths from one source are prefix-closed."""
+    parents, frontier = {source: source}, [source]
+    while frontier:
+        x = frontier.pop(rng.randrange(len(frontier)))
+        for w in rng.sample(host.adjacency[x], len(host.adjacency[x])):
+            if w not in parents:
+                parents[w] = x
+                frontier.append(w)
+    return parents
+
+
+@st.composite
+def routings(draw):
+    """A host, a guest of its order, a bijection and one route per guest edge
+    along random trees grown from each source image, so that the routes from
+    one image extend one another. At a drawn rate a route is then broken:
+    emptied, cut to one vertex, given a repeated vertex, a non-edge hop or a
+    vertex outside the host, extended past its end, replaced by a copy of an
+    earlier route, or reversed; any route may be passed as a list."""
+    host = draw(st.one_of(graphs(min_order=2, max_order=8),
+                          connected_graphs(min_order=2, max_order=8)))
+    guest = draw(graphs(min_order=host.order, max_order=host.order))
+    rng = draw(st.randoms(use_true_random=False))
+    rate = draw(st.sampled_from((0.0, 0.1, 0.3, 0.6)))
+    images = list(host.vertices())
+    rng.shuffle(images)
+    vmap = dict(zip(guest.vertices(), images))
+    trees, routes = {}, {}
+    for u, v in guest.edge_list():
+        s, t = vmap[u], vmap[v]
+        if s not in trees:
+            trees[s] = _random_tree(host, s, rng)
+        parents = trees[s]
+        if t in parents:
+            route = [t]
+            while route[-1] != s:
+                route.append(parents[route[-1]])
+            route = tuple(reversed(route))
+        else:  # a random sequence between the images
+            route = (s, *rng.choices(range(host.order + 2), k=rng.randrange(3)), t)
+        if rng.random() < rate:
+            defect = rng.randrange(7)
+            at = rng.randrange(len(route) + 1)
+            if defect == 0:
+                route = ()
+            elif defect == 1:
+                route = route[:1]
+            elif defect == 2 and route:
+                route = route[:at] + (rng.choice(route),) + route[at:]
+            elif defect == 3:
+                route = route[:at] + (rng.randrange(host.order + 2),) + route[at:]
+            elif defect == 4 and route and host.adjacency[route[-1]]:
+                route += (rng.choice(host.adjacency[route[-1]]),)
+            elif defect == 5 and routes:
+                route = rng.choice(list(routes.values()))
+            else:
+                route = route[::-1]
+        routes[u, v] = list(route) if rng.random() < 0.2 else route
+    return guest, host, vmap, routes
+
+
+def _pass_outcome(build):
+    """The loads and every `evaluate` field in iteration order, or the
+    ValueError text."""
+    try:
+        emb = build()
+    except ValueError as exc:
+        return str(exc)
+    metrics = evaluate(emb)
+    return (list(emb._loads.items()), list(metrics.dil_per_edge.items()),
+            list(metrics.cong_per_edge.items()), metrics.max_dilation,
+            metrics.max_congestion, metrics.wirelength)
+
+
+def _reference_outcome(guest, host, vmap, routes):
+    canonical = {e: tuple(route) for e, route in routes.items()}
+    loads = reference_route_checks(host, vmap, canonical)
+    if isinstance(loads, str):
+        return loads
+    dil = {e: len(route) - 1 for e, route in canonical.items()}
+    return (list(loads.items()), list(dil.items()), list(loads.items()),
+            max(dil.values(), default=0), max(loads.values(), default=0), sum(dil.values()))
+
+
+@given(routings())
+@settings(max_examples=300)
+def test_extension_pass_equals_the_counter_fold(case):
+    guest, host, vmap, routes = case
+    canonical = [tuple(route) for route in routes.values()]
+    loads, repeats, non_edges = _fold_hops(host, canonical)
+    reference = reference_fold_hops(host, dict(enumerate(canonical)))
+    assert loads == reference
+    if loads is not None:
+        assert list(loads) == list(reference)
+    assert repeats == [len(set(route)) != len(route) for route in canonical]
+    assert non_edges == [next(((a, b) for a, b in zip(route, route[1:])
+                               if not host.has_edge(a, b)), None) for route in canonical]
+    assert (_pass_outcome(lambda: build_embedding(guest, host, vmap, routes))
+            == _reference_outcome(guest, host, vmap, routes))
+
+
+def test_extension_pass_on_duplicate_and_prefix_routes():
+    # (1, 2, 3) extends (1, 2), which appears twice; (1, 2, 1) extends a
+    # repeat-free route with a vertex it holds, and (1, 2, 1, 4) extends that
+    # repeating route with a new one; (5, 1) is outside the host, (3, 1) is
+    # no edge and (3, 1, 2) extends it
+    host = cycle(4)
+    routes = [(1, 2), (1, 2, 3), (1, 2), (1,), (), (1, 2, 1), (1, 2, 1, 4),
+              (4, 3), (5, 1), (3, 1), (3, 1, 2)]
+    loads, repeats, non_edges = _fold_hops(host, routes)
+    assert loads is None
+    assert repeats == [False, False, False, False, False, True, True,
+                       False, False, False, False]
+    assert non_edges == [None, None, None, None, None, None, None,
+                         None, (5, 1), (3, 1), (3, 1)]
+    valid = routes[:8]
+    loads, _, _ = _fold_hops(host, valid)
+    assert list(loads.items()) == list(reference_fold_hops(host, dict(enumerate(valid))).items())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: embed_windmill_into_circulant(10),
+    lambda: embed_wheel_like_into_tree_host("wheel", 6, "x_tree"),
+], ids=["windmill-10", "wheel-xtree-6"])
+def test_extension_pass_pins_large_instances(build):
+    emb = build()
+    spokes = {route for (u, _), route in emb.routes.items() if u == 1}
+    # every spoke route but the shortest extends another by one hop
+    assert sum(route[:-1] in spokes for route in spokes) >= len(spokes) - 4
+    reference = reference_fold_hops(emb.host, emb.routes)
+    assert list(emb._loads.items()) == list(reference.items())
+    assert evaluate(emb).cong_per_edge == hop_congestion(emb)
