@@ -1,21 +1,23 @@
 """Labeled simple undirected graphs and their distance-based invariants.
 
 Vertices are numbered 1..order everywhere in this package. A Graph's fields
-are immutable after construction, which also sets its sorted adjacency and
-the empty slots of two per-instance caches, each filled on first use: one
-ball-growth pass for every eccentricity and status (radius, diameter,
-medians), which also decides whether the graph is connected; and
-lexicographic BFS trees (`Graph.route_tree`) that shortest routes grow only
-as far as their targets and later calls resume. Distance rows are not
-cached: `single_source_distances` runs one BFS per call. A cached value is
+are immutable after construction, which builds nothing else. Its derived
+values are built on first read and cached on the instance: the sorted
+adjacency; one ball-growth pass for every eccentricity and status (radius,
+diameter, medians), which also decides whether a graph is connected for
+them; and lexicographic BFS trees (`Graph.route_tree`) that shortest routes
+grow only as far as their targets and later calls resume. `is_connected`
+reads only the edges, through a union-find. Distance rows are not cached:
+`single_source_distances` runs one BFS per call. A cached value is
 published whole and never mutated: an extended tree is stored as a new
-value. Two threads that miss on the same slot both compute it and store
+value. Two threads that miss on the same slot may both compute it and store
 equivalent values, so sharing a Graph across threads stays safe; the caches
 never change `==` or `hash`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,26 +36,36 @@ class Graph:
     """Simple undirected graph on vertices 1..order.
 
     `edges` holds canonical (u, v) pairs with u < v. The `name` tag is a
-    free-form family label and does not take part in equality. `adjacency`
-    maps every vertex to its sorted neighbor tuple.
+    free-form family label and does not take part in equality. `adjacency`,
+    built on first read, maps every vertex to its sorted neighbor tuple.
     """
 
     order: int
     edges: frozenset[tuple[int, int]]
     name: str = field(default="", compare=False)
 
-    def __post_init__(self):
+    # cached properties are not fields, so equality and hash ignore them;
+    # each is stored in the instance __dict__ on first read
+
+    @functools.cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
         # in sorted edge order, v's smaller neighbors arrive ascending, and
         # all before its larger ones, so no list needs a sort of its own
         nbrs: list[list[int]] = [[] for _ in range(self.order + 1)]
         for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        # not fields, so equality and hash ignore them; slot v of the tree
-        # cache holds the route tree from v once asked for
-        object.__setattr__(self, "adjacency", dict(zip(self.vertices(), map(tuple, nbrs[1:]))))
-        object.__setattr__(self, "_route_trees", [None] * (self.order + 1))
-        object.__setattr__(self, "_ball_pass", None)
+        return dict(zip(self.vertices(), map(tuple, nbrs[1:])))
+
+    @functools.cached_property
+    def _route_trees(self) -> list:
+        """Slot v holds the route tree from v once asked for."""
+        return [None] * (self.order + 1)
+
+    @functools.cached_property
+    def _ball_pass(self) -> tuple:
+        """`_ball_growth`'s result, or () on a disconnected graph."""
+        return _ball_growth(self) or ()
 
     def route_tree(self, source: int, targets: Iterable[int]) -> dict[int, int]:
         """Parent map of a BFS from `source` over the sorted adjacency, grown a
@@ -183,7 +195,19 @@ def all_pairs_distances(G: Graph) -> DistanceTable:
 
 
 def is_connected(G: Graph) -> bool:
-    return min(single_source_distances(G, 1)) >= 0
+    """One union-find pass over the edges, with path halving; it builds no
+    adjacency and runs no BFS."""
+    parent = list(range(G.order + 1))
+    parts = G.order
+    for u, v in G.edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            parts -= 1
+    return parts == 1
 
 
 def _ball_growth(G: Graph) -> Optional[tuple[list[int], list[int]]]:
@@ -215,8 +239,6 @@ def _ball_growth(G: Graph) -> Optional[tuple[list[int], list[int]]]:
 
 
 def _ball_stats(G: Graph, what: str) -> tuple[list[int], list[int]]:
-    if G._ball_pass is None:  # () caches the verdict on a disconnected graph
-        object.__setattr__(G, "_ball_pass", _ball_growth(G) or ())
     if not G._ball_pass:
         raise ValueError(f"{what} requires a connected graph")
     return G._ball_pass

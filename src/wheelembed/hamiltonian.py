@@ -5,13 +5,23 @@ with reachability and anchor-degree pruning on bitmasks: a survivor graph is
 a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff edge
 vw survives) plus a mask of surviving vertices, and the unvisited set is one
 int. Below the root, cycle and fixed-end path queries re-check the degree of
-only the vertices that lost a usable neighbour. The search keeps an explicit
-stack instead of recursing, so its depth is bounded by memory, not by the
-interpreter's recursion limit. Children are tried lowest bit first, so
-witnesses are lexicographically least. Verdicts are exact; a node-expansion
-cap turns long searches into an explicit inconclusive outcome instead of a
-wrong answer. Intended for graphs up to around 16 vertices when sweeping
-fault sets.
+only the vertices that lost a usable neighbour.
+
+The reachability test asks, at a node whose path ends at `cur`, whether
+G[unvisited + cur] is connected. The root floods every unvisited vertex. A
+child is made only after its parent end p passed the test, so H = G[unvisited
++ cur + p] is connected and every component of H - p holds a neighbour of p.
+Since cur is one of them, H - p is connected exactly when every unvisited
+neighbour of p is reachable from cur through unvisited vertices, so below the
+root the flood stops once it has reached those neighbours. Every node gets
+the verdict of a full flood, and the search tree is unchanged.
+
+The search keeps an explicit stack instead of recursing, so its depth is
+bounded by memory, not by the interpreter's recursion limit. Children are
+tried lowest bit first, so witnesses are lexicographically least. Verdicts
+are exact; a node-expansion cap turns long searches into an explicit
+inconclusive outcome instead of a wrong answer. Intended for graphs up to
+around 16 vertices when sweeping fault sets.
 
 Each query does each check once, in `_cycle_search` or `_path_search`,
 cheapest first: order and path ends, then degree (two neighbours each, for
@@ -22,8 +32,10 @@ Both fault sweeps are one loop, `_sweep`, over the (vertices, edges) tuple
 pairs of `fault_specs`: one cycle query per set, or one path query per
 surviving pair. It skips a query whose survivor graph keeps a cycle (or u-v
 path) found for an earlier set with the same failed vertices; only passing
-queries are skipped, so every report is that of one search per query. A
-`FaultSpec` is built only for the failing set a report returns.
+queries are skipped, so every report is that of one search per query. The
+path queries of one set read the colour classes of its survivor graph,
+found once for the set. A `FaultSpec` is built only for the failing set a
+report returns.
 """
 
 from __future__ import annotations
@@ -121,13 +133,14 @@ def _survivors(G: Graph, base: list[int], without_vertices=(),
     return adj, alive
 
 
-def _feasible(adj, check, unvisited, usable, weak_ok, cur) -> bool:
+def _feasible(adj, check, unvisited, usable, weak_ok, cur, goal) -> bool:
     """Can the path ending at `cur` still be completed over `unvisited`?
 
     Each vertex of `check`, a subset of `unvisited`, needs two neighbors in
     `usable` (the unvisited vertices plus the open path ends); one vertex of
-    `weak_ok`, where a path may end, gets by with one. All unvisited
-    vertices must be reachable from cur through unvisited ones.
+    `weak_ok`, where a path may end, gets by with one. The vertices of
+    `goal`, a subset of `unvisited`, must be reachable from cur through
+    unvisited ones; the flood fill stops once it has reached them all.
     """
     weak = False
     rest = check
@@ -143,13 +156,15 @@ def _feasible(adj, check, unvisited, usable, weak_ok, cur) -> bool:
     rest, frontier = unvisited, adj[cur] & unvisited
     while frontier:
         rest ^= frontier
+        if not goal & rest:
+            return True
         reached = 0
         while frontier:
             low = frontier & -frontier
             reached |= adj[low.bit_length() - 1]
             frontier ^= low
         frontier = reached & rest
-    return not rest
+    return not goal & rest
 
 
 def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int]]:
@@ -164,11 +179,13 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
     set is its parent's minus the parent's path end, so when each vertex
     keeps its own rule (a cycle, or a fixed final endpoint) only the
     unvisited neighbors of that end can newly fail; a free end lets any one
-    vertex be weak, so there every node checks them all.
+    vertex be weak, so there every node checks them all. The flood fill of
+    the root must reach every unvisited vertex, that of a child only the
+    unvisited neighbors of its parent end (see the module docstring).
     """
     weak_ok = target or (0 if close else -1)  # where a path may end
     path, stack = [start], []
-    check = unvisited
+    check = goal = unvisited
     while True:
         budget.spend()
         cur = path[-1]
@@ -177,7 +194,8 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
             if not close or adj[cur] & close:
                 return path
         elif ((not close or adj[start] & unvisited)  # a cycle's closing edge can still form
-              and _feasible(adj, check, unvisited, unvisited | 1 << cur | close, weak_ok, cur)):
+              and _feasible(adj, check, unvisited, unvisited | 1 << cur | close, weak_ok, cur,
+                            goal)):
             children = adj[cur] & unvisited
             if unvisited != target:
                 children &= ~target  # a fixed endpoint may only be placed last
@@ -189,24 +207,27 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
         low = children & -children
         stack.append(children ^ low)
         unvisited ^= low
-        check = unvisited if weak_ok == -1 else adj[path[-1]] & unvisited
+        goal = adj[path[-1]] & unvisited
+        check = unvisited if weak_ok == -1 else goal
         path.append(low.bit_length() - 1)
 
 
 def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
     """A spanning cycle of the survivor graph from its smallest vertex, or
     None. The degree rule is `_feasible`'s, with an empty flood fill."""
-    if (alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0)
-            or not _parity_allows(adj, alive, cycle=True)):
+    if (alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0, 0)
+            or not _parity_allows(_colour_classes(adj, alive), cycle=True)):
         return None
     low = alive & -alive
     return _spanning(adj, low.bit_length() - 1, alive ^ low, low, 0, budget)
 
 
-def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
+def _path_search(adj, alive, budget, ends=None, classes=None) -> Optional[list[int]]:
     """A spanning path of the survivor graph, joining `ends` when given, or
-    None. The degree rule is left to the root of each search, which spends
-    budget, so that node counts stay those of one search per start."""
+    None. `classes`, when given, is `_colour_classes(adj, alive)`, coloured
+    once for the many pairs of one survivor graph. The degree rule is left
+    to the root of each search, which spends budget, so that node counts
+    stay those of one search per start."""
     if ends is None:
         starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
         if len(starts) < 2:
@@ -215,7 +236,9 @@ def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
         raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
     else:
         starts, target = [ends[0]], 1 << ends[1]
-    if not _parity_allows(adj, alive, ends):
+    if classes is None:
+        classes = _colour_classes(adj, alive)
+    if not _parity_allows(classes, ends):
         return None
     for s in starts:
         found = _spanning(adj, s, alive ^ 1 << s, 0, target, budget)
@@ -224,17 +247,11 @@ def _path_search(adj, alive, budget, ends=None) -> Optional[list[int]]:
     return None
 
 
-def _parity_allows(adj, alive, ends=None, cycle=False) -> bool:
-    """False when the survivor graph is connected and bipartite and its
-    colour classes rule out a spanning cycle, or a spanning path with free
-    or fixed `ends`; True otherwise.
-
+def _colour_classes(adj, alive) -> tuple:
+    """The colour classes (larger first) of a connected bipartite survivor
+    graph, as two masks; () when it is not connected or not bipartite.
     Breadth-first layers alternate classes; an edge inside one layer closes
-    an odd cycle. A spanning cycle or path alternates classes, so a cycle
-    needs equal classes and a path classes that differ by at most one; with
-    equal classes a path's ends lie in opposite classes, with one class
-    larger by one both ends lie in it.
-    """
+    an odd cycle."""
     layer = alive & -alive
     seen, sides = layer, [0, 0]
     while layer:
@@ -245,13 +262,28 @@ def _parity_allows(adj, alive, ends=None, cycle=False) -> bool:
             reached |= adj[low.bit_length() - 1]
             rest ^= low
         if reached & layer:
-            return True
+            return ()
         layer = reached & ~seen
         seen |= layer
         sides.reverse()
     if seen != alive:
+        return ()
+    return tuple(sorted(sides, key=int.bit_count, reverse=True))
+
+
+def _parity_allows(classes, ends=None, cycle=False) -> bool:
+    """False when the `_colour_classes` of a survivor graph rule out a
+    spanning cycle, or a spanning path with free or fixed `ends`; True
+    otherwise, and always when there are no classes.
+
+    A spanning cycle or path alternates classes, so a cycle needs equal
+    classes and a path classes that differ by at most one; with equal
+    classes a path's ends lie in opposite classes, with one class larger by
+    one both ends lie in it.
+    """
+    if not classes:
         return True
-    big, small = sorted(sides, key=int.bit_count, reverse=True)
+    big, small = classes
     gap = big.bit_count() - small.bit_count()
     if cycle or gap > 1:
         return gap == 0
@@ -332,7 +364,8 @@ def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> Hamilton
     or with `pairs` a spanning u-v path per surviving pair. The first failure
     is the certificate and the first fault-free query gives the witness. A
     query is skipped when a cycle or path found for the same failed vertices
-    and pair avoids its failed edges (only sets that fail edges come later)."""
+    and pair avoids its failed edges (only sets that fail edges come later).
+    The pairs of one fault set share one colouring of its survivor graph."""
     witness = bits = None
     base = _masks(G)
     found: dict = {}  # (failed vertices, pair) -> cycles or paths, as sums of edge bits
@@ -346,9 +379,10 @@ def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> Hamilton
                 continue
             if adj is None:
                 adj, alive = _survivors(G, base, vs, es)
+                classes = _colour_classes(adj, alive) if pairs else None
             budget = _Budget(node_limit, "cycle" if pair is None else "path", pair, (vs, es))
             walk = (_cycle_search(adj, alive, budget) if pair is None
-                    else _path_search(adj, alive, budget, pair))
+                    else _path_search(adj, alive, budget, pair, classes))
             if walk is None:
                 return HamiltonicityReport(False, None, FaultSpec(frozenset(vs), frozenset(es)),
                                            pair)

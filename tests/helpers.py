@@ -35,6 +35,28 @@ def connected_graphs(draw, min_order=2, max_order=8):
     return build_graph(n, sorted(edges), f"random-connected-{n}")
 
 
+@st.composite
+def sparse_graphs(draw, min_order=1, max_order=14, max_degree=3):
+    """Graphs of maximum degree `max_degree`, possibly disconnected: an
+    optional spanning path or cycle in random vertex order, then drawn
+    pairs, each kept while both its ends have room."""
+    n = draw(st.integers(min_order, max_order))
+    spine = draw(st.permutations(range(1, n + 1)))
+    closing = spine[:1] if draw(st.booleans()) else []
+    wanted = list(zip(spine, spine[1:] + closing)) if draw(st.booleans()) else []
+    pairs = list(combinations(range(1, n + 1), 2))
+    if pairs:
+        wanted += draw(st.lists(st.sampled_from(pairs), max_size=n * max_degree // 2))
+    degree, edges = [0] * (n + 1), set()
+    for u, v in wanted:
+        key = edge_key(u, v)
+        if u != v and key not in edges and degree[u] < max_degree and degree[v] < max_degree:
+            edges.add(key)
+            degree[u] += 1
+            degree[v] += 1
+    return build_graph(n, sorted(edges), f"random-sparse-{n}")
+
+
 @contextmanager
 def shallow_recursion_limit(headroom: int = 30):
     """Lower the interpreter's recursion limit to `headroom` frames above the
@@ -96,6 +118,21 @@ def reference_routes(guest: Graph, host: Graph, vmap) -> dict:
             raise ValueError(f"host has no path between {s} and {t}")
         routes[u, v] = route
     return routes
+
+
+def reference_is_connected(G: Graph) -> bool:
+    """Connectivity by one BFS from vertex 1 over neighbour sets read off
+    the edges, the reference for the union-find `is_connected`."""
+    nbrs = {v: set() for v in G.vertices()}
+    for u, v in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen, queue = {1}, [1]
+    for x in queue:
+        for w in nbrs[x] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == G.order
 
 
 def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:

@@ -1,13 +1,22 @@
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_distances, connected_graphs, graphs, record_bfs
+from helpers import (
+    brute_distances,
+    connected_graphs,
+    graphs,
+    record_bfs,
+    reference_is_connected,
+    sparse_graphs,
+)
 from wheelembed import graphs as graphs_mod
 from wheelembed.families import circulant, cycle, generalized_petersen, hypertree, path, star, wheel
 from wheelembed.graphs import (
+    Graph,
     all_pairs_distances,
     build_graph,
     graph_from_json,
@@ -20,6 +29,7 @@ from wheelembed.graphs import (
     single_source_distances,
     status_and_median,
 )
+from wheelembed.hamiltonian import find_hamiltonian_path, is_f_fault_hamiltonian
 
 
 class TestBuildGraph:
@@ -88,10 +98,12 @@ class TestDistanceRows:
         assert [s for _, s in runs[1:]] == list(G.vertices())
         assert all(graph is G for graph, _ in runs)
 
-    def test_connectivity_costs_one_bfs(self, monkeypatch):
+    def test_connectivity_runs_no_bfs_and_builds_no_adjacency(self, monkeypatch):
         runs = record_bfs(monkeypatch)
-        assert is_connected(cycle(6))
-        assert [s for _, s in runs] == [1]
+        G, H = cycle(6), build_graph(6, [(1, 2), (3, 4), (4, 5), (5, 6)])
+        assert is_connected(G) and not is_connected(H)
+        assert runs == []
+        assert "adjacency" not in vars(G) and "adjacency" not in vars(H)
 
     def test_cache_leaves_equality_and_hash_alone(self):
         G, H = circulant(8, {1, 2}), circulant(8, {1, 2})
@@ -99,9 +111,28 @@ class TestDistanceRows:
         assert G == H and hash(G) == hash(H)
         status_and_median(G)
         G.route_tree(1, G.vertices())
+        assert {"adjacency", "_ball_pass", "_route_trees"} <= set(vars(G))
+        assert not {"adjacency", "_ball_pass", "_route_trees"} & set(vars(H))
         assert G == H and hash(G) == hash(H) == before
         assert len({G, H}) == 1
         assert G != circulant(8, {1, 3})
+        # a pickle round trip keeps equality and hash, filled caches or not
+        for graph in (G, H):
+            again = pickle.loads(pickle.dumps(graph))
+            assert again == G and hash(again) == before and again.name == G.name
+            assert again.adjacency == G.adjacency
+            assert status_and_median(again) == status_and_median(G)
+
+    def test_census_loop_builds_no_adjacency(self):
+        # the fault-census loop: build, test connectivity, sweep the connected
+        for order, edges in ((5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]),
+                             (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]),
+                             (4, [(1, 2), (3, 4)]),
+                             (1, [])):
+            G = Graph(order, frozenset(edges))
+            if is_connected(G) and is_f_fault_hamiltonian(G, 2).verdict:
+                assert find_hamiltonian_path(G) is not None
+            assert "adjacency" not in vars(G)
 
 
 class TestDistances:
@@ -264,6 +295,16 @@ def test_rows_match_floyd_warshall(G):
             else:
                 assert row[v] == table.between(u, v) == expected
     assert is_connected(G) == (math.inf not in oracle.values())
+
+
+@given(graphs(max_order=10) | sparse_graphs(max_order=12, max_degree=2))
+@example(build_graph(1, []))
+@example(build_graph(4, [(1, 2), (2, 3), (1, 3)]))  # an isolated vertex
+@example(build_graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)]))  # two components
+@example(build_graph(3, []))
+@settings(max_examples=150)
+def test_union_find_connectivity_matches_bfs(G):
+    assert is_connected(G) == reference_is_connected(G)
 
 
 @given(graphs(max_order=7))

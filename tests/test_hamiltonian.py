@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     reference_fault_sets,
     reference_fault_sweep,
     reference_path_search,
+    sparse_graphs,
 )
 from wheelembed import hamiltonian
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
@@ -22,6 +23,7 @@ from wheelembed.hamiltonian import (
     FaultSpec,
     SearchBudgetExceeded,
     _Budget,
+    _colour_classes,
     _cycle_search,
     _masks,
     _parity_allows,
@@ -118,27 +120,30 @@ class TestSearch:
         assert find_hamiltonian_path(G, (1, 2), without_vertices=(3,), node_limit=1) is None
 
     def test_bipartition(self):
+        def classes(G):
+            return _colour_classes(*_survivors(G, _masks(G)))
+
         def allowed_ends(G):
-            adj, alive = _survivors(G, _masks(G))
-            return [e for e in permutations(G.vertices(), 2) if _parity_allows(adj, alive, e)]
+            return [e for e in permutations(G.vertices(), 2) if _parity_allows(classes(G), e)]
 
         # path(4) has classes {1, 3} and {2, 4}: ends in opposite classes
-        adj, alive = _survivors(path(4), _masks(path(4)))
-        assert _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+        assert classes(path(4)) == (0b1010, 0b10100)
+        assert _parity_allows(classes(path(4)), cycle=True) and _parity_allows(classes(path(4)))
         assert allowed_ends(path(4)) == [(1, 2), (1, 4), (2, 1), (2, 3),
                                          (3, 2), (3, 4), (4, 1), (4, 3)]
         # path(5) has classes {1, 3, 5} and {2, 4}: no cycle, ends in the larger
-        adj, alive = _survivors(path(5), _masks(path(5)))
-        assert not _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+        assert classes(path(5)) == (0b101010, 0b10100)
+        assert not _parity_allows(classes(path(5)), cycle=True)
+        assert _parity_allows(classes(path(5)))
         assert allowed_ends(path(5)) == [(1, 3), (1, 5), (3, 1), (3, 5), (5, 1), (5, 3)]
         # a star on four vertices has classes of one and three: no path at all
         star = build_graph(4, [(1, 2), (1, 3), (1, 4)])
-        assert not _parity_allows(*_survivors(star, _masks(star)))
+        assert not _parity_allows(classes(star))
         assert allowed_ends(star) == []
-        # an odd cycle or a disconnected graph is not ruled on
+        # an odd cycle or a disconnected graph has no classes and is not ruled on
         for G in (cycle(5), build_graph(4, [(1, 2), (3, 4)])):
-            adj, alive = _survivors(G, _masks(G))
-            assert _parity_allows(adj, alive, cycle=True) and _parity_allows(adj, alive)
+            assert classes(G) == ()
+            assert _parity_allows(classes(G), cycle=True) and _parity_allows(classes(G))
             assert allowed_ends(G) == list(permutations(G.vertices(), 2))
 
     def test_bad_ends_are_reported_before_parity(self):
@@ -348,11 +353,9 @@ def test_witnesses_match_brute_force(case, data):
         assert find_hamiltonian_path(G, ends, **faults) == (joining[0] if joining else None)
 
 
-@given(faulted_graphs(graphs(max_order=8) | bipartite_graphs().map(lambda case: case[0])),
-       st.sampled_from(["cycle", "path", "ends"]), st.data())
-@settings(max_examples=300, deadline=None)
-def test_search_matches_the_recursive_reference(case, query, data):
-    # same witness and same nodes spent as the recursive search it replaced
+def assert_search_matches_the_recursive_reference(case, query, data):
+    # same witness and same nodes spent as the recursive search it replaced,
+    # which floods every unvisited vertex at every node
     G, vertices, edges = case
     adj, alive = _survivors(G, _masks(G), vertices, edges)
     if query == "cycle":
@@ -371,14 +374,46 @@ def test_search_matches_the_recursive_reference(case, query, data):
     assert outcomes[0] == outcomes[1]
 
 
+QUERIES = st.sampled_from(["cycle", "path", "ends"])
+
+
+@given(faulted_graphs(graphs(max_order=8) | bipartite_graphs().map(lambda case: case[0])),
+       QUERIES, st.data())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_the_recursive_reference(case, query, data):
+    assert_search_matches_the_recursive_reference(case, query, data)
+
+
+@st.composite
+def petersen_graphs(draw):
+    n = draw(st.integers(5, 7))
+    return generalized_petersen(n, draw(st.integers(1, (n - 1) // 2)))
+
+
+TWO_CYCLES = build_graph(9, [(1, 2), (2, 3), (3, 4), (1, 4),
+                             (5, 6), (6, 7), (7, 8), (8, 9), (5, 9)])
+
+
+# graphs where a parent end is often a cut vertex deep in the search, so the
+# flood that stops at the parent's neighbours is tested against a full one;
+# the root alone must find that two cycles are not connected
+@given(faulted_graphs(sparse_graphs(min_order=9, max_order=14, max_degree=3)
+                      | petersen_graphs()), QUERIES, st.data())
+@example((TWO_CYCLES, [], []), "cycle", None)
+@example((TWO_CYCLES, [], []), "path", None)
+@settings(max_examples=150, deadline=None)
+def test_sparse_search_matches_the_recursive_reference(case, query, data):
+    assert_search_matches_the_recursive_reference(case, query, data)
+
+
 @given(bipartite_graphs())
 @settings(max_examples=150, deadline=None)
 def test_parity_agrees_with_brute_force(case):
     G, side = case
-    adj, alive = _survivors(G, _masks(G))
+    coloured = _colour_classes(*_survivors(G, _masks(G)))
 
     def allows(ends=None, cycle=False):
-        return _parity_allows(adj, alive, ends, cycle)
+        return _parity_allows(coloured, ends, cycle)
 
     paths = list(brute_spanning_paths(G))
     cycles = [p for p in paths if len(p) >= 3 and G.has_edge(p[-1], p[0])]
@@ -428,6 +463,21 @@ def test_fault_sweeps_match_the_reference(G, f, traceable):
     report = sweep(G, f)
     assert (report.verdict, report.witness, report.failing_fault, report.failing_pair) == \
         reference_fault_sweep(G, f, traceable)
+
+
+def test_a_traceable_sweep_colours_each_survivor_graph_once(monkeypatch):
+    # every pair of a fault set reads the same colour classes; a set whose
+    # pairs are all answered by earlier paths builds no survivor graph
+    built, coloured = [], []
+    survivors, colour = hamiltonian._survivors, hamiltonian._colour_classes
+    monkeypatch.setattr(hamiltonian, "_survivors",
+                        lambda *args: built.append(args[2:]) or survivors(*args))
+    monkeypatch.setattr(hamiltonian, "_colour_classes",
+                        lambda adj, alive: coloured.append(alive) or colour(adj, alive))
+    G = circulant(16, {1, 2})
+    assert is_f_fault_traceable(G, 1).verdict
+    assert len(list(fault_specs(G, 1))) == 49
+    assert len(coloured) == len(built) == len(set(built)) == 48
 
 
 @pytest.mark.parametrize("sweep", [is_f_fault_hamiltonian, is_f_fault_traceable])
