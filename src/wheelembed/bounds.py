@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import families
 from .embedding import (
-    GUEST_KINDS,
     EmbeddingMap,
     HostNotHamiltonianError,
     embed_fan_via_median,
@@ -20,17 +20,24 @@ from .embedding import (
     embed_windmill_into_circulant,
     evaluate,
     route_shortest,
+    tree_host,
 )
 from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
                      status_and_median)
 
-THEOREM_IDS = ("dil-hypertree", "dil-sibling", "dil-xtree", "ec-windmill", "wl-wheel", "wl-fan")
-
-DIL_HOST_KINDS = {
-    "dil-hypertree": "hypertree",
-    "dil-sibling": "sibling_tree",
-    "dil-xtree": "x_tree",
+# the claimed-sharp theorems: id -> (the parameter of one instance, the tree
+# host kind of a dilation theorem). A swept level builds the tree of that
+# level, a swept host order the two-jump circulant C_n{1,2}, and a swept
+# windmill order no host: the windmill construction builds its own.
+THEOREMS = {
+    "dil-hypertree": ("level", "hypertree"),
+    "dil-sibling": ("level", "sibling_tree"),
+    "dil-xtree": ("level", "x_tree"),
+    "ec-windmill": ("n", None),
+    "wl-wheel": ("host", None),
+    "wl-fan": ("host", None),
 }
+THEOREM_IDS = tuple(THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -127,24 +134,40 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
                        notes=f"median {witness.vmap[1]}, status {delta}")
 
 
+def sweep_host(theorem_id: str, value: int) -> Optional[Graph]:
+    """The host that one swept value of a theorem builds (see THEOREMS), or
+    None for a windmill order."""
+    axis, tree = THEOREMS[theorem_id]
+    if tree is not None:
+        return tree_host(tree, value)
+    if axis != "host":
+        return None
+    # values ascend, so the first one below the minimum is the sweep's start
+    if value < 4:
+        raise ValueError(f"{theorem_id} --sweep starts at host order {value}, "
+                         f"below the minimum host order 4")
+    return families.circulant(value, {1, 2})
+
+
 def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
                    level: Optional[int] = None, n: Optional[int] = None,
                    host: Optional[Graph] = None,
                    node_limit: Optional[int] = None) -> BoundReport:
     """Build one claimed-sharp instance and compare achieved against the bound.
 
-    Recognized ids: dil-hypertree / dil-sibling / dil-xtree (kind, level, and
-    optionally host: the theorem's tree host of that level, shared by several
-    calls so they reuse its cached radius and route trees), ec-windmill (n), wl-wheel / wl-fan
-    (host).
+    The instance is the parameter that the id's THEOREMS entry names: `level`
+    and a guest `kind` for dil-* (a given `host` must be the entry's tree of
+    that level; calls that share one reuse its cached radius and route trees),
+    `n` for ec-windmill, and `host` for wl-*, whose searches take `node_limit`.
     """
-    if theorem_id in DIL_HOST_KINDS:
-        if kind is None or level is None:
-            raise ValueError(f"{theorem_id} needs kind= and level=")
-        if kind not in GUEST_KINDS:
-            raise ValueError(f"kind must be one of {GUEST_KINDS}, got {kind!r}")
-        emb = embed_wheel_like_into_tree_host(kind, level, DIL_HOST_KINDS[theorem_id],
-                                              host=host)
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+    axis, tree = THEOREMS[theorem_id]
+    if {"level": level, "n": n, "host": host}[axis] is None or (tree and kind is None):
+        raise ValueError(f"{theorem_id} needs {'kind= and level=' if tree else axis + '='}")
+
+    if tree is not None:  # dilation
+        emb = embed_wheel_like_into_tree_host(kind, level, tree, host=host)
         r, _ = radius_diameter(emb.host)
         achieved = evaluate(emb).max_dilation
         notes = f"claimed dilation {level - 1}; host radius {r}"
@@ -153,9 +176,7 @@ def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
         return BoundReport(metric="dilation", bound=r, achieved=achieved,
                            sharp=achieved == r, witness=emb, notes=notes)
 
-    if theorem_id == "ec-windmill":
-        if n is None:
-            raise ValueError("ec-windmill needs n=")
+    if axis == "n":  # congestion
         emb = embed_windmill_into_circulant(n)
         report = congestion_lower_bound(emb.guest, emb.host)
         achieved = evaluate(emb).max_congestion
@@ -165,10 +186,6 @@ def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
         return BoundReport(metric="congestion", bound=report.bound, achieved=achieved,
                            sharp=achieved == report.bound, witness=emb, notes=notes)
 
-    if theorem_id in ("wl-wheel", "wl-fan"):
-        if host is None:
-            raise ValueError(f"{theorem_id} needs host=")
-        return wirelength_lower_bound(theorem_id.removeprefix("wl-"), host,
-                                      node_limit=node_limit)
-
-    raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+    # wirelength
+    return wirelength_lower_bound(theorem_id.removeprefix("wl-"), host,
+                                  node_limit=node_limit)

@@ -20,6 +20,7 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import families, oracle
 from .embedding import (
+    GUEST_KINDS,
     EmbeddingMap,
     build_embedding,
     embed_fan_via_median,
@@ -28,7 +29,6 @@ from .embedding import (
     evaluate,
     preorder_placement,
     route_shortest,
-    tree_host,
 )
 from .graphs import Graph, graph_from_json, graph_to_json, parse_json
 from .hamiltonian import (
@@ -304,49 +304,26 @@ def _parse_sweep(text: str) -> range:
 
 
 def _verify_rows(args) -> list[dict]:
-    # a row keeps only its report's payload, so no witness embedding stays
-    # alive while the next instance is built
+    # --level, --n and --host are one-value sweeps. Hosts are built one value
+    # at a time, not all up front, and a row keeps only its report's payload,
+    # so no witness embedding stays alive while the next instance is built
+    axis, tree = bounds_mod.THEOREMS[args.theorem]
+    values = _parse_sweep(args.sweep) if args.sweep else [getattr(args, axis)]
+    if values == [None]:
+        raise ValueError(f"{args.theorem} needs --{axis} or --sweep")
+    # a tree theorem has one row per guest kind, and its kinds share one host
+    kinds = ([args.kind] if args.kind else GUEST_KINDS) if tree else [None]
     rows = []
-    if args.theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
-        kinds = [args.kind] if args.kind else list(bounds_mod.GUEST_KINDS)
-        levels = list(_parse_sweep(args.sweep)) if args.sweep else [args.level]
-        if levels == [None]:
-            raise ValueError(f"{args.theorem} needs --level or --sweep")
-        for level in levels:
-            # one host per level: every kind reads the same cached radius and route trees
-            host = tree_host(bounds_mod.DIL_HOST_KINDS[args.theorem], level)
-            for kind in kinds:
-                payload = _bound_payload(bounds_mod.verify_theorem(
-                    args.theorem, kind=kind, level=level, host=host))
-                rows.append({"kind": kind, "level": level, **payload})
-    elif args.theorem == "ec-windmill":
-        ns = list(_parse_sweep(args.sweep)) if args.sweep else [args.n]
-        if ns == [None]:
-            raise ValueError("ec-windmill needs --n or --sweep")
-        for n in ns:
-            payload = _bound_payload(bounds_mod.verify_theorem("ec-windmill", n=n))
-            rows.append({"n": n, **payload})
-    elif args.theorem in ("wl-wheel", "wl-fan"):
-        if args.sweep:
-            # the sweep walks the two-jump circulant hosts G(n; +-{1,2})
-            orders = _parse_sweep(args.sweep)
-            if orders.start < 4:
-                raise ValueError(f"{args.theorem} --sweep starts at host order {orders.start}, "
-                                 f"below the minimum host order 4")
-            for n in orders:
-                host = families.circulant(n, {1, 2})
-                payload = _bound_payload(bounds_mod.verify_theorem(
-                    args.theorem, host=host, node_limit=args.node_limit))
-                rows.append({"host": host.name, **payload})
-        else:
-            if args.host is None:
-                raise ValueError(f"{args.theorem} needs --host or --sweep")
-            host = _load_graph(args.host)
+    for value in values:
+        # a --host value names a graph file; a swept value builds its host
+        host = (_load_graph(value) if isinstance(value, str)
+                else bounds_mod.sweep_host(args.theorem, value))
+        instance = {axis: value, "host": host}  # a built host replaces a --host value
+        label = {axis: host.name if axis == "host" else value}
+        for kind in kinds:
             payload = _bound_payload(bounds_mod.verify_theorem(
-                args.theorem, host=host, node_limit=args.node_limit))
-            rows.append({"host": host.name, **payload})
-    else:
-        raise ValueError(f"unknown theorem id {args.theorem!r}")
+                args.theorem, kind=kind, node_limit=args.node_limit, **instance))
+            rows.append({**({"kind": kind} if tree else {}), **label, **payload})
     return rows
 
 
@@ -481,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a claimed-sharp bound over instances")
     p.add_argument("theorem", choices=bounds_mod.THEOREM_IDS)
-    p.add_argument("--kind", choices=bounds_mod.GUEST_KINDS)
+    p.add_argument("--kind", choices=GUEST_KINDS)
     p.add_argument("--level", type=_positive)
     p.add_argument("--n", type=_positive)
     p.add_argument("--host")

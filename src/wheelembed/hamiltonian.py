@@ -175,17 +175,20 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
     its own stack of untried-children masks, one per path vertex, so its
     depth is bounded by memory. Each visited node spends one unit of budget.
 
-    The root checks the degree of every unvisited vertex. A child's usable
-    set is its parent's minus the parent's path end, so when each vertex
-    keeps its own rule (a cycle, or a fixed final endpoint) only the
-    unvisited neighbors of that end can newly fail; a free end lets any one
-    vertex be weak, so there every node checks them all. The flood fill of
-    the root must reach every unvisited vertex, that of a child only the
-    unvisited neighbors of its parent end (see the module docstring).
+    The root of a path query checks the degree of every unvisited vertex;
+    that of a cycle query checks none, since `_cycle_search` has just checked
+    them all against the same usable set. A child's usable set is its
+    parent's minus the parent's path end, so when each vertex keeps its own
+    rule (a cycle, or a fixed final endpoint) only the unvisited neighbors of
+    that end can newly fail; a free end lets any one vertex be weak, so there
+    every node checks them all. The flood fill of the root must reach every
+    unvisited vertex, that of a child only the unvisited neighbors of its
+    parent end (see the module docstring).
     """
     weak_ok = target or (0 if close else -1)  # where a path may end
     path, stack = [start], []
-    check = goal = unvisited
+    check = 0 if close else unvisited
+    goal = unvisited
     while True:
         budget.spend()
         cur = path[-1]

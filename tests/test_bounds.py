@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -205,6 +207,10 @@ class TestVerifyTheorem:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             verify_theorem("dil-cube", kind="wheel", level=3)
+
+    def test_unknown_guest_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match=re.escape(f"one of {GUEST_KINDS}, got 'cube'")):
+            verify_theorem("dil-hypertree", kind="cube", level=3)
 
     def test_missing_parameters(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,16 @@ class TestBoundAndVerify:
         # routes come from their own trees, so no BFS runs
         assert runs == []
         assert [G.order for G in passes] == [7, 15, 31]
+        # --level is a one-value sweep: its four kinds share one host too
+        passes.clear()
+        code, out, _ = run(capsys, "verify", "dil-hypertree", "--level", "4", "--format", "json")
+        assert code == 0
+        assert [G.order for G in passes] == [15]
+        code, swept, _ = run(capsys, "verify", "dil-hypertree", "--sweep", "4..4",
+                             "--format", "json")
+        assert code == 0
+        assert json.loads(out) == json.loads(swept)
+        assert len(json.loads(out)) == 4
 
     @pytest.mark.parametrize("theorem, sweep", [
         ("dil-xtree", "3..4"), ("ec-windmill", "3..5"), ("wl-fan", "6..8"),
@@ -238,6 +248,13 @@ class TestBoundAndVerify:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "A..B" in err and repr(sweep) in err
+
+    @pytest.mark.parametrize("theorem", bounds_mod.THEOREM_IDS)
+    def test_verify_without_an_instance_names_its_parameter(self, capsys, theorem):
+        flag = {"dil": "--level", "ec": "--n", "wl": "--host"}[theorem.partition("-")[0]]
+        code, out, err = run(capsys, "verify", theorem)
+        assert (code, out) == (1, "")
+        assert err == f"error: {theorem} needs {flag} or --sweep\n"
 
     @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
     def test_wirelength_sweep_below_order_four(self, capsys, theorem):

@@ -209,6 +209,25 @@ def test_node_budget_is_unchanged(query, limit, expected):
         query(limit - 1)
 
 
+@pytest.mark.parametrize("G", [PETERSEN, torus((3, 3)), circulant(8, {1, 2})],
+                         ids=["petersen5", "torus3x3", "circulant8"])
+def test_a_cycle_search_checks_each_degree_once(G, monkeypatch):
+    # `_cycle_search` has checked every degree against the survivor graph,
+    # so the root of its search checks none again; a path query's root, which
+    # no precheck covers, checks every unvisited vertex
+    checks = []
+    feasible = hamiltonian._feasible
+    monkeypatch.setattr(hamiltonian, "_feasible",
+                        lambda adj, check, *rest:
+                        checks.append(check) or feasible(adj, check, *rest))
+    alive = (1 << G.order + 1) - 2
+    find_hamiltonian_cycle(G)
+    assert checks[:2] == [alive, 0]
+    checks.clear()
+    find_hamiltonian_path(G, (1, 2))
+    assert checks[0] == alive ^ 1 << 1
+
+
 class TestFaultEnumeration:
     def test_canonical_order(self):
         G = path(3)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import wheelembed
+from wheelembed.bounds import THEOREM_IDS
 
 PACKAGE = Path(wheelembed.__file__).resolve().parent
 
@@ -51,3 +52,14 @@ def test_embedding_maps_are_built_only_by_build_embedding():
                   if isinstance(node, ast.Call) and id(node) not in inside
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EmbeddingMap"]
     assert not found, f"EmbeddingMap built outside build_embedding: {', '.join(found)}"
+
+
+def test_the_cli_leaves_each_theorem_to_the_bounds_table():
+    # `bounds.THEOREMS` names each theorem's instance parameter and the host a
+    # swept value builds, so the CLI names no theorem and builds no host itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not names & {"tree_host", "circulant", "DIL_HOST_KINDS"}
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [s for s in strings if any(theorem in s for theorem in THEOREM_IDS)]
