@@ -12,6 +12,7 @@ from typing import Optional
 
 from . import families
 from .embedding import (
+    GUEST_KINDS,
     EmbeddingMap,
     HostNotHamiltonianError,
     embed_fan_via_median,
@@ -20,22 +21,22 @@ from .embedding import (
     embed_windmill_into_circulant,
     evaluate,
     route_shortest,
-    tree_host,
 )
 from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
                      status_and_median)
 
 # the claimed-sharp theorems: id -> (the parameter of one instance, the tree
-# host kind of a dilation theorem). A swept level builds the tree of that
-# level, a swept host order the two-jump circulant C_n{1,2}, and a swept
+# host kind of a dilation theorem, the options it reads besides that
+# parameter). verify_theorem builds the host of one instance: a level builds
+# the tree of that level, a host order the two-jump circulant C_n{1,2}, and a
 # windmill order no host: the windmill construction builds its own.
 THEOREMS = {
-    "dil-hypertree": ("level", "hypertree"),
-    "dil-sibling": ("level", "sibling_tree"),
-    "dil-xtree": ("level", "x_tree"),
-    "ec-windmill": ("n", None),
-    "wl-wheel": ("host", None),
-    "wl-fan": ("host", None),
+    "dil-hypertree": ("level", "hypertree", ("kind",)),
+    "dil-sibling": ("level", "sibling_tree", ("kind",)),
+    "dil-xtree": ("level", "x_tree", ("kind",)),
+    "ec-windmill": ("n", None, ()),
+    "wl-wheel": ("host", None, ("node_limit",)),
+    "wl-fan": ("host", None, ("node_limit",)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -50,6 +51,7 @@ class BoundReport:
     sharp: Optional[bool] = None
     witness: Optional[EmbeddingMap] = field(default=None, compare=False, repr=False)
     notes: str = ""
+    host: str = ""  # the host's name
 
 
 def _require_universal(G: Graph) -> None:
@@ -80,9 +82,9 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
         achieved = evaluate(witness).max_dilation
         return BoundReport(
             metric="dilation", bound=r, achieved=achieved, sharp=achieved == r,
-            witness=witness,
+            witness=witness, host=H.name,
             notes=f"host radius equals diameter {d}; shortest routing attains the bound")
-    return BoundReport(metric="dilation", bound=r,
+    return BoundReport(metric="dilation", bound=r, host=H.name,
                        notes=f"host radius {r}, diameter {d}")
 
 
@@ -97,7 +99,7 @@ def congestion_lower_bound(G: Graph, H: Graph) -> BoundReport:
         raise ValueError("congestion bound requires a connected host")
     n = G.order
     bound = -((n - 1) // -delta)
-    return BoundReport(metric="congestion", bound=bound,
+    return BoundReport(metric="congestion", bound=bound, host=H.name,
                        notes=f"ceil(({n} - 1) / {delta})")
 
 
@@ -113,79 +115,75 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
     """
     if kind not in ("wheel", "fan"):
         raise ValueError(f"kind must be 'wheel' or 'fan', got {kind!r}")
-    n = H.order
-    if n < 4:
-        raise ValueError(f"wirelength bound needs host order >= 4, got {n}")
     try:  # the ball pass that yields the status also decides connectivity
         _, delta = status_and_median(H)
     except ValueError:
         raise ValueError("wirelength bound requires a connected host") from None
-    rim_edges = n - 1 if kind == "wheel" else n - 2
+    rim_edges = H.order - 1 if kind == "wheel" else H.order - 2
     bound = rim_edges + delta
     construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
     try:
         witness = construct(H, node_limit=node_limit)
     except HostNotHamiltonianError as exc:
-        return BoundReport(metric="wirelength", bound=bound, sharp=False,
+        return BoundReport(metric="wirelength", bound=bound, sharp=False, host=H.name,
                            notes=f"status {delta}; {exc}")
     achieved = evaluate(witness).wirelength
     return BoundReport(metric="wirelength", bound=bound, achieved=achieved,
-                       sharp=achieved == bound, witness=witness,
+                       sharp=achieved == bound, witness=witness, host=H.name,
                        notes=f"median {witness.vmap[1]}, status {delta}")
 
 
-def sweep_host(theorem_id: str, value: int) -> Optional[Graph]:
-    """The host that one swept value of a theorem builds (see THEOREMS), or
-    None for a windmill order."""
-    axis, tree = THEOREMS[theorem_id]
-    if tree is not None:
-        return tree_host(tree, value)
-    if axis != "host":
-        return None
-    # values ascend, so the first one below the minimum is the sweep's start
-    if value < 4:
-        raise ValueError(f"{theorem_id} --sweep starts at host order {value}, "
-                         f"below the minimum host order 4")
-    return families.circulant(value, {1, 2})
+def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
+                   node_limit: Optional[int] = None) -> dict[str, BoundReport]:
+    """Build one claimed-sharp instance and compare achieved against the bound,
+    one report per guest kind.
 
-
-def verify_theorem(theorem_id: str, *, kind: Optional[str] = None,
-                   level: Optional[int] = None, n: Optional[int] = None,
-                   host: Optional[Graph] = None,
-                   node_limit: Optional[int] = None) -> BoundReport:
-    """Build one claimed-sharp instance and compare achieved against the bound.
-
-    The instance is the parameter that the id's THEOREMS entry names: `level`
-    and a guest `kind` for dil-* (a given `host` must be the entry's tree of
-    that level; calls that share one reuse its cached radius and route trees),
-    `n` for ec-windmill, and `host` for wl-*, whose searches take `node_limit`.
+    `value` is the instance's parameter that the id's THEOREMS entry names: a
+    level for dil-*, whose tree host is built once and shared by every guest
+    kind (or the one `kind`); an order n for ec-windmill; a host graph, or a
+    host order that builds C_n{1,2}, for wl-*, whose searches take
+    `node_limit`. A theorem rejects an option it does not read.
     """
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
-    axis, tree = THEOREMS[theorem_id]
-    if {"level": level, "n": n, "host": host}[axis] is None or (tree and kind is None):
-        raise ValueError(f"{theorem_id} needs {'kind= and level=' if tree else axis + '='}")
+    axis, tree, reads = THEOREMS[theorem_id]
+    for name, given in (("kind", kind), ("node_limit", node_limit)):
+        if given is not None and name not in reads:
+            raise ValueError(f"{theorem_id} does not read {name}")
 
     if tree is not None:  # dilation
-        emb = embed_wheel_like_into_tree_host(kind, level, tree, host=host)
-        r, _ = radius_diameter(emb.host)
-        achieved = evaluate(emb).max_dilation
-        notes = f"claimed dilation {level - 1}; host radius {r}"
-        if r != level - 1:
+        host = families.build_family(tree, [value])
+        r, _ = radius_diameter(host)
+        notes = f"claimed dilation {value - 1}; host radius {r}"
+        if r != value - 1:
             notes += " (radius differs from the claimed level-1 value)"
-        return BoundReport(metric="dilation", bound=r, achieved=achieved,
-                           sharp=achieved == r, witness=emb, notes=notes)
+        reports = {}
+        for guest in [kind] if kind else GUEST_KINDS:
+            emb = embed_wheel_like_into_tree_host(guest, host)
+            achieved = evaluate(emb).max_dilation
+            reports[guest] = BoundReport(metric="dilation", bound=r, achieved=achieved,
+                                         sharp=achieved == r, witness=emb, notes=notes,
+                                         host=host.name)
+        return reports
 
     if axis == "n":  # congestion
-        emb = embed_windmill_into_circulant(n)
+        emb = embed_windmill_into_circulant(value)
         report = congestion_lower_bound(emb.guest, emb.host)
         achieved = evaluate(emb).max_congestion
-        notes = f"claimed congestion {2 ** (n - 2)}; {report.notes}"
-        if n == 3:
+        notes = f"claimed congestion {2 ** (value - 2)}; {report.notes}"
+        if value == 3:
             notes += "; smallest order, outside the stated large-n regime"
-        return BoundReport(metric="congestion", bound=report.bound, achieved=achieved,
-                           sharp=achieved == report.bound, witness=emb, notes=notes)
+        return {"windmill": BoundReport(metric="congestion", bound=report.bound,
+                                        achieved=achieved, sharp=achieved == report.bound,
+                                        witness=emb, notes=notes, host=report.host)}
 
-    # wirelength
-    return wirelength_lower_bound(theorem_id.removeprefix("wl-"), host,
-                                  node_limit=node_limit)
+    # wirelength, on a given host or on C_n{1,2}
+    host = value
+    if isinstance(value, int):
+        # values ascend, so the first one below the minimum is the sweep's start
+        if value < 4:
+            raise ValueError(f"{theorem_id} --sweep starts at host order {value}, "
+                             f"below the minimum host order 4")
+        host = families.circulant(value, {1, 2})
+    guest = theorem_id.removeprefix("wl-")
+    return {guest: wirelength_lower_bound(guest, host, node_limit=node_limit)}

@@ -63,6 +63,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _reject_unread(args, command: str, *options: str) -> None:
+    """Fail on the first of `options` (argument names) given to a `command`
+    that does not read it."""
+    for option in options:
+        if getattr(args, option) is not None:
+            raise ValueError(f"{command} does not read --{option.replace('_', '-')}")
+
+
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return graph_from_json(fh.read())
@@ -230,9 +238,11 @@ def _cmd_metrics(args) -> int:
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
     if args.random is not None:
+        _reject_unread(args, "metrics --random", "embedding")
         if guest.order != host.order:
             raise ValueError("random embeddings need equal guest and host orders")
-        rng = random.Random(args.seed)
+        seed = args.seed or 0
+        rng = random.Random(seed)
         samples = []
         for index in range(args.random):
             images = list(host.vertices())
@@ -248,11 +258,11 @@ def _cmd_metrics(args) -> int:
                 "dilation_sum_equals_congestion_sum":
                     sum(metrics.dil_per_edge.values()) == sum(metrics.cong_per_edge.values()),
             })
-        payload = {"seed": args.seed, "samples": samples}
+        payload = {"seed": seed, "samples": samples}
         if args.format == "json":
             _emit(_dump(payload), args.out)
         else:
-            lines = [f"seed {args.seed}"]
+            lines = [f"seed {seed}"]
             for s in samples:
                 lines.append(f"sample {s['index']:>3}: wirelength {s['wirelength']:>5}  "
                              f"max dil {s['max_dilation']:>3}  max cong {s['max_congestion']:>3}")
@@ -260,6 +270,7 @@ def _cmd_metrics(args) -> int:
         return EXIT_OK
     if args.embedding is None:
         raise ValueError("metrics needs --embedding or --random")
+    _reject_unread(args, "metrics --embedding", "seed")
     with open(args.embedding, "r", encoding="utf-8") as fh:
         emb = embedding_from_json(guest, host, fh.read())
     payload = _metrics_payload(emb)
@@ -268,6 +279,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _reject_unread(args, f"bound --metric {args.metric}",
+                   *(("guest",) if args.metric == "wl" else ("kind", "node_limit")))
     if args.metric == "wl":
         if args.kind is None:
             raise ValueError("--metric wl needs --kind wheel|fan")
@@ -304,26 +317,28 @@ def _parse_sweep(text: str) -> range:
 
 
 def _verify_rows(args) -> list[dict]:
-    # --level, --n and --host are one-value sweeps. Hosts are built one value
-    # at a time, not all up front, and a row keeps only its report's payload,
-    # so no witness embedding stays alive while the next instance is built
-    axis, tree = bounds_mod.THEOREMS[args.theorem]
+    # --level, --n and --host are one-value sweeps. Instances are built one
+    # value at a time, not all up front, and a row keeps only its report's
+    # payload (no name outside the comprehension holds a report), so no
+    # witness embedding stays alive while the next instance is built
+    axis, tree, reads = bounds_mod.THEOREMS[args.theorem]
+    _reject_unread(args, f"verify {args.theorem}",
+                   *(o for o in ("level", "n", "host", "kind", "node_limit")
+                     if o != axis and o not in reads))
+    if args.sweep:
+        _reject_unread(args, "verify --sweep", axis)
     values = _parse_sweep(args.sweep) if args.sweep else [getattr(args, axis)]
     if values == [None]:
         raise ValueError(f"{args.theorem} needs --{axis} or --sweep")
-    # a tree theorem has one row per guest kind, and its kinds share one host
-    kinds = ([args.kind] if args.kind else GUEST_KINDS) if tree else [None]
     rows = []
     for value in values:
-        # a --host value names a graph file; a swept value builds its host
-        host = (_load_graph(value) if isinstance(value, str)
-                else bounds_mod.sweep_host(args.theorem, value))
-        instance = {axis: value, "host": host}  # a built host replaces a --host value
-        label = {axis: host.name if axis == "host" else value}
-        for kind in kinds:
-            payload = _bound_payload(bounds_mod.verify_theorem(
-                args.theorem, kind=kind, node_limit=args.node_limit, **instance))
-            rows.append({**({"kind": kind} if tree else {}), **label, **payload})
+        # a --host value names a graph file; bounds builds every other host
+        instance = _load_graph(value) if isinstance(value, str) else value
+        rows += [{**({"kind": kind} if tree else {}),
+                  axis: report.host if axis == "host" else value, **_bound_payload(report)}
+                 for kind, report in bounds_mod.verify_theorem(
+                     args.theorem, instance, kind=args.kind,
+                     node_limit=args.node_limit).items()]
     return rows
 
 
@@ -343,6 +358,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ham(args) -> int:
+    unread = {"cycle": ("ends", "f"), "path": ("f",)}.get(args.query, ("ends",))
+    _reject_unread(args, f"ham --query {args.query}", *unread)
     G = _load_graph(args.graph)
     payload: dict = {"query": args.query}
     if args.query == "cycle":
@@ -363,9 +380,10 @@ def _cmd_ham(args) -> int:
                         "witness": list(witness) if witness else None})
     else:
         checker = is_f_fault_hamiltonian if args.query == "ffault-ham" else is_f_fault_traceable
-        report = checker(G, args.f, node_limit=args.node_limit)
+        f = 1 if args.f is None else args.f
+        report = checker(G, f, node_limit=args.node_limit)
         payload.update({
-            "f": args.f,
+            "f": f,
             "verdict": report.verdict,
             "witness": list(report.witness) if report.witness else None,
             "failing_fault": _fault_payload(report.failing_fault),
@@ -441,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding")
     p.add_argument("--random", type=_positive,
                    help="evaluate this many seeded random bijections instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_metrics)
@@ -472,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--query", required=True,
                    choices=("cycle", "path", "ffault-ham", "ffault-trace"))
-    p.add_argument("--f", type=int, default=1)
+    p.add_argument("--f", type=int, help="failures per fault set (default 1)")
     p.add_argument("--ends", help="u,v endpoints for path queries")
     p.add_argument("--node-limit", type=_positive)
     p.add_argument("--out")

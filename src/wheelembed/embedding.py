@@ -19,7 +19,6 @@ from .graphs import Graph, edge_key, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 GUEST_KINDS = ("wheel", "fan", "friendship", "star")
-TREE_HOST_KINDS = ("hypertree", "sibling_tree", "x_tree")
 
 
 class HostNotHamiltonianError(ValueError):
@@ -211,15 +210,6 @@ def preorder_sequence(level: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def tree_host(host_kind: str, level: int) -> Graph:
-    """The named tree host (one of TREE_HOST_KINDS) of a level >= 3."""
-    if host_kind not in TREE_HOST_KINDS:
-        raise ValueError(f"host kind must be one of {TREE_HOST_KINDS}, got {host_kind!r}")
-    if level < 3:
-        raise ValueError(f"tree-host construction needs level >= 3, got {level}")
-    return families.build_family(host_kind, [level])
-
-
 def preorder_placement(guest: Graph, host: Graph) -> EmbeddingMap:
     """Guest vertex g on the host vertex of pre-order rank g, every guest edge
     on a shortest host path.
@@ -250,22 +240,14 @@ def _hub_guest(kind: str, n: int) -> Graph:
     raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
 
 
-def embed_wheel_like_into_tree_host(kind: str, level: int, host_kind: str, *,
-                                    host: Optional[Graph] = None) -> EmbeddingMap:
-    """Place guest vertex g on the host vertex of pre-order rank g, hub on the root.
+def embed_wheel_like_into_tree_host(kind: str, host: Graph) -> EmbeddingMap:
+    """The `kind` guest of the host's order placed by `preorder_placement`:
+    hub on the root of a heap-labeled tree host, all routes shortest host paths.
 
-    The guest order is 2**level - 1; all routes are shortest host paths. The
-    resulting maximum dilation is expected to equal level - 1, the host radius;
+    The resulting maximum dilation is expected to equal level - 1, the host radius;
     that claim is checked by the bound-verification layer rather than assumed.
-    A given `host` must equal the `host_kind` tree of that level; passing one
-    instance for several guests lets them share its cached radius and route trees.
     """
-    named = tree_host(host_kind, level)
-    if host is None:
-        host = named
-    elif host != named:
-        raise ValueError(f"host {host!r} is not the {host_kind} of level {level}")
-    return preorder_placement(_hub_guest(kind, 2 ** level - 1), host)
+    return preorder_placement(_hub_guest(kind, host.order), host)
 
 
 def embed_windmill_into_circulant(n: int) -> EmbeddingMap:

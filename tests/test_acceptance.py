@@ -44,7 +44,7 @@ from wheelembed.hamiltonian import (
 from wheelembed.oracle import exact_dilation, exact_wirelength
 
 GUEST_KINDS = ("wheel", "fan", "friendship", "star")
-TREE_HOSTS = ("hypertree", "sibling_tree", "x_tree")
+TREE_HOSTS = (hypertree, sibling_tree, x_tree)
 
 
 class _Clock:
@@ -79,26 +79,25 @@ def test_criterion_2_dilation_theorem_sweep():
     clock = _Clock("criterion 2 (dilation sweep, 48 instances)", 10.0)
     checked = 0
     for level in (3, 4, 5, 6):
-        for host_kind in TREE_HOSTS:
+        for tree in TREE_HOSTS:
+            host = tree(level)
             for kind in GUEST_KINDS:
-                emb = embed_wheel_like_into_tree_host(kind, level, host_kind)
-                assert evaluate(emb).max_dilation == level - 1, (kind, level, host_kind)
+                emb = embed_wheel_like_into_tree_host(kind, host)
+                assert evaluate(emb).max_dilation == level - 1, (kind, host.name)
                 checked += 1
-        for host_kind in TREE_HOSTS:
-            radius, _ = radius_diameter(
-                embed_wheel_like_into_tree_host("star", level, host_kind).host)
-            assert radius == level - 1, (host_kind, level)
+            radius, _ = radius_diameter(host)
+            assert radius == level - 1, host.name
     assert checked == 48
     clock.finish()
 
 
 def test_criterion_3_dilation_optimality_at_oracle_scale():
     clock = _Clock("criterion 3 (7-vertex dilation oracle)", 30.0)
-    for host_kind in TREE_HOSTS:
+    for tree in TREE_HOSTS:
         for kind in GUEST_KINDS:
-            emb = embed_wheel_like_into_tree_host(kind, 3, host_kind)
+            emb = embed_wheel_like_into_tree_host(kind, tree(3))
             result = exact_dilation(emb.guest, emb.host)
-            assert result.optimum == 2, (kind, host_kind, result)
+            assert result.optimum == 2, (kind, emb.host.name, result)
     clock.finish()
 
 
@@ -124,12 +123,12 @@ def test_criterion_5_wirelength_sharpness():
     for host in hosts:
         table = all_pairs_distances(host)
         delta = min(sum(table.dist[v - 1]) for v in host.vertices())  # independent BFS oracle
-        report = verify_theorem("wl-wheel", host=host)
+        [report] = verify_theorem("wl-wheel", host).values()
         assert report.sharp, host.name
         assert report.achieved == host.order - 1 + delta, host.name
         if host.name in frozen_wheel:
             assert report.achieved == frozen_wheel[host.name]
-        fan_report = verify_theorem("wl-fan", host=host)
+        [fan_report] = verify_theorem("wl-fan", host).values()
         assert fan_report.sharp, host.name
         assert fan_report.achieved == host.order - 2 + delta, host.name
     clock.finish()
@@ -210,12 +209,11 @@ def test_criterion_10_oracle_certifies_the_theorems_at_their_sizes():
     for n in range(6, 21):
         host = circulant(n, {1, 2})
         for theorem, guest in (("wl-wheel", wheel(n)), ("wl-fan", fan(n))):
-            report = verify_theorem(theorem, host=host)
+            [report] = verify_theorem(theorem, host).values()
             result = exact_wirelength(guest, host, limit=n)
             assert result.optimum == report.bound == report.achieved, (theorem, n)
     for theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
-        for kind in GUEST_KINDS:
-            report = verify_theorem(theorem, kind=kind, level=4)
+        for kind, report in verify_theorem(theorem, 4).items():
             emb = report.witness
             result = exact_dilation(emb.guest, emb.host, limit=emb.host.order)
             assert result.optimum == report.bound == report.achieved, (theorem, kind)

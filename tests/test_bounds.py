@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from helpers import connected_graphs, record_bfs
 from wheelembed import graphs as graphs_mod
 from wheelembed.bounds import (
+    THEOREM_IDS,
+    THEOREMS,
     congestion_lower_bound,
     dilation_lower_bound,
     verify_theorem,
@@ -14,6 +16,7 @@ from wheelembed.bounds import (
 from wheelembed.embedding import GUEST_KINDS, evaluate
 from wheelembed.families import (
     circulant,
+    complete,
     cycle,
     fan,
     generalized_petersen,
@@ -103,6 +106,16 @@ class TestWirelengthLowerBound:
         with pytest.raises(ValueError, match="kind"):
             wirelength_lower_bound("windmill", cycle(6))
 
+    def test_fan_on_three_vertices_meets_the_oracle(self):
+        # F_3 onto K3: 3 = (3 - 2) + status 2, the exhaustive optimum; the
+        # wheel's least order is the median construction's to enforce
+        host = complete(3)
+        report = wirelength_lower_bound("fan", host)
+        assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
+        assert exact_wirelength(fan(3), host).optimum == 3
+        with pytest.raises(ValueError, match="^wheel guest needs host order >= 4, got 3$"):
+            wirelength_lower_bound("wheel", host)
+
     def test_sharpness_tracks_hamiltonicity_both_ways(self):
         hosts = [circulant(8, {1, 2}), cycle(7), star(9), torus([3, 3]),
                  circulant(10, {2, 5}), wheel(8)]
@@ -143,20 +156,19 @@ def test_wirelength_sharp_iff_oracle_meets_bound(host):
 
 class TestVerifyTheorem:
     def test_dilation_instance(self):
-        report = verify_theorem("dil-hypertree", kind="star", level=4)
+        [report] = verify_theorem("dil-hypertree", 4, kind="star").values()
         assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
 
     def test_dilation_sweep_runs_no_bfs(self, monkeypatch):
         # the radius and its connectivity verdict come from the ball pass,
         # the routes from their own trees
         runs = record_bfs(monkeypatch)
-        report = verify_theorem("dil-hypertree", kind="wheel", level=6)
-        assert report.sharp
+        assert verify_theorem("dil-hypertree", 6, kind="wheel")["wheel"].sharp
         assert runs == []
 
     def test_dilation_at_level_ten_runs_at_most_one_bfs(self, monkeypatch):
         runs = record_bfs(monkeypatch)
-        assert verify_theorem("dil-hypertree", kind="wheel", level=10).sharp
+        assert verify_theorem("dil-hypertree", 10, kind="wheel")["wheel"].sharp
         assert len(runs) <= 1
 
     @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
@@ -164,7 +176,8 @@ class TestVerifyTheorem:
         # the bound and the median construction read connectivity from the
         # ball pass that gives the host's status and medians
         runs = record_bfs(monkeypatch)
-        assert verify_theorem(theorem, host=circulant(12, {1, 2})).sharp
+        [report] = verify_theorem(theorem, circulant(12, {1, 2})).values()
+        assert report.sharp
         assert runs == []
 
     def test_ball_pass_runs_once_per_host_across_guest_kinds(self, monkeypatch):
@@ -172,59 +185,66 @@ class TestVerifyTheorem:
         kernel = graphs_mod._ball_growth
         monkeypatch.setattr(graphs_mod, "_ball_growth",
                             lambda G: calls.append(G) or kernel(G))
-        host = hypertree(5)
-        for kind in GUEST_KINDS:
-            assert verify_theorem("dil-hypertree", kind=kind, level=5, host=host).sharp
-        assert len(calls) == 1 and calls[0] is host
-
-    def test_dilation_host_must_match_the_theorem(self):
-        with pytest.raises(ValueError, match="x_tree of level 4"):
-            verify_theorem("dil-xtree", kind="wheel", level=4, host=hypertree(4))
+        reports = verify_theorem("dil-hypertree", 5)
+        assert list(reports) == list(GUEST_KINDS)
+        assert all(report.sharp for report in reports.values())
+        assert len(calls) == 1 and calls[0].name == "hypertree-5"
+        assert all(report.witness.host is calls[0] for report in reports.values())
 
     def test_dilation_all_hosts(self):
         for theorem in ("dil-hypertree", "dil-sibling", "dil-xtree"):
-            report = verify_theorem(theorem, kind="wheel", level=3)
+            report = verify_theorem(theorem, 3, kind="wheel")["wheel"]
             assert report.sharp
             assert report.achieved == 2
 
     def test_windmill_congestion_instance(self):
-        report = verify_theorem("ec-windmill", n=5)
+        report = verify_theorem("ec-windmill", 5)["windmill"]
         assert (report.bound, report.achieved, report.sharp) == (8, 8, True)
 
     def test_windmill_small_order_noted(self):
-        report = verify_theorem("ec-windmill", n=3)
+        report = verify_theorem("ec-windmill", 3)["windmill"]
         assert report.sharp
         assert "large-n" in report.notes
 
     def test_wirelength_instance(self):
-        report = verify_theorem("wl-wheel", host=torus([3, 3]))
+        report = verify_theorem("wl-wheel", torus([3, 3]))["wheel"]
         assert (report.bound, report.achieved, report.sharp) == (20, 20, True)
 
     def test_wirelength_fan_instance(self):
-        report = verify_theorem("wl-fan", host=generalized_petersen(5, 2))
+        report = verify_theorem("wl-fan", generalized_petersen(5, 2))["fan"]
         assert (report.bound, report.achieved, report.sharp) == (23, 23, True)
+
+    def test_wirelength_host_order_builds_the_two_jump_circulant(self):
+        report = verify_theorem("wl-wheel", 9)["wheel"]
+        assert report.host == circulant(9, {1, 2}).name
+        assert report.witness.host.edges == circulant(9, {1, 2}).edges
+        with pytest.raises(ValueError, match="minimum host order 4"):
+            verify_theorem("wl-fan", 3)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown theorem"):
-            verify_theorem("dil-cube", kind="wheel", level=3)
+            verify_theorem("dil-cube", 3)
 
     def test_unknown_guest_kind_names_the_kinds(self):
         with pytest.raises(ValueError, match=re.escape(f"one of {GUEST_KINDS}, got 'cube'")):
-            verify_theorem("dil-hypertree", kind="cube", level=3)
+            verify_theorem("dil-hypertree", 3, kind="cube")
 
-    def test_missing_parameters(self):
-        with pytest.raises(ValueError):
-            verify_theorem("dil-hypertree", kind="wheel")
-        with pytest.raises(ValueError):
-            verify_theorem("ec-windmill")
-        with pytest.raises(ValueError):
-            verify_theorem("wl-wheel")
+    def test_options_a_theorem_does_not_read(self):
+        # the table names each option a theorem reads; every other one is an error
+        rejected = 0
+        for theorem in THEOREM_IDS:
+            for name, given in (("kind", "wheel"), ("node_limit", 100)):
+                if name not in THEOREMS[theorem][2]:
+                    with pytest.raises(ValueError, match=f"^{theorem} does not read {name}$"):
+                        verify_theorem(theorem, 3, **{name: given})
+                    rejected += 1
+        assert rejected == 7
 
     def test_achieved_never_below_bound(self):
         reports = [
-            verify_theorem("dil-hypertree", kind="fan", level=4),
-            verify_theorem("ec-windmill", n=4),
-            verify_theorem("wl-wheel", host=circulant(9, {1, 2})),
+            *verify_theorem("dil-hypertree", 4, kind="fan").values(),
+            *verify_theorem("ec-windmill", 4).values(),
+            *verify_theorem("wl-wheel", circulant(9, {1, 2})).values(),
         ]
         for report in reports:
             assert report.achieved >= report.bound

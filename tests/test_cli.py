@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import wheelembed
 from helpers import graphs, record_bfs, shallow_recursion_limit
 from wheelembed import bounds as bounds_mod
+from wheelembed import families as families_mod
 from wheelembed import graphs as graphs_mod
 from wheelembed.cli import EMBED_METHODS, main
-from wheelembed.families import circulant, cycle, hypertree, star, wheel
+from wheelembed.families import circulant, complete, cycle, hypertree, star, wheel
 from wheelembed.graphs import build_graph, graph_from_json, graph_to_json
 
 
@@ -193,6 +194,51 @@ class TestBoundAndVerify:
         assert [row["n"] for row in rows] == [3, 4, 5, 6]
         assert all(row["sharp"] for row in rows)
 
+    def test_bound_fan_wirelength_on_three_vertices(self, capsys, tmp_path):
+        # F_3 onto K3 meets n - 2 + status = 1 + 2; a wheel needs four vertices
+        h = write_graph(tmp_path, complete(3), "h.json")
+        code, out, _ = run(capsys, "bound", "--metric", "wl", "--kind", "fan",
+                           "--host", h, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["bound"], payload["achieved"], payload["sharp"]) == (3, 3, True)
+        code, out, err = run(capsys, "bound", "--metric", "wl", "--kind", "wheel", "--host", h)
+        assert (code, out) == (1, "")
+        assert err == "error: wheel guest needs host order >= 4, got 3\n"
+
+    def test_dilation_sweep_builds_each_tree_once(self, capsys, monkeypatch):
+        levels, build = [], families_mod.hypertree
+
+        def spy(level):
+            levels.append(level)
+            return build(level)
+
+        monkeypatch.setattr(families_mod, "hypertree", spy)
+        monkeypatch.setitem(families_mod._SINGLE_PARAM, "hypertree", spy)
+        code, out, _ = run(capsys, "verify", "dil-hypertree", "--sweep", "3..5",
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == 12
+        assert levels == [3, 4, 5]
+
+    @pytest.mark.parametrize("theorem", bounds_mod.THEOREM_IDS)
+    def test_verify_rejects_an_option_its_theorem_does_not_read(self, capsys, tmp_path,
+                                                                 theorem):
+        axis, _, reads = bounds_mod.THEOREMS[theorem]
+        sweep = "6..6" if axis == "host" else "3..3"
+        given = {"level": "3", "n": "3", "host": write_graph(tmp_path, circulant(6, {1, 2}), "h"),
+                 "kind": "wheel", "node_limit": "100"}
+        unread = [option for option in given if option != axis and option not in reads]
+        assert len(unread) >= 3
+        for option in unread:
+            flag = "--" + option.replace("_", "-")
+            code, out, err = run(capsys, "verify", theorem, "--sweep", sweep, flag, given[option])
+            assert (code, out, err) == (1, "", f"error: verify {theorem} does not read {flag}\n")
+        # --sweep gives the values of the theorem's own option
+        code, out, err = run(capsys, "verify", theorem, "--sweep", sweep, f"--{axis}", given[axis])
+        assert (code, out, err) == (1, "", f"error: verify --sweep does not read --{axis}\n")
+        assert run(capsys, "verify", theorem, "--sweep", sweep)[0] == 0
+
     def test_dilation_sweep_shares_one_host_per_level(self, capsys, monkeypatch):
         runs = record_bfs(monkeypatch)
         passes = []
@@ -221,15 +267,15 @@ class TestBoundAndVerify:
         ("dil-xtree", "3..4"), ("ec-windmill", "3..5"), ("wl-fan", "6..8"),
     ])
     def test_no_report_outlives_its_row(self, capsys, monkeypatch, theorem, sweep):
-        # each sweep row keeps only its report's payload, so the witness of
-        # one instance is released before the next one is built
+        # each sweep row keeps only its report's payload, so the witnesses of
+        # one instance are released before the next one is built
         reports, verify = [], bounds_mod.verify_theorem
 
         def recording(*args, **kwargs):
             assert all(ref() is None for ref in reports)
-            report = verify(*args, **kwargs)
-            reports.append(weakref.ref(report))
-            return report
+            made = verify(*args, **kwargs)
+            reports.extend(weakref.ref(report) for report in made.values())
+            return made
 
         monkeypatch.setattr(bounds_mod, "verify_theorem", recording)
         code, out, _ = run(capsys, "verify", theorem, "--sweep", sweep, "--format", "json")
@@ -489,8 +535,9 @@ class TestHostileInput:
         g = write_graph(tmp_path, wheel(5), "g.json")
         h = tmp_path / "h.json"
         h.write_text(json.dumps({"order": 5, "edges": [[1, 2], [3, 4]]}))
-        proc = run_process("bound", "--metric", metric, "--kind", "wheel", "--guest", g,
-                           "--host", str(h))
+        # each metric gets only the options it reads
+        options = ("--kind", "wheel") if metric == "wl" else ("--guest", g)
+        proc = run_process("bound", "--metric", metric, *options, "--host", str(h))
         assert_one_line_input_error(proc)
         assert "connected" in proc.stderr
 
@@ -509,6 +556,31 @@ class TestHostileInput:
         code, _, err = run(capsys, "metrics", "--guest", g, "--host", g, "--embedding", str(emb))
         assert code == 1
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("metrics", "--guest", "G", "--host", "G", "--random", "1", "--embedding", "M"),
+     "metrics --random does not read --embedding"),
+    (("metrics", "--guest", "G", "--host", "G", "--embedding", "M", "--seed", "3"),
+     "metrics --embedding does not read --seed"),
+    (("ham", "--graph", "G", "--query", "cycle", "--ends", "1,2"),
+     "ham --query cycle does not read --ends"),
+    (("ham", "--graph", "G", "--query", "cycle", "--f", "2"), "ham --query cycle does not read --f"),
+    (("ham", "--graph", "G", "--query", "path", "--f", "1"), "ham --query path does not read --f"),
+    (("ham", "--graph", "G", "--query", "ffault-trace", "--ends", "1,2"),
+     "ham --query ffault-trace does not read --ends"),
+    (("bound", "--metric", "dil", "--guest", "G", "--host", "G", "--kind", "fan"),
+     "bound --metric dil does not read --kind"),
+    (("bound", "--metric", "ec", "--guest", "G", "--host", "G", "--node-limit", "9"),
+     "bound --metric ec does not read --node-limit"),
+    (("bound", "--metric", "wl", "--kind", "wheel", "--guest", "G", "--host", "G"),
+     "bound --metric wl does not read --guest"),
+])
+def test_an_option_the_command_does_not_read_is_an_error(capsys, tmp_path, argv, message):
+    # M names no file: an option that is rejected is never read
+    files = {"G": write_graph(tmp_path, wheel(6), "g.json"), "M": str(tmp_path / "missing")}
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_version_exits_zero(capsys):
@@ -567,8 +639,8 @@ COMMANDS = [
     ["export", "--graph", "H", "--guest", "G", "--embedding", "E"],
     *(["ham", "--graph", "G", "--query", query, "--node-limit", "50"]
       for query in ("cycle", "path", "ffault-ham", "ffault-trace")),
-    *(["bound", "--metric", metric, "--guest", "G", "--host", "H", "--kind", "wheel",
-       "--node-limit", "50"] for metric in ("dil", "ec", "wl")),
+    *(["bound", "--metric", metric, "--guest", "G", "--host", "H"] for metric in ("dil", "ec")),
+    ["bound", "--metric", "wl", "--host", "H", "--kind", "wheel", "--node-limit", "50"],
     *(["oracle", "--metric", metric, "--guest", "G", "--host", "H"]
       for metric in ("dil", "ec", "wl")),
     *(["embed", "--guest", "G", "--host", "H", "--method", method, "--node-limit", "50"]

@@ -38,6 +38,7 @@ from wheelembed.families import (
     torus,
     wheel,
     windmill,
+    x_tree,
 )
 from wheelembed.graphs import all_pairs_distances, build_graph
 
@@ -185,56 +186,47 @@ class TestTreeHostConstruction:
         assert preorder_sequence(3) == (1, 2, 4, 5, 3, 6, 7)
 
     def test_wheel_into_sibling_tree_level3(self):
-        emb = embed_wheel_like_into_tree_host("wheel", 3, "sibling_tree")
+        emb = embed_wheel_like_into_tree_host("wheel", sibling_tree(3))
         rim_images = [emb.vmap[g] for g in range(2, 8)]
         assert rim_images == [2, 4, 5, 3, 6, 7]
         assert evaluate(emb).max_dilation == 2
 
     def test_friendship_into_hypertree_level4(self):
-        emb = embed_wheel_like_into_tree_host("friendship", 4, "hypertree")
+        emb = embed_wheel_like_into_tree_host("friendship", hypertree(4))
         assert emb.guest.order == 15
         assert emb.vmap[1] == 1
         assert evaluate(emb).max_dilation == 3
 
     def test_star_into_hypertree_level3(self):
-        emb = embed_wheel_like_into_tree_host("star", 3, "hypertree")
+        emb = embed_wheel_like_into_tree_host("star", hypertree(3))
         assert evaluate(emb).max_dilation == 2
 
     @pytest.mark.parametrize("kind", ("wheel", "fan", "friendship", "star"))
-    @pytest.mark.parametrize("host_kind", ("hypertree", "sibling_tree", "x_tree"))
-    def test_dilation_equals_level_minus_one(self, kind, host_kind):
+    @pytest.mark.parametrize("tree", (hypertree, sibling_tree, x_tree))
+    def test_dilation_equals_level_minus_one(self, kind, tree):
         for level in (3, 4):
-            emb = embed_wheel_like_into_tree_host(kind, level, host_kind)
+            host = tree(level)
+            emb = embed_wheel_like_into_tree_host(kind, host)
+            assert emb.host is host
             assert evaluate(emb).max_dilation == level - 1
 
-    @pytest.mark.parametrize("host_kind", ("hypertree", "sibling_tree", "x_tree"))
-    def test_dilation_holds_at_larger_levels(self, host_kind):
+    @pytest.mark.parametrize("tree", (hypertree, sibling_tree, x_tree))
+    def test_dilation_holds_at_larger_levels(self, tree):
         # 127- and 255-vertex instances, beyond the acceptance sweep
         for level in (7, 8):
+            host = tree(level)
             for kind in ("wheel", "fan", "friendship", "star"):
-                emb = embed_wheel_like_into_tree_host(kind, level, host_kind)
+                emb = embed_wheel_like_into_tree_host(kind, host)
                 assert evaluate(emb).max_dilation == level - 1
 
-    def test_shared_host_instance(self):
-        host = sibling_tree(4)
-        for kind in ("wheel", "fan"):
-            emb = embed_wheel_like_into_tree_host(kind, 4, "sibling_tree", host=host)
-            assert emb.host is host
-            assert emb.routes == embed_wheel_like_into_tree_host(kind, 4, "sibling_tree").routes
-
-    def test_host_must_be_the_named_tree(self):
-        with pytest.raises(ValueError, match="not the sibling_tree of level 4"):
-            embed_wheel_like_into_tree_host("wheel", 4, "sibling_tree", host=hypertree(4))
-        with pytest.raises(ValueError, match="level 4"):
-            embed_wheel_like_into_tree_host("wheel", 4, "hypertree", host=hypertree(5))
-
     def test_level_minimum(self):
-        with pytest.raises(ValueError):
-            embed_wheel_like_into_tree_host("wheel", 2, "hypertree")
+        # the placement's own check: star(3) exists, the level-2 tree is too small
+        with pytest.raises(ValueError, match="level >= 3"):
+            embed_wheel_like_into_tree_host("star", hypertree(2))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            embed_wheel_like_into_tree_host("cube", 3, "hypertree")
+            embed_wheel_like_into_tree_host("cube", hypertree(3))
 
 
 class TestWindmillConstruction:
@@ -571,7 +563,7 @@ def test_extension_pass_on_duplicate_and_prefix_routes():
 
 @pytest.mark.parametrize("build", [
     lambda: embed_windmill_into_circulant(10),
-    lambda: embed_wheel_like_into_tree_host("wheel", 6, "x_tree"),
+    lambda: embed_wheel_like_into_tree_host("wheel", x_tree(6)),
 ], ids=["windmill-10", "wheel-xtree-6"])
 def test_extension_pass_pins_large_instances(build):
     emb = build()

@@ -42,7 +42,7 @@ class TestExactDilation:
 
     def test_matches_constructions_at_level3(self):
         for kind in ("wheel", "fan", "friendship", "star"):
-            emb = embed_wheel_like_into_tree_host(kind, 3, "hypertree")
+            emb = embed_wheel_like_into_tree_host(kind, hypertree(3))
             constructed = evaluate(emb).max_dilation
             assert exact_dilation(emb.guest, emb.host).optimum == constructed == 2
 
