@@ -19,7 +19,6 @@ from .embedding import (
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
-    preorder_placement,
     preorder_sequence,
     route_shortest,
 )

@@ -12,7 +12,6 @@ from typing import Optional
 
 from . import families
 from .embedding import (
-    GUEST_KINDS,
     EmbeddingMap,
     HostNotHamiltonianError,
     embed_fan_via_median,
@@ -25,20 +24,35 @@ from .embedding import (
 from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
                      status_and_median)
 
-# the claimed-sharp theorems: id -> (the parameter of one instance, the tree
-# host kind of a dilation theorem, the options it reads besides that
-# parameter). verify_theorem builds the host of one instance: a level builds
-# the tree of that level, a host order the two-jump circulant C_n{1,2}, and a
-# windmill order no host: the windmill construction builds its own.
+# the claimed-sharp theorems: id -> (the parameter of one instance, its least
+# value, the tree host kind of a dilation theorem, the options it reads besides
+# that parameter). verify_theorem builds the guest and host of one instance: a
+# level builds the tree of that level and the hub guests of its order, n the
+# windmill of order 2**n and C_{2**n}{1, 2**(n-2)}, a host order the two-jump
+# circulant C_n{1,2} and the wheel or fan of that order.
 THEOREMS = {
-    "dil-hypertree": ("level", "hypertree", ("kind",)),
-    "dil-sibling": ("level", "sibling_tree", ("kind",)),
-    "dil-xtree": ("level", "x_tree", ("kind",)),
-    "ec-windmill": ("n", None, ()),
-    "wl-wheel": ("host", None, ("node_limit",)),
-    "wl-fan": ("host", None, ("node_limit",)),
+    "dil-hypertree": ("level", 3, "hypertree", ("kind",)),
+    "dil-sibling": ("level", 3, "sibling_tree", ("kind",)),
+    "dil-xtree": ("level", 3, "x_tree", ("kind",)),
+    "ec-windmill": ("n", 3, None, ()),
+    "wl-wheel": ("host", 4, None, ("node_limit",)),
+    "wl-fan": ("host", 4, None, ("node_limit",)),
 }
 THEOREM_IDS = tuple(THEOREMS)
+GUEST_KINDS = ("wheel", "fan", "friendship", "star")
+
+
+def _hub_guest(kind: str, n: int) -> Graph:
+    """The `kind` guest of order n, hub on vertex 1."""
+    if kind == "wheel":
+        return families.wheel(n)
+    if kind == "fan":
+        return families.fan(n)
+    if kind == "friendship":
+        return families.friendship((n - 1) // 2)
+    if kind == "star":
+        return families.star(n)
+    raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +136,9 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
     rim_edges = H.order - 1 if kind == "wheel" else H.order - 2
     bound = rim_edges + delta
     construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
+    guest = _hub_guest(kind, H.order)
     try:
-        witness = construct(H, node_limit=node_limit)
+        witness = construct(guest, H, node_limit=node_limit)
     except HostNotHamiltonianError as exc:
         return BoundReport(metric="wirelength", bound=bound, sharp=False, host=H.name,
                            notes=f"status {delta}; {exc}")
@@ -142,14 +157,18 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
     level for dil-*, whose tree host is built once and shared by every guest
     kind (or the one `kind`); an order n for ec-windmill; a host graph, or a
     host order that builds C_n{1,2}, for wl-*, whose searches take
-    `node_limit`. A theorem rejects an option it does not read.
+    `node_limit`. A theorem rejects an option it does not read and a number
+    below its least value.
     """
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
-    axis, tree, reads = THEOREMS[theorem_id]
+    axis, least, tree, reads = THEOREMS[theorem_id]
     for name, given in (("kind", kind), ("node_limit", node_limit)):
         if given is not None and name not in reads:
             raise ValueError(f"{theorem_id} does not read {name}")
+    if isinstance(value, int) and value < least:
+        option = "--host order" if axis == "host" else f"--{axis}"
+        raise ValueError(f"{theorem_id} needs {option} >= {least}, got {value}")
 
     if tree is not None:  # dilation
         host = families.build_family(tree, [value])
@@ -158,16 +177,17 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
         if r != value - 1:
             notes += " (radius differs from the claimed level-1 value)"
         reports = {}
-        for guest in [kind] if kind else GUEST_KINDS:
-            emb = embed_wheel_like_into_tree_host(guest, host)
+        for guest_kind in [kind] if kind else GUEST_KINDS:
+            emb = embed_wheel_like_into_tree_host(_hub_guest(guest_kind, host.order), host)
             achieved = evaluate(emb).max_dilation
-            reports[guest] = BoundReport(metric="dilation", bound=r, achieved=achieved,
-                                         sharp=achieved == r, witness=emb, notes=notes,
-                                         host=host.name)
+            reports[guest_kind] = BoundReport(metric="dilation", bound=r, achieved=achieved,
+                                              sharp=achieved == r, witness=emb, notes=notes,
+                                              host=host.name)
         return reports
 
     if axis == "n":  # congestion
-        emb = embed_windmill_into_circulant(value)
+        emb = embed_windmill_into_circulant(families.windmill(2 ** (value - 1)),
+                                            families.circulant(2 ** value, {1, 2 ** (value - 2)}))
         report = congestion_lower_bound(emb.guest, emb.host)
         achieved = evaluate(emb).max_congestion
         notes = f"claimed congestion {2 ** (value - 2)}; {report.notes}"
@@ -178,12 +198,6 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
                                         witness=emb, notes=notes, host=report.host)}
 
     # wirelength, on a given host or on C_n{1,2}
-    host = value
-    if isinstance(value, int):
-        # values ascend, so the first one below the minimum is the sweep's start
-        if value < 4:
-            raise ValueError(f"{theorem_id} --sweep starts at host order {value}, "
-                             f"below the minimum host order 4")
-        host = families.circulant(value, {1, 2})
+    host = families.circulant(value, {1, 2}) if isinstance(value, int) else value
     guest = theorem_id.removeprefix("wl-")
     return {guest: wirelength_lower_bound(guest, host, node_limit=node_limit)}

@@ -20,14 +20,13 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import families, oracle
 from .embedding import (
-    GUEST_KINDS,
     EmbeddingMap,
     build_embedding,
     embed_fan_via_median,
+    embed_wheel_like_into_tree_host,
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
-    preorder_placement,
     route_shortest,
 )
 from .graphs import Graph, graph_from_json, graph_to_json, parse_json
@@ -46,7 +45,16 @@ EXIT_INCONCLUSIVE = 2
 
 VERSION = "wheelembed 0.1.0"
 
-EMBED_METHODS = ("preorder", "windmill", "median-wheel", "median-fan", "identity")
+# method -> the construction that places a loaded guest on a loaded host; only
+# the median-* constructions take --node-limit
+EMBED_METHODS = {
+    "preorder": embed_wheel_like_into_tree_host,
+    "windmill": embed_windmill_into_circulant,
+    "median-wheel": embed_wheel_via_median,
+    "median-fan": embed_fan_via_median,
+    "identity": lambda guest, host: route_shortest(guest, host,
+                                                   {v: v for v in guest.vertices()}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,34 +210,13 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _build_embedding_for_method(method: str, guest: Graph, host: Graph,
-                                node_limit: Optional[int]) -> EmbeddingMap:
-    if method == "identity":
-        return route_shortest(guest, host, {v: v for v in guest.vertices()})
-    if method == "preorder":
-        return preorder_placement(guest, host)
-    if method == "windmill":
-        n = host.order.bit_length() - 1
-        if 2 ** n != host.order:
-            raise ValueError("windmill routing needs a host of order 2**n")
-        emb = embed_windmill_into_circulant(n)
-        if emb.guest.edges != guest.edges or emb.host.edges != host.edges:
-            raise ValueError("guest/host do not match the windmill-into-circulant construction")
-        return emb
-    if method in ("median-wheel", "median-fan"):
-        kind = method.removeprefix("median-")
-        construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
-        emb = construct(host, node_limit=node_limit)
-        if emb.guest.edges != guest.edges:
-            raise ValueError(f"guest is not the {kind} of the host's order")
-        return emb
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cmd_embed(args) -> int:
+    if not args.method.startswith("median-"):
+        _reject_unread(args, f"embed --method {args.method}", "node_limit")
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
-    emb = _build_embedding_for_method(args.method, guest, host, args.node_limit)
+    limit = {} if args.node_limit is None else {"node_limit": args.node_limit}
+    emb = EMBED_METHODS[args.method](guest, host, **limit)
     _emit(embedding_to_json(emb, args.method), args.out)
     return EXIT_OK
 
@@ -321,7 +308,7 @@ def _verify_rows(args) -> list[dict]:
     # value at a time, not all up front, and a row keeps only its report's
     # payload (no name outside the comprehension holds a report), so no
     # witness embedding stays alive while the next instance is built
-    axis, tree, reads = bounds_mod.THEOREMS[args.theorem]
+    axis, _, tree, reads = bounds_mod.THEOREMS[args.theorem]
     _reject_unread(args, f"verify {args.theorem}",
                    *(o for o in ("level", "n", "host", "kind", "node_limit")
                      if o != axis and o not in reads))
@@ -395,6 +382,8 @@ def _cmd_ham(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.metric != "ec":
+        _reject_unread(args, f"oracle --metric {args.metric}", "route_cap")
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
     if args.metric == "dil":
@@ -402,8 +391,9 @@ def _cmd_oracle(args) -> int:
     elif args.metric == "wl":
         result = oracle.exact_wirelength(guest, host, args.limit, jobs=args.jobs)
     else:
+        route_cap = oracle.DEFAULT_ROUTE_CAP if args.route_cap is None else args.route_cap
         result = oracle.exact_congestion(guest, host, args.limit,
-                                         route_cap=args.route_cap, jobs=args.jobs)
+                                         route_cap=route_cap, jobs=args.jobs)
     payload = {
         "metric": result.metric,
         "optimum": result.optimum,
@@ -417,6 +407,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if not args.embedding:
+        _reject_unread(args, "export without --embedding", "guest")
     G = _load_graph(args.graph)
     congestion = None
     if args.embedding:
@@ -476,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a claimed-sharp bound over instances")
     p.add_argument("theorem", choices=bounds_mod.THEOREM_IDS)
-    p.add_argument("--kind", choices=GUEST_KINDS)
+    p.add_argument("--kind", choices=bounds_mod.GUEST_KINDS)
     p.add_argument("--level", type=_positive)
     p.add_argument("--n", type=_positive)
     p.add_argument("--host")
@@ -502,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=("dil", "ec", "wl"))
     p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_LIMIT)
     p.add_argument("--jobs", type=_positive, default=1, help="worker processes")
-    p.add_argument("--route-cap", type=_positive, default=oracle.DEFAULT_ROUTE_CAP)
+    p.add_argument("--route-cap", type=_positive,
+                   help=f"--metric ec only (default {oracle.DEFAULT_ROUTE_CAP})")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_oracle)
 

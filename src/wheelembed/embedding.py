@@ -4,7 +4,10 @@ An embedding is a vertex bijection (expansion one) plus one explicit host
 path per guest edge. Three constructions are provided: pre-order placement
 of hub-centered guests into heap-labeled tree hosts, the four-range windmill
 routing into two-jump circulants, and the median-plus-spanning-cycle (or
-spanning-path) placement of wheels and fans into arbitrary hosts.
+spanning-path) placement of wheels and fans into arbitrary hosts. Each one
+places the guest and host it is given and builds no graph of its own; the
+validated `EmbeddingMap` rejects a guest whose edges the placement does not
+fit.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional
 
-from . import families
 from .graphs import Graph, edge_key, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
-
-GUEST_KINDS = ("wheel", "fan", "friendship", "star")
 
 
 class HostNotHamiltonianError(ValueError):
@@ -46,9 +46,7 @@ class EmbeddingMap:
 
     def __post_init__(self):
         guest, host, vmap = self.guest, self.host, self.vmap
-        if guest.order != host.order:
-            raise ValueError(
-                f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
+        _require_equal_orders(guest, host)
         if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
             raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
         canonical = {}
@@ -85,6 +83,12 @@ class EmbeddingMetrics:
     max_dilation: int
     max_congestion: int
     wirelength: int
+
+
+def _require_equal_orders(guest: Graph, host: Graph) -> None:
+    if guest.order != host.order:
+        raise ValueError(
+            f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
 
 
 def _fold_hops(host: Graph, routes: list) -> tuple[Optional[dict], list, list]:
@@ -210,61 +214,41 @@ def preorder_sequence(level: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def preorder_placement(guest: Graph, host: Graph) -> EmbeddingMap:
+def embed_wheel_like_into_tree_host(guest: Graph, host: Graph) -> EmbeddingMap:
     """Guest vertex g on the host vertex of pre-order rank g, every guest edge
     on a shortest host path.
 
     The host must have order 2**level - 1 with level >= 3, and the guest the
     same order. On a heap-labeled tree host the hub (vertex 1) of a
-    hub-centered guest lands on the root.
+    hub-centered guest lands on the root, and the maximum dilation is expected
+    to equal level - 1, the host radius; that claim is checked by the
+    bound-verification layer rather than assumed.
     """
     level = host.order.bit_length()
     if 2 ** level - 1 != host.order or level < 3:
         raise ValueError("preorder placement needs a host of order 2**level - 1, level >= 3")
-    if guest.order != host.order:
-        raise ValueError(
-            f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
+    _require_equal_orders(guest, host)
     order = preorder_sequence(level)
     return route_shortest(guest, host, {g: order[g - 1] for g in guest.vertices()})
 
 
-def _hub_guest(kind: str, n: int) -> Graph:
-    if kind == "wheel":
-        return families.wheel(n)
-    if kind == "fan":
-        return families.fan(n)
-    if kind == "friendship":
-        return families.friendship((n - 1) // 2)
-    if kind == "star":
-        return families.star(n)
-    raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
-
-
-def embed_wheel_like_into_tree_host(kind: str, host: Graph) -> EmbeddingMap:
-    """The `kind` guest of the host's order placed by `preorder_placement`:
-    hub on the root of a heap-labeled tree host, all routes shortest host paths.
-
-    The resulting maximum dilation is expected to equal level - 1, the host radius;
-    that claim is checked by the bound-verification layer rather than assumed.
-    """
-    return preorder_placement(_hub_guest(kind, host.order), host)
-
-
-def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
-    """Identity embedding of the order-2**n windmill into G(2**n; +-{1, 2**(n-2)}).
+def embed_windmill_into_circulant(guest: Graph, host: Graph) -> EmbeddingMap:
+    """Identity placement of the order-2**n windmill into G(2**n; +-{1, 2**(n-2)}),
+    n read from the host's order.
 
     Spokes from the hub are routed in four label ranges: clockwise along the
     outer cycle, anticlockwise along the outer cycle, and through one of the
     two hub chords followed by the outer cycle. Outer guest edges sit on single
     host edges. This literal routing is what attains congestion 2**(n-2), even
-    where shorter chord routes exist.
+    where shorter chord routes exist. A guest that is not the windmill, or a
+    host without those jumps, fails validation: the routes do not cover the
+    guest edges, or a route uses a non-edge.
     """
-    if n < 3:
-        raise ValueError(f"windmill construction needs n >= 3, got {n}")
-    size = 2 ** n
+    size = host.order
+    n = size.bit_length() - 1
+    if 2 ** n != size or n < 3:
+        raise ValueError(f"windmill routing needs a host of order 2**n with n >= 3, got {size}")
     quarter = 2 ** (n - 2)
-    guest = families.windmill(2 ** (n - 1))
-    host = families.circulant(size, {1, quarter})
     vmap = {x: x for x in guest.vertices()}
 
     # routes are slices of one id tuple, so all hops share its int objects
@@ -286,40 +270,36 @@ def embed_windmill_into_circulant(n: int) -> EmbeddingMap:
     return build_embedding(guest, host, vmap, routes)
 
 
-def _embed_via_median(kind: str, host: Graph, node_limit: Optional[int]) -> EmbeddingMap:
-    """Wheel or fan of the host's order: hub on the first median, in id order,
-    whose removal leaves a spanning cycle (wheel) or path (fan), rim on that
-    cycle or path, spokes on shortest paths."""
+def _embed_via_median(guest: Graph, host: Graph, find, what: str,
+                      node_limit: Optional[int]) -> EmbeddingMap:
+    """Hub (guest vertex 1) on the first median, in id order, whose removal
+    leaves a spanning `what` (cycle or path) that `find` returns; guest
+    vertices 2..n along it, every guest edge on a shortest host path."""
+    _require_equal_orders(guest, host)
     try:  # the ball pass that yields the medians also decides connectivity
         medians, _ = status_and_median(host)
     except ValueError:
         raise ValueError("median construction requires a connected host") from None
-    n = host.order
-    least = 4 if kind == "wheel" else 3
-    if n < least:
-        raise ValueError(f"{kind} guest needs host order >= {least}, got {n}")
-    find, what = ((find_hamiltonian_cycle, "cycle") if kind == "wheel"
-                  else (find_hamiltonian_path, "path"))
     for hub_image in medians:
         rim = find(host, without_vertices=(hub_image,), node_limit=node_limit)
         if rim is not None:
             # rim images are host-adjacent, so shortest routing keeps every rim
             # edge on its single host edge and the spokes on shortest paths
             vmap = {1: hub_image}
-            vmap.update({g: rim[g - 2] for g in range(2, n + 1)})
-            return route_shortest(_hub_guest(kind, n), host, vmap)
+            vmap.update({g: rim[g - 2] for g in range(2, host.order + 1)})
+            return route_shortest(guest, host, vmap)
     listed = ", ".join(map(str, medians))
     raise HostNotHamiltonianError(
         f"host minus any of its medians ({listed}) has no hamiltonian {what}")
 
 
-def embed_wheel_via_median(host: Graph, *,
+def embed_wheel_via_median(guest: Graph, host: Graph, *,
                            node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Wheel of the host's order by the median construction."""
-    return _embed_via_median("wheel", host, node_limit)
+    """The median construction with a spanning-cycle rim, for wheels."""
+    return _embed_via_median(guest, host, find_hamiltonian_cycle, "cycle", node_limit)
 
 
-def embed_fan_via_median(host: Graph, *,
+def embed_fan_via_median(guest: Graph, host: Graph, *,
                          node_limit: Optional[int] = None) -> EmbeddingMap:
-    """Fan of the host's order by the median construction."""
-    return _embed_via_median("fan", host, node_limit)
+    """The median construction with a spanning-path rim, for fans."""
+    return _embed_via_median(guest, host, find_hamiltonian_path, "path", node_limit)

@@ -43,7 +43,8 @@ from wheelembed.hamiltonian import (
 )
 from wheelembed.oracle import exact_dilation, exact_wirelength
 
-GUEST_KINDS = ("wheel", "fan", "friendship", "star")
+# the hub-centered guest of order n, one builder per guest kind
+HUB_GUESTS = (wheel, fan, lambda n: friendship((n - 1) // 2), star)
 TREE_HOSTS = (hypertree, sibling_tree, x_tree)
 
 
@@ -81,9 +82,10 @@ def test_criterion_2_dilation_theorem_sweep():
     for level in (3, 4, 5, 6):
         for tree in TREE_HOSTS:
             host = tree(level)
-            for kind in GUEST_KINDS:
-                emb = embed_wheel_like_into_tree_host(kind, host)
-                assert evaluate(emb).max_dilation == level - 1, (kind, host.name)
+            for build in HUB_GUESTS:
+                guest = build(host.order)
+                emb = embed_wheel_like_into_tree_host(guest, host)
+                assert evaluate(emb).max_dilation == level - 1, (guest.name, host.name)
                 checked += 1
             radius, _ = radius_diameter(host)
             assert radius == level - 1, host.name
@@ -94,10 +96,10 @@ def test_criterion_2_dilation_theorem_sweep():
 def test_criterion_3_dilation_optimality_at_oracle_scale():
     clock = _Clock("criterion 3 (7-vertex dilation oracle)", 30.0)
     for tree in TREE_HOSTS:
-        for kind in GUEST_KINDS:
-            emb = embed_wheel_like_into_tree_host(kind, tree(3))
+        for build in HUB_GUESTS:
+            emb = embed_wheel_like_into_tree_host(build(7), tree(3))
             result = exact_dilation(emb.guest, emb.host)
-            assert result.optimum == 2, (kind, emb.host.name, result)
+            assert result.optimum == 2, (emb.guest.name, emb.host.name, result)
     clock.finish()
 
 
@@ -106,7 +108,8 @@ def test_criterion_4_congestion_theorem_sweep():
     for n in range(3, 9):
         bound = 2 ** (n - 2)
         assert bound == -((2 ** n - 1) // -4)
-        metrics = evaluate(embed_windmill_into_circulant(n))
+        metrics = evaluate(embed_windmill_into_circulant(windmill(2 ** (n - 1)),
+                                                         circulant(2 ** n, {1, bound})))
         assert metrics.max_congestion == bound, n
         assert all(c <= bound for c in metrics.cong_per_edge.values())
         if n == 4:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from helpers import connected_graphs, record_bfs
 from wheelembed import graphs as graphs_mod
 from wheelembed.bounds import (
+    GUEST_KINDS,
     THEOREM_IDS,
     THEOREMS,
     congestion_lower_bound,
@@ -13,7 +14,7 @@ from wheelembed.bounds import (
     verify_theorem,
     wirelength_lower_bound,
 )
-from wheelembed.embedding import GUEST_KINDS, evaluate
+from wheelembed.embedding import evaluate
 from wheelembed.families import (
     circulant,
     complete,
@@ -108,12 +109,12 @@ class TestWirelengthLowerBound:
 
     def test_fan_on_three_vertices_meets_the_oracle(self):
         # F_3 onto K3: 3 = (3 - 2) + status 2, the exhaustive optimum; the
-        # wheel's least order is the median construction's to enforce
+        # wheel's least order is the wheel family's to enforce
         host = complete(3)
         report = wirelength_lower_bound("fan", host)
         assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
         assert exact_wirelength(fan(3), host).optimum == 3
-        with pytest.raises(ValueError, match="^wheel guest needs host order >= 4, got 3$"):
+        with pytest.raises(ValueError, match="^wheel needs order >= 4, got 3$"):
             wirelength_lower_bound("wheel", host)
 
     def test_sharpness_tracks_hamiltonicity_both_ways(self):
@@ -218,7 +219,7 @@ class TestVerifyTheorem:
         report = verify_theorem("wl-wheel", 9)["wheel"]
         assert report.host == circulant(9, {1, 2}).name
         assert report.witness.host.edges == circulant(9, {1, 2}).edges
-        with pytest.raises(ValueError, match="minimum host order 4"):
+        with pytest.raises(ValueError, match=r"^wl-fan needs --host order >= 4, got 3$"):
             verify_theorem("wl-fan", 3)
 
     def test_unknown_id(self):
@@ -234,7 +235,7 @@ class TestVerifyTheorem:
         rejected = 0
         for theorem in THEOREM_IDS:
             for name, given in (("kind", "wheel"), ("node_limit", 100)):
-                if name not in THEOREMS[theorem][2]:
+                if name not in THEOREMS[theorem][3]:
                     with pytest.raises(ValueError, match=f"^{theorem} does not read {name}$"):
                         verify_theorem(theorem, 3, **{name: given})
                     rejected += 1

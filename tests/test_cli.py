@@ -17,11 +17,21 @@ from wheelembed import bounds as bounds_mod
 from wheelembed import families as families_mod
 from wheelembed import graphs as graphs_mod
 from wheelembed.cli import EMBED_METHODS, main
-from wheelembed.families import circulant, complete, cycle, hypertree, star, wheel
+from wheelembed.families import (circulant, complete, cycle, fan, hypertree, star, wheel,
+                                  windmill)
 from wheelembed.graphs import build_graph, graph_from_json, graph_to_json
 
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+# embed method -> the guest and host of its smallest instance
+SMALLEST_INSTANCES = {
+    "preorder": (star(7), hypertree(3)),
+    "windmill": (windmill(4), circulant(8, {1, 2})),
+    "median-wheel": (wheel(6), circulant(6, {1, 2})),
+    "median-fan": (fan(6), circulant(6, {1, 2})),
+    "identity": (cycle(6), circulant(6, {1})),
+}
 
 
 def run(capsys, *argv):
@@ -106,6 +116,18 @@ class TestEmbedAndMetrics:
         code, out, _ = run(capsys, "embed", "--guest", g, "--host", g, "--method", "identity")
         assert code == 0
         assert json.loads(out)["vmap"] == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("method", EMBED_METHODS)
+    def test_embed_keeps_the_loaded_graphs(self, capsys, tmp_path, method):
+        # every method places the guest and host it loads, names and all
+        guest, host = SMALLEST_INSTANCES[method]
+        g = write_graph(tmp_path, build_graph(guest.order, guest.edge_list(), "my-guest"), "g")
+        h = write_graph(tmp_path, build_graph(host.order, host.edge_list(), "my-host"), "h")
+        code, out, err = run(capsys, "embed", "--guest", g, "--host", h, "--method", method)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["guest"], payload["host"], payload["method"]) == (
+            "my-guest", "my-host", method)
 
     def test_windmill_method_checks_shapes(self, capsys, tmp_path):
         g = write_graph(tmp_path, circulant(6, {1}), "g.json")
@@ -204,7 +226,7 @@ class TestBoundAndVerify:
         assert (payload["bound"], payload["achieved"], payload["sharp"]) == (3, 3, True)
         code, out, err = run(capsys, "bound", "--metric", "wl", "--kind", "wheel", "--host", h)
         assert (code, out) == (1, "")
-        assert err == "error: wheel guest needs host order >= 4, got 3\n"
+        assert err == "error: wheel needs order >= 4, got 3\n"
 
     def test_dilation_sweep_builds_each_tree_once(self, capsys, monkeypatch):
         levels, build = [], families_mod.hypertree
@@ -224,7 +246,7 @@ class TestBoundAndVerify:
     @pytest.mark.parametrize("theorem", bounds_mod.THEOREM_IDS)
     def test_verify_rejects_an_option_its_theorem_does_not_read(self, capsys, tmp_path,
                                                                  theorem):
-        axis, _, reads = bounds_mod.THEOREMS[theorem]
+        axis, _, _, reads = bounds_mod.THEOREMS[theorem]
         sweep = "6..6" if axis == "host" else "3..3"
         given = {"level": "3", "n": "3", "host": write_graph(tmp_path, circulant(6, {1, 2}), "h"),
                  "kind": "wheel", "node_limit": "100"}
@@ -306,8 +328,23 @@ class TestBoundAndVerify:
     def test_wirelength_sweep_below_order_four(self, capsys, theorem):
         code, _, err = run(capsys, "verify", theorem, "--sweep", "3..4")
         assert code == 1
-        assert len(err.strip().splitlines()) == 1
-        assert "minimum host order 4" in err
+        assert err == f"error: {theorem} needs --host order >= 4, got 3\n"
+
+    @pytest.mark.parametrize("theorem", bounds_mod.THEOREM_IDS)
+    def test_verify_below_the_least_value_names_the_option(self, capsys, monkeypatch,
+                                                           theorem):
+        axis, least, _, _ = bounds_mod.THEOREMS[theorem]
+        value = least - 1
+        option = "--host order" if axis == "host" else f"--{axis}"
+        argvs = [["--sweep", f"{value}..{value}"]]
+        if axis != "host":  # a --host value names a graph file
+            argvs.append([f"--{axis}", str(value)])
+        # the value is checked before any graph is built
+        monkeypatch.setattr(bounds_mod, "families", None)
+        for argv in argvs:
+            code, out, err = run(capsys, "verify", theorem, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {theorem} needs {option} >= {least}, got {value}\n"
 
     def test_verify_dilation_text_table(self, capsys):
         code, out, _ = run(capsys, "verify", "dil-hypertree", "--kind", "star",
@@ -523,6 +560,13 @@ class TestHostileInput:
         assert_one_line_input_error(proc)
         assert message in proc.stderr
 
+    def test_median_guest_larger_than_host(self, tmp_path):
+        g = write_graph(tmp_path, wheel(9), "g.json")
+        h = write_graph(tmp_path, circulant(8, {1, 2}), "h.json")
+        proc = run_process("embed", "--guest", g, "--host", h, "--method", "median-wheel")
+        assert_one_line_input_error(proc)
+        assert "equal orders, got 9 vs 8" in proc.stderr
+
     def test_preorder_guest_larger_than_host(self, tmp_path):
         g = write_graph(tmp_path, star(16), "g.json")
         h = write_graph(tmp_path, hypertree(4), "h.json")
@@ -575,6 +619,13 @@ class TestHostileInput:
      "bound --metric ec does not read --node-limit"),
     (("bound", "--metric", "wl", "--kind", "wheel", "--guest", "G", "--host", "G"),
      "bound --metric wl does not read --guest"),
+    *((("embed", "--guest", "M", "--host", "M", "--method", method, "--node-limit", "5"),
+       f"embed --method {method} does not read --node-limit")
+      for method in EMBED_METHODS if not method.startswith("median-")),
+    (("export", "--graph", "G", "--guest", "M"),
+     "export without --embedding does not read --guest"),
+    *((("oracle", "--guest", "G", "--host", "G", "--metric", metric, "--route-cap", "5"),
+       f"oracle --metric {metric} does not read --route-cap") for metric in ("dil", "wl")),
 ])
 def test_an_option_the_command_does_not_read_is_an_error(capsys, tmp_path, argv, message):
     # M names no file: an option that is rejected is never read
@@ -643,7 +694,8 @@ COMMANDS = [
     ["bound", "--metric", "wl", "--host", "H", "--kind", "wheel", "--node-limit", "50"],
     *(["oracle", "--metric", metric, "--guest", "G", "--host", "H"]
       for metric in ("dil", "ec", "wl")),
-    *(["embed", "--guest", "G", "--host", "H", "--method", method, "--node-limit", "50"]
+    *(["embed", "--guest", "G", "--host", "H", "--method", method,
+       *(["--node-limit", "50"] if method.startswith("median-") else [])]
       for method in EMBED_METHODS),
 ]
 

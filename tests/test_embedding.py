@@ -26,11 +26,13 @@ from wheelembed.embedding import (
     preorder_sequence,
     route_shortest,
 )
+from wheelembed.bounds import GUEST_KINDS, _hub_guest
 from wheelembed.families import (
     circulant,
     complete,
     cycle,
     fan,
+    friendship,
     generalized_petersen,
     hypertree,
     sibling_tree,
@@ -45,6 +47,11 @@ from wheelembed.graphs import all_pairs_distances, build_graph
 
 def identity(G):
     return {v: v for v in G.vertices()}
+
+
+def windmill_instance(n):
+    """The windmill of order 2**n and its host C_{2**n}{1, 2**(n-2)}."""
+    return windmill(2 ** (n - 1)), circulant(2 ** n, {1, 2 ** (n - 2)})
 
 
 class TestRouteShortestAndEvaluate:
@@ -186,28 +193,29 @@ class TestTreeHostConstruction:
         assert preorder_sequence(3) == (1, 2, 4, 5, 3, 6, 7)
 
     def test_wheel_into_sibling_tree_level3(self):
-        emb = embed_wheel_like_into_tree_host("wheel", sibling_tree(3))
+        emb = embed_wheel_like_into_tree_host(wheel(7), sibling_tree(3))
         rim_images = [emb.vmap[g] for g in range(2, 8)]
         assert rim_images == [2, 4, 5, 3, 6, 7]
         assert evaluate(emb).max_dilation == 2
 
     def test_friendship_into_hypertree_level4(self):
-        emb = embed_wheel_like_into_tree_host("friendship", hypertree(4))
+        emb = embed_wheel_like_into_tree_host(friendship(7), hypertree(4))
         assert emb.guest.order == 15
         assert emb.vmap[1] == 1
         assert evaluate(emb).max_dilation == 3
 
     def test_star_into_hypertree_level3(self):
-        emb = embed_wheel_like_into_tree_host("star", hypertree(3))
+        emb = embed_wheel_like_into_tree_host(star(7), hypertree(3))
         assert evaluate(emb).max_dilation == 2
 
-    @pytest.mark.parametrize("kind", ("wheel", "fan", "friendship", "star"))
+    @pytest.mark.parametrize("kind", GUEST_KINDS)
     @pytest.mark.parametrize("tree", (hypertree, sibling_tree, x_tree))
     def test_dilation_equals_level_minus_one(self, kind, tree):
         for level in (3, 4):
             host = tree(level)
-            emb = embed_wheel_like_into_tree_host(kind, host)
-            assert emb.host is host
+            guest = _hub_guest(kind, host.order)
+            emb = embed_wheel_like_into_tree_host(guest, host)
+            assert emb.guest is guest and emb.host is host
             assert evaluate(emb).max_dilation == level - 1
 
     @pytest.mark.parametrize("tree", (hypertree, sibling_tree, x_tree))
@@ -215,50 +223,63 @@ class TestTreeHostConstruction:
         # 127- and 255-vertex instances, beyond the acceptance sweep
         for level in (7, 8):
             host = tree(level)
-            for kind in ("wheel", "fan", "friendship", "star"):
-                emb = embed_wheel_like_into_tree_host(kind, host)
+            for kind in GUEST_KINDS:
+                emb = embed_wheel_like_into_tree_host(_hub_guest(kind, host.order), host)
                 assert evaluate(emb).max_dilation == level - 1
 
     def test_level_minimum(self):
         # the placement's own check: star(3) exists, the level-2 tree is too small
         with pytest.raises(ValueError, match="level >= 3"):
-            embed_wheel_like_into_tree_host("star", hypertree(2))
+            embed_wheel_like_into_tree_host(star(3), hypertree(2))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            embed_wheel_like_into_tree_host("cube", hypertree(3))
+    def test_guest_of_another_order(self):
+        with pytest.raises(ValueError, match="equal orders, got 8 vs 7"):
+            embed_wheel_like_into_tree_host(star(8), hypertree(3))
 
 
 class TestWindmillConstruction:
     def test_instance_shapes(self):
-        emb = embed_windmill_into_circulant(4)
-        assert emb.guest.order == 16
-        assert emb.host.edges == circulant(16, {1, 4}).edges
+        guest, host = windmill_instance(4)
+        emb = embed_windmill_into_circulant(guest, host)
+        assert emb.guest is guest and emb.host is host
         assert all(emb.vmap[v] == v for v in emb.guest.vertices())
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_max_congestion(self, n):
-        metrics = evaluate(embed_windmill_into_circulant(n))
+        metrics = evaluate(embed_windmill_into_circulant(*windmill_instance(n)))
         assert metrics.max_congestion == 2 ** (n - 2)
 
     def test_saturated_edges_include_named_set(self):
-        metrics = evaluate(embed_windmill_into_circulant(4))
+        metrics = evaluate(embed_windmill_into_circulant(*windmill_instance(4)))
         saturated = {e for e, c in metrics.cong_per_edge.items() if c == 4}
         assert {(1, 2), (1, 5), (5, 6), (1, 16)} <= saturated
 
     def test_small_order(self):
-        metrics = evaluate(embed_windmill_into_circulant(3))
+        metrics = evaluate(embed_windmill_into_circulant(*windmill_instance(3)))
         assert metrics.max_congestion == 2  # equals ceil(7/4)
 
     def test_outer_edges_use_single_host_edges(self):
-        emb = embed_windmill_into_circulant(4)
+        emb = embed_windmill_into_circulant(*windmill_instance(4))
         for (u, v), route in emb.routes.items():
             if u != 1:
                 assert route == (u, v)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            embed_windmill_into_circulant(2)
+        # n = 2, and an order that is no power of two
+        for guest, host in ((windmill(2), circulant(4, {1})),
+                            (windmill(6), circulant(12, {1, 3}))):
+            with pytest.raises(ValueError, match=r"^windmill routing needs a host of order "
+                                                 rf"2\*\*n with n >= 3, got {host.order}$"):
+                embed_windmill_into_circulant(guest, host)
+
+    def test_guest_that_is_not_the_windmill(self):
+        # the placement reads only the host; validation rejects the guest
+        with pytest.raises(ValueError, match="routes must cover exactly the guest edges"):
+            embed_windmill_into_circulant(wheel(16), circulant(16, {1, 4}))
+
+    def test_host_without_the_windmill_jumps(self):
+        with pytest.raises(ValueError, match=r"uses the non-edge \(1, 5\)"):
+            embed_windmill_into_circulant(windmill(8), circulant(16, {1, 2}))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_routes_equal_the_four_ranges(self, n):
@@ -275,31 +296,31 @@ class TestWindmillConstruction:
                 expected[(1, i)] = (1,) + tuple(range(3 * quarter + 1, i - 1, -1))
         for i in range(2, size - 1, 2):
             expected[(i, i + 1)] = (i, i + 1)
-        emb = embed_windmill_into_circulant(n)
-        assert emb.guest == windmill(2 ** (n - 1))
+        emb = embed_windmill_into_circulant(*windmill_instance(n))
         assert emb.routes == expected
 
 
 class TestMedianConstructions:
     def test_wheel_into_circulant(self):
-        emb = embed_wheel_via_median(circulant(8, {1, 2}))
+        emb = embed_wheel_via_median(wheel(8), circulant(8, {1, 2}))
         assert evaluate(emb).wirelength == 17
 
     def test_wheel_into_petersen(self):
-        emb = embed_wheel_via_median(generalized_petersen(5, 2))
+        emb = embed_wheel_via_median(wheel(10), generalized_petersen(5, 2))
         assert evaluate(emb).wirelength == 24
 
     def test_wheel_into_torus(self):
-        emb = embed_wheel_via_median(torus([3, 3]))
+        emb = embed_wheel_via_median(wheel(9), torus([3, 3]))
         assert evaluate(emb).wirelength == 20
 
     def test_fan_into_circulant(self):
-        emb = embed_fan_via_median(circulant(8, {1, 2}))
+        emb = embed_fan_via_median(fan(8), circulant(8, {1, 2}))
         assert evaluate(emb).wirelength == 16
 
     def test_hub_maps_to_median_and_rim_is_spanning(self):
-        host = circulant(9, {1, 2})
-        emb = embed_wheel_via_median(host)
+        host, guest = circulant(9, {1, 2}), wheel(9)
+        emb = embed_wheel_via_median(guest, host)
+        assert emb.guest is guest and emb.host is host
         assert emb.vmap[1] == 1  # every circulant vertex is a median; smallest id wins
         rim_images = {emb.vmap[g] for g in range(2, 10)}
         assert rim_images == set(host.vertices()) - {1}
@@ -308,17 +329,32 @@ class TestMedianConstructions:
 
     def test_star_host_has_no_spanning_cycle(self):
         with pytest.raises(HostNotHamiltonianError):
-            embed_wheel_via_median(star(8))
+            embed_wheel_via_median(wheel(8), star(8))
 
     @pytest.mark.parametrize("construct", [embed_wheel_via_median, embed_fan_via_median])
     def test_disconnected_host_is_named(self, construct):
         host = build_graph(5, [(1, 2), (2, 3), (4, 5)])
         with pytest.raises(ValueError, match=r"^median construction requires a connected host$"):
-            construct(host)
+            construct(cycle(5), host)
 
     def test_star_host_has_no_spanning_path_either(self):
         with pytest.raises(HostNotHamiltonianError):
-            embed_fan_via_median(star(8))
+            embed_fan_via_median(fan(8), star(8))
+
+    @pytest.mark.parametrize("construct", [embed_wheel_via_median, embed_fan_via_median])
+    def test_guest_of_another_order_is_rejected_before_the_search(self, construct):
+        with pytest.raises(ValueError, match="^expansion-one embedding needs equal orders, "
+                                             "got 9 vs 8$"):
+            construct(wheel(9), circulant(8, {1, 2}), node_limit=1)
+
+    def test_places_any_guest_of_the_host_order(self):
+        # the placement never reads the guest's edges; every guest edge is
+        # routed on a shortest path and the result is validated
+        host, guest = circulant(8, {1, 2}), star(8)
+        emb = embed_wheel_via_median(guest, host)
+        assert emb.guest is guest and emb.host is host
+        assert emb.vmap[1] == 1
+        assert evaluate(emb).max_dilation == 2
 
 
 def test_double_counting_identity_on_seeded_random_embeddings():
@@ -562,8 +598,8 @@ def test_extension_pass_on_duplicate_and_prefix_routes():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: embed_windmill_into_circulant(10),
-    lambda: embed_wheel_like_into_tree_host("wheel", x_tree(6)),
+    lambda: embed_windmill_into_circulant(*windmill_instance(10)),
+    lambda: embed_wheel_like_into_tree_host(wheel(63), x_tree(6)),
 ], ids=["windmill-10", "wheel-xtree-6"])
 def test_extension_pass_pins_large_instances(build):
     emb = build()

@@ -14,6 +14,7 @@ from wheelembed.families import (
     complete_binary_tree,
     cycle,
     fan,
+    friendship,
     generalized_petersen,
     hypertree,
     path,
@@ -41,8 +42,8 @@ class TestExactDilation:
         assert result.exact
 
     def test_matches_constructions_at_level3(self):
-        for kind in ("wheel", "fan", "friendship", "star"):
-            emb = embed_wheel_like_into_tree_host(kind, hypertree(3))
+        for guest in (wheel(7), fan(7), friendship(3), star(7)):
+            emb = embed_wheel_like_into_tree_host(guest, hypertree(3))
             constructed = evaluate(emb).max_dilation
             assert exact_dilation(emb.guest, emb.host).optimum == constructed == 2
 
@@ -268,11 +269,11 @@ class TestOracleAgreesWithConstructions:
         # construction value for n=3 equals the exhaustive optimum
         result = exact_congestion(windmill(4), circulant(8, {1, 2}))
         from wheelembed.embedding import embed_windmill_into_circulant
-        constructed = evaluate(embed_windmill_into_circulant(3)).max_congestion
-        assert result.optimum == constructed == 2
+        emb = embed_windmill_into_circulant(windmill(4), circulant(8, {1, 2}))
+        assert result.optimum == evaluate(emb).max_congestion == 2
 
     def test_median_wheel_wirelength_small(self):
         from wheelembed.embedding import embed_wheel_via_median
         host = circulant(6, {1, 2})
-        constructed = evaluate(embed_wheel_via_median(host)).wirelength
+        constructed = evaluate(embed_wheel_via_median(wheel(6), host)).wirelength
         assert exact_wirelength(wheel(6), host).optimum == constructed

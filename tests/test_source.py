@@ -63,3 +63,12 @@ def test_the_cli_leaves_each_theorem_to_the_bounds_table():
     strings = [node.value for node in ast.walk(tree)
                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert not [s for s in strings if any(theorem in s for theorem in THEOREM_IDS)]
+
+
+def test_the_constructions_build_no_graph():
+    # each construction places the guest and host it is given; `bounds`
+    # builds every theorem instance
+    tree = ast.parse((PACKAGE / "embedding.py").read_text(encoding="utf-8"))
+    imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for name in [node.module, *(alias.name for alias in node.names)]}
+    assert not imported & {"families", "build_graph"}
