@@ -157,8 +157,8 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
     level for dil-*, whose tree host is built once and shared by every guest
     kind (or the one `kind`); an order n for ec-windmill; a host graph, or a
     host order that builds C_n{1,2}, for wl-*, whose searches take
-    `node_limit`. A theorem rejects an option it does not read and a number
-    below its least value.
+    `node_limit`. A theorem rejects an option it does not read and a value,
+    or a given host's order, below its least value.
     """
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
@@ -166,9 +166,10 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
     for name, given in (("kind", kind), ("node_limit", node_limit)):
         if given is not None and name not in reads:
             raise ValueError(f"{theorem_id} does not read {name}")
-    if isinstance(value, int) and value < least:
+    size = value.order if isinstance(value, Graph) else value  # a loaded host too
+    if size < least:
         option = "--host order" if axis == "host" else f"--{axis}"
-        raise ValueError(f"{theorem_id} needs {option} >= {least}, got {value}")
+        raise ValueError(f"{theorem_id} needs {option} >= {least}, got {size}")
 
     if tree is not None:  # dilation
         host = families.build_family(tree, [value])

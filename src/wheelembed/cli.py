@@ -242,8 +242,6 @@ def _cmd_metrics(args) -> int:
                 "wirelength": metrics.wirelength,
                 "max_dilation": metrics.max_dilation,
                 "max_congestion": metrics.max_congestion,
-                "dilation_sum_equals_congestion_sum":
-                    sum(metrics.dil_per_edge.values()) == sum(metrics.cong_per_edge.values()),
             })
         payload = {"seed": seed, "samples": samples}
         if args.format == "json":
@@ -335,10 +333,12 @@ def _cmd_verify(args) -> int:
         _emit(_dump(rows), args.out)
         return EXIT_OK
     params = [key for key in rows[0] if key not in ("metric", "bound", "achieved", "sharp", "notes")]
-    header = "  ".join(f"{p:>10}" for p in params) + f"  {'bound':>6}  {'achieved':>8}  sharp"
-    lines = [header]
+    # a parameter column is 10 wide, or as wide as its longest cell or header
+    widths = [max(10, len(p), *(len(str(row[p])) for row in rows)) for p in params]
+    header = "  ".join(f"{p:>{w}}" for p, w in zip(params, widths))
+    lines = [header + f"  {'bound':>6}  {'achieved':>8}  sharp"]
     for row in rows:
-        cells = "  ".join(f"{str(row[p]):>10}" for p in params)
+        cells = "  ".join(f"{str(row[p]):>{w}}" for p, w in zip(params, widths))
         lines.append(f"{cells}  {row['bound']:>6}  {str(row['achieved']):>8}  {row['sharp']}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

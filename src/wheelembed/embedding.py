@@ -164,16 +164,34 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
 
 
 def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> EmbeddingMap:
-    """Route every guest edge on the lexicographically least shortest host path:
-    one `Graph.route_tree` per source vertex, grown until it reaches that
-    vertex's targets. The first guest edge in `edge_list()` order with an image
-    outside the host or no host path is the one reported."""
-    routes, tree_of = {}, None
+    """Route every guest edge on the lexicographically least shortest host path.
+
+    For each guest vertex u with later neighbours, one BFS from vmap[u] over
+    the sorted adjacency, grown a layer at a time until it holds every later
+    neighbour's image or the whole component; nothing outlives the call. FIFO
+    order keeps each layer in the order of its lex-least shortest paths, so a
+    vertex's first discoverer ends its own path from the source, and the
+    route is read back along the parents. The first guest edge in
+    `edge_list()` order with an image outside the host or no host path is the
+    one reported."""
+    adjacency, routes, tree_of = host.adjacency, {}, None
     for u, v in guest.edge_list():
         s, t = vmap[u], vmap[v]
         if tree_of != u:  # the edges from u are contiguous in edge_list()
             tree_of = u
-            parents = host.route_tree(s, [vmap.get(w) for w in guest.adjacency[u] if w > u])
+            if not 1 <= s <= host.order:
+                raise ValueError(f"vertex {s} outside 1..{host.order}")
+            parents, frontier = {s: s}, [s]
+            missing = [vmap.get(w) for w in guest.adjacency[u] if w > u]
+            while missing and frontier:
+                reached = []
+                for x in frontier:
+                    for w in adjacency[x]:
+                        if w not in parents:
+                            parents[w] = x
+                            reached.append(w)
+                frontier = reached
+                missing = [m for m in missing if m not in parents]
         if not 1 <= t <= host.order:
             raise ValueError(f"vertex {t} outside 1..{host.order}")
         if t not in parents:

@@ -3,16 +3,11 @@
 Vertices are numbered 1..order everywhere in this package. A Graph's fields
 are immutable after construction, which builds nothing else. Its derived
 values are built on first read and cached on the instance: the sorted
-adjacency; one ball-growth pass for every eccentricity and status (radius,
-diameter, medians), which also decides whether a graph is connected for
-them; and lexicographic BFS trees (`Graph.route_tree`) that shortest routes
-grow only as far as their targets and later calls resume. `is_connected`
-reads only the edges, through a union-find. Distance rows are not cached:
-`single_source_distances` runs one BFS per call. A cached value is
-published whole and never mutated: an extended tree is stored as a new
-value. Two threads that miss on the same slot may both compute it and store
-equivalent values, so sharing a Graph across threads stays safe; the caches
-never change `==` or `hash`.
+adjacency, and one ball-growth pass for every eccentricity and status
+(radius, diameter, medians), which also decides whether a graph is connected
+for them. `is_connected` reads only the edges, through a union-find.
+Distance rows are not cached: `single_source_distances` runs one BFS per
+call. The cached values never change `==` or `hash`.
 """
 
 from __future__ import annotations
@@ -58,40 +53,9 @@ class Graph:
         return dict(zip(self.vertices(), map(tuple, nbrs[1:])))
 
     @functools.cached_property
-    def _route_trees(self) -> list:
-        """Slot v holds the route tree from v once asked for."""
-        return [None] * (self.order + 1)
-
-    @functools.cached_property
     def _ball_pass(self) -> tuple:
         """`_ball_growth`'s result, or () on a disconnected graph."""
         return _ball_growth(self) or ()
-
-    def route_tree(self, source: int, targets: Iterable[int]) -> dict[int, int]:
-        """Parent map of a BFS from `source` over the sorted adjacency, grown a
-        layer at a time until it holds every target or the whole component.
-        FIFO order keeps each layer in the order of its lex-least shortest
-        paths, so a vertex's first discoverer ends its own path from `source`;
-        the source is its own parent."""
-        if not 1 <= source <= self.order:
-            raise ValueError(f"vertex {source} outside 1..{self.order}")
-        trees = self._route_trees
-        parents, frontier = trees[source] or ({source: source}, (source,))
-        missing = [t for t in targets if t not in parents]
-        if missing and frontier:
-            parents = dict(parents)  # a published tree is never mutated
-            adjacency = self.adjacency
-            while missing and frontier:
-                reached = []
-                for x in frontier:
-                    for w in adjacency[x]:
-                        if w not in parents:
-                            parents[w] = x
-                            reached.append(w)
-                frontier = reached
-                missing = [t for t in missing if t not in parents]
-            trees[source] = (parents, frontier)
-        return parents
 
     def vertices(self) -> range:
         return range(1, self.order + 1)

@@ -155,7 +155,8 @@ class TestEmbedAndMetrics:
         assert first == second
         payload = json.loads(first)
         assert len(payload["samples"]) == 5
-        assert all(s["dilation_sum_equals_congestion_sum"] for s in payload["samples"])
+        assert all(set(s) == {"index", "vmap", "wirelength", "max_dilation", "max_congestion"}
+                   for s in payload["samples"])
 
 
 class TestBoundAndVerify:
@@ -330,6 +331,14 @@ class TestBoundAndVerify:
         assert code == 1
         assert err == f"error: {theorem} needs --host order >= 4, got 3\n"
 
+    @pytest.mark.parametrize("theorem", ["wl-wheel", "wl-fan"])
+    def test_loaded_host_below_order_four(self, capsys, tmp_path, theorem):
+        # a loaded host meets the same least value as a swept host order
+        h = write_graph(tmp_path, complete(3), "k3.json")
+        code, out, err = run(capsys, "verify", theorem, "--host", h)
+        assert (code, out) == (1, "")
+        assert err == f"error: {theorem} needs --host order >= 4, got 3\n"
+
     @pytest.mark.parametrize("theorem", bounds_mod.THEOREM_IDS)
     def test_verify_below_the_least_value_names_the_option(self, capsys, monkeypatch,
                                                            theorem):
@@ -345,6 +354,16 @@ class TestBoundAndVerify:
             code, out, err = run(capsys, "verify", theorem, *argv)
             assert (code, out) == (1, "")
             assert err == f"error: {theorem} needs {option} >= {least}, got {value}\n"
+
+    def test_verify_text_columns_fit_their_longest_cell(self, capsys):
+        # host names grow from 15 to 16 characters; every column stays aligned
+        # up to the last one, whose cells (True, False, None) differ in length
+        code, out, _ = run(capsys, "verify", "wl-wheel", "--sweep", "9..11")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert len({len(line.rsplit("  ", 1)[0]) for line in lines}) == 1
+        assert lines[0].startswith(" " * 12 + "host")
 
     def test_verify_dilation_text_table(self, capsys):
         code, out, _ = run(capsys, "verify", "dil-hypertree", "--kind", "star",

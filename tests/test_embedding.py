@@ -116,11 +116,18 @@ class TestRouteShortestAndEvaluate:
     @pytest.mark.parametrize("vmap, bad", [
         ({1: 1, 2: 7, 3: 3, 4: 4}, 7),
         ({1: 0, 2: 2, 3: 3, 4: 4}, 0),
+        ({1: 5, 2: 6, 3: 3, 4: 4}, 5),  # both ends of (1, 2) outside: the source is named
     ])
     def test_image_outside_the_host_is_named(self, vmap, bad):
         G = cycle(4)
         with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.4$"):
             route_shortest(G, G, vmap)
+
+    def test_routing_leaves_no_per_source_state_on_the_host(self):
+        guest, host = wheel(16), circulant(16, {1, 2})
+        route_shortest(guest, host, {g: 17 - g for g in guest.vertices()})
+        # besides its fields, the host caches only its adjacency
+        assert set(vars(host)) == {"order", "edges", "name", "adjacency"}
 
     def test_evaluate_hands_out_its_own_congestion_map(self):
         G = cycle(4)

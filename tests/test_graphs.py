@@ -110,9 +110,8 @@ class TestDistanceRows:
         before = hash(G)
         assert G == H and hash(G) == hash(H)
         status_and_median(G)
-        G.route_tree(1, G.vertices())
-        assert {"adjacency", "_ball_pass", "_route_trees"} <= set(vars(G))
-        assert not {"adjacency", "_ball_pass", "_route_trees"} & set(vars(H))
+        assert {"adjacency", "_ball_pass"} <= set(vars(G))
+        assert not {"adjacency", "_ball_pass"} & set(vars(H))
         assert G == H and hash(G) == hash(H) == before
         assert len({G, H}) == 1
         assert G != circulant(8, {1, 3})
@@ -175,10 +174,6 @@ class TestDistances:
         H = hypertree(4)
         status_and_median(H)
         assert len(calls) == 2 and calls[-1] is H
-
-    def test_route_tree_rejects_bad_vertex(self):
-        with pytest.raises(ValueError, match="outside"):
-            cycle(5).route_tree(6, [1])
 
     def test_radius_rejects_disconnected(self):
         with pytest.raises(ValueError, match="connected"):
@@ -353,24 +348,6 @@ def test_ball_growth_matches_floyd_warshall(G):
 def test_ball_growth_decides_connectivity(G):
     disconnected = math.inf in brute_distances(G).values()
     assert (graphs_mod._ball_growth(G) is None) == disconnected
-
-
-@given(connected_graphs(max_order=8), st.data())
-@settings(max_examples=60)
-def test_resumed_route_tree_agrees_with_a_full_one(G, data):
-    # a tree grown in steps keeps every parent a one-step tree assigns, and
-    # no step extends a tree an earlier call returned
-    source = data.draw(st.integers(1, G.order))
-    steps = [data.draw(st.lists(st.integers(1, G.order), max_size=3)) for _ in range(2)]
-    full = build_graph(G.order, G.edges).route_tree(source, G.vertices())
-    assert len(full) == G.order
-    returned = []
-    for targets in steps + [list(G.vertices())]:
-        tree = G.route_tree(source, targets)
-        assert set(targets) <= set(tree)
-        assert all(full[w] == parent for w, parent in tree.items())
-        returned.append((tree, dict(tree)))
-    assert all(tree == snapshot for tree, snapshot in returned)
 
 
 @given(connected_graphs(max_order=8))
