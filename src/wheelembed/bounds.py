@@ -22,7 +22,7 @@ from .embedding import (
     route_shortest,
 )
 from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
-                     status_and_median)
+                     require_equal_orders, status_and_median)
 
 # the claimed-sharp theorems: id -> (the parameter of one instance, its least
 # value, the tree host kind of a dilation theorem, the options it reads besides
@@ -39,20 +39,19 @@ THEOREMS = {
     "wl-fan": ("host", 4, None, ("node_limit",)),
 }
 THEOREM_IDS = tuple(THEOREMS)
-GUEST_KINDS = ("wheel", "fan", "friendship", "star")
+# the hub-guest families, hub on vertex 1: kind -> the median construction whose
+# rim meets its wirelength bound, or None while the kind has none
+HUB_GUESTS = {"wheel": embed_wheel_via_median, "fan": embed_fan_via_median,
+              "friendship": None, "star": None}
+GUEST_KINDS = tuple(HUB_GUESTS)
+WIRELENGTH_KINDS = tuple(kind for kind, construct in HUB_GUESTS.items() if construct)
 
 
 def _hub_guest(kind: str, n: int) -> Graph:
     """The `kind` guest of order n, hub on vertex 1."""
-    if kind == "wheel":
-        return families.wheel(n)
-    if kind == "fan":
-        return families.fan(n)
-    if kind == "friendship":
-        return families.friendship((n - 1) // 2)
-    if kind == "star":
-        return families.star(n)
-    raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
+    if kind not in HUB_GUESTS:
+        raise ValueError(f"guest kind must be one of {GUEST_KINDS}, got {kind!r}")
+    return families.build_family(kind, [(n - 1) // 2 if kind == "friendship" else n])
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,6 @@ def _require_universal(G: Graph) -> None:
                          "so the hub-based bound does not apply")
 
 
-def _require_same_order(G: Graph, H: Graph) -> None:
-    if G.order != H.order:
-        raise ValueError(f"guest and host orders differ: {G.order} vs {H.order}")
-
-
 def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
     """Radius of the host bounds the dilation of any guest with a universal vertex.
 
@@ -86,7 +80,7 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
     shortest routing keeps every edge within the diameter, so any embedding
     witnesses equality.
     """
-    _require_same_order(G, H)
+    require_equal_orders(G, H)
     _require_universal(G)
     if not is_connected(H):
         raise ValueError("dilation bound requires a connected host")
@@ -104,7 +98,7 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
 
 def congestion_lower_bound(G: Graph, H: Graph) -> BoundReport:
     """ceil((n-1) / max host degree): the hub's n-1 routes share its image's edges."""
-    _require_same_order(G, H)
+    require_equal_orders(G, H)
     _require_universal(G)
     delta = max_degree(H)
     if delta == 0:
@@ -119,26 +113,25 @@ def congestion_lower_bound(G: Graph, H: Graph) -> BoundReport:
 
 def wirelength_lower_bound(kind: str, H: Graph, *,
                            node_limit: Optional[int] = None) -> BoundReport:
-    """n-1+delta(u) for wheels, n-2+delta(u) for fans, u a median of the host.
+    """delta(u) + |E(guest)| - (n-1), u a median of the host: the spokes cost
+    the status delta of the hub's image, each guest edge off the hub at least 1.
 
-    Sharp exactly when the host minus some median u has a spanning cycle
-    (wheel) or spanning path (fan): equality needs the hub on a vertex of
-    status delta and every rim edge on a single host edge. The verdict tries
-    the medians in id order and, on success, confirms the constructed
-    embedding meets the bound.
+    Sharp exactly when the host minus some median u keeps the rim, a spanning
+    cycle (wheel) or spanning path (fan): equality needs the hub on a vertex
+    of status delta and every rim edge on a single host edge. The verdict tries
+    the medians in id order through the kind's HUB_GUESTS construction and, on
+    success, confirms the constructed embedding meets the bound.
     """
-    if kind not in ("wheel", "fan"):
-        raise ValueError(f"kind must be 'wheel' or 'fan', got {kind!r}")
+    if kind not in WIRELENGTH_KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, WIRELENGTH_KINDS))}, got {kind!r}")
     try:  # the ball pass that yields the status also decides connectivity
         _, delta = status_and_median(H)
     except ValueError:
         raise ValueError("wirelength bound requires a connected host") from None
-    rim_edges = H.order - 1 if kind == "wheel" else H.order - 2
-    bound = rim_edges + delta
-    construct = embed_wheel_via_median if kind == "wheel" else embed_fan_via_median
     guest = _hub_guest(kind, H.order)
+    bound = delta + len(guest.edges) - (H.order - 1)
     try:
-        witness = construct(guest, H, node_limit=node_limit)
+        witness = HUB_GUESTS[kind](guest, H, node_limit=node_limit)
     except HostNotHamiltonianError as exc:
         return BoundReport(metric="wirelength", bound=bound, sharp=False, host=H.name,
                            notes=f"status {delta}; {exc}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional
 
-from .graphs import Graph, edge_key, status_and_median
+from .graphs import Graph, edge_key, require_equal_orders, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -46,7 +46,7 @@ class EmbeddingMap:
 
     def __post_init__(self):
         guest, host, vmap = self.guest, self.host, self.vmap
-        _require_equal_orders(guest, host)
+        require_equal_orders(guest, host)
         if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
             raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
         canonical = {}
@@ -83,12 +83,6 @@ class EmbeddingMetrics:
     max_dilation: int
     max_congestion: int
     wirelength: int
-
-
-def _require_equal_orders(guest: Graph, host: Graph) -> None:
-    if guest.order != host.order:
-        raise ValueError(
-            f"expansion-one embedding needs equal orders, got {guest.order} vs {host.order}")
 
 
 def _fold_hops(host: Graph, routes: list) -> tuple[Optional[dict], list, list]:
@@ -171,9 +165,10 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
     neighbour's image or the whole component; nothing outlives the call. FIFO
     order keeps each layer in the order of its lex-least shortest paths, so a
     vertex's first discoverer ends its own path from the source, and the
-    route is read back along the parents. The first guest edge in
-    `edge_list()` order with an image outside the host or no host path is the
-    one reported."""
+    route is read back along the parents. Unequal orders are reported first,
+    then the first guest edge in `edge_list()` order with an image outside
+    the host or no host path."""
+    require_equal_orders(guest, host)
     adjacency, routes, tree_of = host.adjacency, {}, None
     for u, v in guest.edge_list():
         s, t = vmap[u], vmap[v]
@@ -245,7 +240,7 @@ def embed_wheel_like_into_tree_host(guest: Graph, host: Graph) -> EmbeddingMap:
     level = host.order.bit_length()
     if 2 ** level - 1 != host.order or level < 3:
         raise ValueError("preorder placement needs a host of order 2**level - 1, level >= 3")
-    _require_equal_orders(guest, host)
+    require_equal_orders(guest, host)
     order = preorder_sequence(level)
     return route_shortest(guest, host, {g: order[g - 1] for g in guest.vertices()})
 
@@ -293,7 +288,7 @@ def _embed_via_median(guest: Graph, host: Graph, find, what: str,
     """Hub (guest vertex 1) on the first median, in id order, whose removal
     leaves a spanning `what` (cycle or path) that `find` returns; guest
     vertices 2..n along it, every guest edge on a shortest host path."""
-    _require_equal_orders(guest, host)
+    require_equal_orders(guest, host)
     try:  # the ball pass that yields the medians also decides connectivity
         medians, _ = status_and_median(host)
     except ValueError:

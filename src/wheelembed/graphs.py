@@ -96,6 +96,13 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]], name: str = "") ->
     return Graph(order, frozenset(canon), name)
 
 
+def require_equal_orders(guest: Graph, host: Graph) -> None:
+    """Every embedding, bound and oracle here maps guest onto host one to one."""
+    if guest.order != host.order:
+        raise ValueError(f"expansion-one embedding needs equal orders, "
+                         f"got {guest.order} vs {host.order}")
+
+
 @dataclass(frozen=True)
 class DistanceTable:
     """Hop distances between all vertex pairs; math.inf marks unreachable pairs."""

@@ -343,14 +343,15 @@ def fault_specs(G: Graph, f: int) -> Iterator[tuple[tuple, tuple]]:
     vertex count and lexicographic parts. The first failure under this order
     is the canonical certificate. A mixed set that fails an edge at one of its
     failed vertices is not yielded: it leaves the survivor graph of the
-    smaller set without that edge, which comes earlier.
+    smaller set without that edge, which comes earlier. No set is larger
+    than n + |E|, so a larger budget stops there.
     """
     if f < 0:
         raise ValueError(f"fault budget must be non-negative, got {f}")
     verts = list(G.vertices())
     edges = G.edge_list()
     yield (), ()
-    for size in range(1, f + 1):
+    for size in range(1, min(f, len(verts) + len(edges)) + 1):
         for vs in combinations(verts, size):
             yield vs, ()
         for es in combinations(edges, size):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_key, single_source_distances
+from .graphs import Graph, edge_key, require_equal_orders, single_source_distances
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
@@ -47,8 +47,7 @@ class OracleResult:
 
 def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ...]]:
     """Validate the instance; dist[a][b] is the host distance (row 0 unused)."""
-    if guest.order != host.order:
-        raise ValueError(f"guest and host orders differ: {guest.order} vs {host.order}")
+    require_equal_orders(guest, host)
     if guest.order > limit:
         raise ValueError(f"order {guest.order} exceeds the oracle limit {limit}")
     dist = [()] + [single_source_distances(host, v) for v in host.vertices()]

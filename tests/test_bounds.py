@@ -107,6 +107,12 @@ class TestWirelengthLowerBound:
         with pytest.raises(ValueError, match="kind"):
             wirelength_lower_bound("windmill", cycle(6))
 
+    @pytest.mark.parametrize("kind", ["friendship", "star"])
+    def test_guest_kind_without_a_construction(self, kind):
+        # HUB_GUESTS holds these kinds with no median construction yet
+        with pytest.raises(ValueError, match=f"^kind must be 'wheel' or 'fan', got '{kind}'$"):
+            wirelength_lower_bound(kind, cycle(7))
+
     def test_fan_on_three_vertices_meets_the_oracle(self):
         # F_3 onto K3: 3 = (3 - 2) + status 2, the exhaustive optimum; the
         # wheel's least order is the wheel family's to enforce

@@ -593,6 +593,18 @@ class TestHostileInput:
         assert_one_line_input_error(proc)
         assert "equal orders, got 16 vs 15" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--metric", "dil"], ["oracle", "--metric", "wl"],
+        ["oracle", "--metric", "ec"], ["bound", "--metric", "dil"],
+        ["bound", "--metric", "ec"], ["metrics", "--random", "2"],
+        ["embed", "--method", "identity"],
+    ], ids=" ".join)
+    def test_unequal_orders_name_one_rule(self, tmp_path, capsys, argv):
+        g = write_graph(tmp_path, wheel(9), "g.json")
+        h = write_graph(tmp_path, circulant(8, {1, 2}), "h.json")
+        assert run(capsys, *argv, "--guest", g, "--host", h) == (
+            1, "", "error: expansion-one embedding needs equal orders, got 9 vs 8\n")
+
     @pytest.mark.parametrize("metric", ["dil", "ec", "wl"])
     def test_bound_on_a_disconnected_host(self, tmp_path, metric):
         g = write_graph(tmp_path, wheel(5), "g.json")

@@ -242,9 +242,21 @@ class TestFaultEnumeration:
         assert specs[10] == ((1,), ((2, 3),))
         assert len(specs) == 12
 
-    @pytest.mark.parametrize("G, f", [(path(3), 2), (complete(5), 3), (PETERSEN, 2)])
+    @pytest.mark.parametrize("G, f", [(path(3), 2), (complete(5), 3), (PETERSEN, 2),
+                                      (complete(3), 8), (cycle(4), 10)])
     def test_no_set_fails_an_edge_at_a_failed_vertex(self, G, f):
+        # the last two budgets exceed n + |E|, past the largest fault set
         assert list(fault_specs(G, f)) == list(reference_fault_sets(G, f))
+
+    def test_a_budget_past_every_fault_set_stops_there(self, monkeypatch):
+        # K1 has two fault sets; sizes past n + |E| = 1 would each run their
+        # size - 1 mixed splits, about f**2 / 2 calls in all
+        calls = []
+        combinations = hamiltonian.combinations
+        monkeypatch.setattr(hamiltonian, "combinations",
+                            lambda *args: calls.append(args) or combinations(*args))
+        assert list(fault_specs(complete(1), 2000)) == [((), ()), ((1,), ())]
+        assert len(calls) == 2
 
     def test_budget_must_be_non_negative(self):
         with pytest.raises(ValueError):

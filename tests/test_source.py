@@ -4,9 +4,14 @@ import ast
 from pathlib import Path
 
 import wheelembed
-from wheelembed.bounds import THEOREM_IDS
+from wheelembed.bounds import GUEST_KINDS, THEOREM_IDS
 
 PACKAGE = Path(wheelembed.__file__).resolve().parent
+
+
+def _string_constants(node: ast.AST) -> list[str]:
+    return [leaf.value for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)]
 
 
 def test_no_bare_asserts_in_package():
@@ -60,9 +65,8 @@ def test_the_cli_leaves_each_theorem_to_the_bounds_table():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     assert not names & {"tree_host", "circulant", "DIL_HOST_KINDS"}
-    strings = [node.value for node in ast.walk(tree)
-               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-    assert not [s for s in strings if any(theorem in s for theorem in THEOREM_IDS)]
+    assert not [s for s in _string_constants(tree)
+                if any(theorem in s for theorem in THEOREM_IDS)]
 
 
 def test_the_constructions_build_no_graph():
@@ -72,3 +76,23 @@ def test_the_constructions_build_no_graph():
     imported = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for name in [node.module, *(alias.name for alias in node.names)]}
     assert not imported & {"families", "build_graph"}
+
+
+def test_one_function_raises_the_equal_orders_error():
+    # `graphs.require_equal_orders` is the one check every embedding, bound
+    # and oracle calls
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{func.name}" for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func) if isinstance(node, ast.Raise)
+                  and any("orders" in s for s in _string_constants(node))]
+    assert found == ["graphs.py:require_equal_orders"]
+
+
+def test_the_cli_leaves_each_guest_kind_to_the_bounds_table():
+    # `bounds.HUB_GUESTS` names the guest kinds and the kinds with a
+    # wirelength construction
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert not set(_string_constants(tree)) & set(GUEST_KINDS)
