@@ -128,7 +128,10 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
         _, delta = status_and_median(H)
     except ValueError:
         raise ValueError("wirelength bound requires a connected host") from None
-    guest = _hub_guest(kind, H.order)
+    try:  # the family owns the kind's least order
+        guest = _hub_guest(kind, H.order)
+    except ValueError as exc:
+        raise ValueError(f"wirelength bound of a {kind} guest on host {H.name!r}: {exc}") from None
     bound = delta + len(guest.edges) - (H.order - 1)
     try:
         witness = HUB_GUESTS[kind](guest, H, node_limit=node_limit)

@@ -12,12 +12,11 @@ fit.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Mapping, Optional
+from typing import Optional
 
-from .graphs import Graph, edge_key, require_equal_orders, status_and_median
+from .graphs import Graph, require_equal_orders, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -27,21 +26,70 @@ class HostNotHamiltonianError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
+class RouteForest(Mapping):
+    """Guest-edge routes stored once as a prefix forest, read as a mapping.
+
+    Node k is host vertex `vertex[k]` below node `parent[k]` (-1 at a root),
+    parents before children; the route of guest edge e runs from a root down
+    to node `ends[e]` (-1 for an empty route). Reading a key builds its route
+    tuple, and no route can be assigned through the mapping."""
+
+    parent: list[int]
+    vertex: list[int]
+    ends: dict[tuple[int, int], int]
+
+    @classmethod
+    def of(cls, routes: Mapping) -> RouteForest:
+        """`routes` itself when it is a forest, else its vertex sequences
+        inserted in order into a new forest, each shared prefix once."""
+        if isinstance(routes, cls):
+            return routes
+        parent, vertex, ends, child = [], [], {}, {}
+        for key, route in routes.items():
+            at = -1
+            for x in route:
+                if (at, x) not in child:
+                    child[at, x] = len(vertex)
+                    parent.append(at)
+                    vertex.append(x)
+                at = child[at, x]
+            ends[key] = at
+        return cls(parent, vertex, ends)
+
+    def __getitem__(self, edge: tuple[int, int]) -> tuple[int, ...]:
+        route, node = [], self.ends[edge]
+        while node >= 0:
+            route.append(self.vertex[node])
+            node = self.parent[node]
+        return tuple(reversed(route))
+
+    def __iter__(self):
+        return iter(self.ends)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """Vertex bijection plus per-guest-edge host routes, validated when built.
 
-    Routes are keyed by canonical guest edges (u, v) with u < v and stored as
+    Routes are keyed by canonical guest edges (u, v) with u < v and read as
     explicit host vertex sequences from vmap[u] to vmap[v]; congestion is
     therefore well-defined even for routings that are not shortest paths.
     Construction checks bijectivity and route wellformedness, raising on the
-    first defect, and stores a copy of `vmap`, the routes as tuples and the
-    per-host-edge loads.
+    first defect, and stores a copy of `vmap`, the routes as a `RouteForest`,
+    the node depths and the per-host-edge loads.
     """
 
     guest: Graph
     host: Graph
     vmap: Mapping[int, int]
     routes: Mapping[tuple[int, int], tuple[int, ...]]
+    _depth: list = field(init=False, repr=False)
     _loads: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -49,28 +97,27 @@ class EmbeddingMap:
         require_equal_orders(guest, host)
         if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
             raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
-        canonical = {}
-        for (u, v), route in self.routes.items():
+        forest = RouteForest.of(self.routes)
+        for u, v in forest.ends:
             if not u < v:  # else (1, 2) and (2, 1) could both route one edge
                 raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
-            canonical[u, v] = tuple(route)
-        if set(canonical) != guest.edges:
+        if set(forest.ends) != guest.edges:
             raise ValueError("routes must cover exactly the guest edges")
-        # one pass gives the loads and every route's verdicts; they are read in
+        # one walk gives the loads and every node's verdicts; they are read in
         # route order, so the first defect in route order is the one reported
-        loads, repeats, non_edges = _fold_hops(host, list(canonical.values()))
-        for ((u, v), route), repeat, hop in zip(canonical.items(), repeats, non_edges):
-            if not route:
+        first, depth, non_edge, repeats, loads = _walk_forest(host, forest)
+        for (u, v), node in forest.ends.items():
+            if node < 0:
                 raise ValueError(f"route for guest edge ({u}, {v}) is empty")
-            if route[0] != vmap[u] or route[-1] != vmap[v]:
+            if first[node] != vmap[u] or forest.vertex[node] != vmap[v]:
                 raise ValueError(f"route for guest edge ({u}, {v}) does not join its images")
-            if repeat:
+            if repeats[node]:
                 raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
-            if hop is not None:
-                raise ValueError(
-                    f"route for guest edge ({u}, {v}) uses the non-edge ({hop[0]}, {hop[1]})")
+            if non_edge[node] is not None:
+                raise ValueError(f"route for guest edge ({u}, {v}) uses the non-edge {non_edge[node]}")
         object.__setattr__(self, "vmap", dict(vmap))
-        object.__setattr__(self, "routes", canonical)
+        object.__setattr__(self, "routes", forest)
+        object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "_loads", loads)
 
 
@@ -85,75 +132,50 @@ class EmbeddingMetrics:
     wirelength: int
 
 
-def _fold_hops(host: Graph, routes: list) -> tuple[Optional[dict], list, list]:
-    """Per-host-edge loads of `routes`, and per route whether it repeats a
-    vertex and its first hop that is not a host edge (or None); the loads
-    are None when some hop is not a host edge.
-
-    Routes are read shortest first. A route that is an earlier route plus one
-    hop (its parent, looked up by first and last vertex among the routes of
-    the last shorter length) adds only that hop, and repeats a vertex when
-    its parent does or already holds its last vertex. The hops of every other
-    route go into one Counter. A hop's load is the number of routes through
-    it: read longest first, each route adds its weight (itself and its
-    extensions) to its parent's and to the hops it adds, so every
-    route-extension step is counted once."""
-    loads = {e: 0 for e in host.edges}
-    count = len(routes)
-    parent, repeats, non_edges = [-1] * count, [False] * count, [None] * count
-    order = sorted(range(count), key=lambda i: len(routes[i]))
-    walked = []  # the routes that extend no earlier route
-    shorter, ends, length = {}, {}, 0  # routes of the last shorter length and of this one, by ends
-    for i in order:
-        route = routes[i]
-        k = len(route)
-        if k != length:
-            shorter, ends, length = ends, {}, k
-        p = shorter.get((route[0], route[-2])) if k > 1 else None
-        if p is not None and routes[p] == route[:-1]:
-            a, b = route[-2], route[-1]
-            parent[i] = p
-            repeats[i] = repeats[p] or b in routes[p]
-            if edge_key(a, b) not in loads:
-                non_edges[i] = (a, b)
-        else:
-            walked.append(route)
-            repeats[i] = len(set(route)) != k
-        if k:
-            ends.setdefault((route[0], route[-1]), i)
-    hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in walked))
-    faulty = any(non_edges)
-    for hop, times in hops.items():
-        key = hop if hop in loads else hop[::-1]
-        if key not in loads:
-            faulty = True
-            break
-        loads[key] += times
-    if faulty:  # name each route's first non-edge, which an extension inherits
-        for i in order:
-            route, p = routes[i], parent[i]
-            if p >= 0:
-                non_edges[i] = non_edges[p] or non_edges[i]
-            else:
-                non_edges[i] = next(((a, b) for a, b in zip(route, route[1:])
-                                     if not host.has_edge(a, b)), None)
-        return None, repeats, non_edges
-    weight = [1] * count
-    for i in reversed(order):
-        route, p, w = routes[i], parent[i], weight[i]
+def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, list, dict]:
+    """Per node of `forest` its route's first vertex, depth, first hop off the
+    host's edges (or None) and whether it repeats a vertex; and the loads.
+    Node weights, the routes ending in each subtree, are summed toward the
+    roots; then one depth-first walk with an explicit stack enters parents
+    first, keeps the path's vertices and loads each hop with its weight."""
+    parent, vertex, count = forest.parent, forest.vertex, len(forest.vertex)
+    # slot -1 stands for the parent of the roots and the end of an empty route
+    weight, children = [0] * (count + 1), [[] for _ in range(count + 1)]
+    for node in forest.ends.values():
+        weight[node] += 1
+    for i in range(count - 1, -1, -1):
+        weight[parent[i]] += weight[i]
+        children[parent[i]].append(i)
+    loads, todo = {e: 0 for e in host.edges}, children[-1]
+    first, depth, non_edge, repeats = vertex[:], [0] * count, [None] * count, [False] * count
+    path, held = [], {}  # the current root path, and each of its vertices' first node
+    while todo:
+        i = todo.pop()
+        p, x = parent[i], vertex[i]
+        while path and path[-1] != p:
+            j = path.pop()
+            if held[vertex[j]] == j:
+                del held[vertex[j]]
         if p >= 0:
-            weight[p] += w
-            loads[edge_key(route[-2], route[-1])] += w
-        elif w > 1:  # the Counter gave each of its hops one route
-            for a, b in zip(route, route[1:]):
-                loads[edge_key(a, b)] += w - 1
-    return loads, repeats, non_edges
+            a = vertex[p]
+            first[i], depth[i], non_edge[i] = first[p], depth[p] + 1, non_edge[p]
+            key = (a, x) if a < x else (x, a)
+            if key in loads:
+                loads[key] += weight[i]
+            elif non_edge[i] is None:
+                non_edge[i] = (a, x)
+            repeats[i] = repeats[p] or x in held
+        held.setdefault(x, i)
+        path.append(i)
+        todo += children[i]
+    return first, depth, non_edge, repeats, loads
 
 
 def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
                     routes: Mapping[tuple[int, int], tuple[int, ...]]) -> EmbeddingMap:
     """The validated embedding of `vmap` and `routes`: the one entry through
-    which this package builds an `EmbeddingMap`."""
+    which this package builds an `EmbeddingMap`. A `RouteForest` is adopted
+    as is; any other mapping of vertex sequences is inserted into a new one."""
     return EmbeddingMap(guest, host, vmap, routes)
 
 
@@ -164,19 +186,21 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
     the sorted adjacency, grown a layer at a time until it holds every later
     neighbour's image or the whole component; nothing outlives the call. FIFO
     order keeps each layer in the order of its lex-least shortest paths, so a
-    vertex's first discoverer ends its own path from the source, and the
-    route is read back along the parents. Unequal orders are reported first,
-    then the first guest edge in `edge_list()` order with an image outside
-    the host or no host path."""
+    vertex's first discoverer ends its own path from the source; a target's
+    route nodes are made walking up the parents to the first vertex that has
+    one. Unequal orders are reported first, then the first guest edge in
+    `edge_list()` order with an image outside the host or no host path."""
     require_equal_orders(guest, host)
-    adjacency, routes, tree_of = host.adjacency, {}, None
+    adjacency, tree_of = host.adjacency, None
+    parent, vertex, ends = [], [], {}
     for u, v in guest.edge_list():
         s, t = vmap[u], vmap[v]
         if tree_of != u:  # the edges from u are contiguous in edge_list()
             tree_of = u
             if not 1 <= s <= host.order:
                 raise ValueError(f"vertex {s} outside 1..{host.order}")
-            parents, frontier = {s: s}, [s]
+            # route nodes by vertex; the source's parent -1 has node -1, none
+            parents, frontier, node_of = {s: -1}, [s], {-1: -1}
             missing = [vmap.get(w) for w in guest.adjacency[u] if w > u]
             while missing and frontier:
                 reached = []
@@ -191,17 +215,21 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
             raise ValueError(f"vertex {t} outside 1..{host.order}")
         if t not in parents:
             raise ValueError(f"host has no path between {s} and {t}")
-        route = [t]
-        while t != s:
+        branch = []
+        while t not in node_of:
+            branch.append(t)
             t = parents[t]
-            route.append(t)
-        routes[u, v] = tuple(reversed(route))
-    return build_embedding(guest, host, vmap, routes)
+        for x in reversed(branch):
+            parent.append(node_of[t])
+            vertex.append(x)
+            node_of[x], t = len(vertex) - 1, x
+        ends[u, v] = node_of[t]
+    return build_embedding(guest, host, vmap, RouteForest(parent, vertex, ends))
 
 
 def evaluate(emb: EmbeddingMap) -> EmbeddingMetrics:
     """Per-edge dilation and congestion; their sums coincide in the wirelength."""
-    dil = {e: len(route) - 1 for e, route in emb.routes.items()}
+    dil = {e: emb._depth[node] for e, node in emb.routes.ends.items()}
     cong = dict(emb._loads)  # the caller may mutate its copy
     return EmbeddingMetrics(
         dil_per_edge=dil,
@@ -264,23 +292,22 @@ def embed_windmill_into_circulant(guest: Graph, host: Graph) -> EmbeddingMap:
     quarter = 2 ** (n - 2)
     vmap = {x: x for x in guest.vertices()}
 
-    # routes are slices of one id tuple, so all hops share its int objects
-    # instead of allocating a fresh int per hop above 256
-    ids = tuple(range(size + 1))
-    routes: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(2, size + 1):
-        if 2 <= i <= quarter + 1:
-            route = ids[1:i + 1]                                # clockwise
-        elif 3 * quarter + 1 <= i <= size:
-            route = (1,) + ids[size:i - 1:-1]                   # anticlockwise
-        elif quarter + 2 <= i <= 2 * quarter + 1:
-            route = (1,) + ids[quarter + 1:i + 1]               # chord then clockwise
-        else:
-            route = (1,) + ids[3 * quarter + 1:i - 1:-1]        # chord then anticlockwise
-        routes[(1, i)] = route
+    # four chains below the hub: through either hub chord then along the outer
+    # cycle, and along the outer cycle either way. Spoke (1, i) ends at label
+    # i's node on the last chain that holds it; an outer edge is two nodes
+    parent, vertex, spoke = [-1], [1], {}
+    for chain in (range(quarter + 1, 2 * quarter + 2), range(3 * quarter + 1, 2 * quarter + 1, -1),
+                  range(2, quarter + 2), range(size, 3 * quarter, -1)):
+        base = len(vertex)
+        parent += [0, *range(base, base + len(chain) - 1)]
+        vertex += chain
+        spoke.update(zip(chain, range(base, len(vertex))))
+    ends = {(1, i): spoke[i] for i in range(2, size + 1)}
     for i in range(2, size - 1, 2):
-        routes[(i, i + 1)] = ids[i:i + 2]
-    return build_embedding(guest, host, vmap, routes)
+        parent += (-1, len(vertex))
+        vertex += (i, i + 1)
+        ends[i, i + 1] = len(vertex) - 1
+    return build_embedding(guest, host, vmap, RouteForest(parent, vertex, ends))
 
 
 def _embed_via_median(guest: Graph, host: Graph, find, what: str,

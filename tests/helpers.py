@@ -120,6 +120,27 @@ def reference_routes(guest: Graph, host: Graph, vmap) -> dict:
     return routes
 
 
+def windmill_four_range_routes(n: int) -> dict:
+    """The literal four-range routes of the order-2**n windmill in
+    G(2**n; +-{1, 2**(n-2)}), one tuple per guest edge: spokes clockwise,
+    anticlockwise, or through a hub chord and then along the outer cycle,
+    and every outer edge on its own host edge."""
+    size, quarter = 2 ** n, 2 ** (n - 2)
+    routes = {}
+    for i in range(2, size + 1):
+        if i <= quarter + 1:
+            routes[(1, i)] = tuple(range(1, i + 1))
+        elif i >= 3 * quarter + 1:
+            routes[(1, i)] = (1,) + tuple(range(size, i - 1, -1))
+        elif i <= 2 * quarter + 1:
+            routes[(1, i)] = (1,) + tuple(range(quarter + 1, i + 1))
+        else:
+            routes[(1, i)] = (1,) + tuple(range(3 * quarter + 1, i - 1, -1))
+    for i in range(2, size - 1, 2):
+        routes[(i, i + 1)] = (i, i + 1)
+    return routes
+
+
 def reference_is_connected(G: Graph) -> bool:
     """Connectivity by one BFS from vertex 1 over neighbour sets read off
     the edges, the reference for the union-find `is_connected`."""

@@ -115,12 +115,14 @@ class TestWirelengthLowerBound:
 
     def test_fan_on_three_vertices_meets_the_oracle(self):
         # F_3 onto K3: 3 = (3 - 2) + status 2, the exhaustive optimum; the
-        # wheel's least order is the wheel family's to enforce
+        # wheel's least order is the wheel family's to enforce, and the bound
+        # names itself and the host around the family's message
         host = complete(3)
         report = wirelength_lower_bound("fan", host)
         assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
         assert exact_wirelength(fan(3), host).optimum == 3
-        with pytest.raises(ValueError, match="^wheel needs order >= 4, got 3$"):
+        with pytest.raises(ValueError, match="^wirelength bound of a wheel guest on host "
+                                             "'complete-3': wheel needs order >= 4, got 3$"):
             wirelength_lower_bound("wheel", host)
 
     def test_sharpness_tracks_hamiltonicity_both_ways(self):

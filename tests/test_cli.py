@@ -227,7 +227,16 @@ class TestBoundAndVerify:
         assert (payload["bound"], payload["achieved"], payload["sharp"]) == (3, 3, True)
         code, out, err = run(capsys, "bound", "--metric", "wl", "--kind", "wheel", "--host", h)
         assert (code, out) == (1, "")
-        assert err == "error: wheel needs order >= 4, got 3\n"
+        assert err == ("error: wirelength bound of a wheel guest on host 'complete-3': "
+                       "wheel needs order >= 4, got 3\n")
+
+    def test_bound_wirelength_below_the_kinds_least_order_names_bound_and_host(
+            self, capsys, tmp_path):
+        h = write_graph(tmp_path, complete(1), "h.json")
+        code, out, err = run(capsys, "bound", "--metric", "wl", "--kind", "fan", "--host", h)
+        assert (code, out) == (1, "")
+        assert err == ("error: wirelength bound of a fan guest on host 'complete-1': "
+                       "fan needs order >= 3, got 1\n")
 
     def test_dilation_sweep_builds_each_tree_once(self, capsys, monkeypatch):
         levels, build = [], families_mod.hypertree

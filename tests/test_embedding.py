@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections.abc import Mapping, MutableMapping
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,12 @@ from helpers import (
     reference_fold_hops,
     reference_route_checks,
     reference_routes,
+    windmill_four_range_routes,
 )
 from wheelembed.embedding import (
     EmbeddingMap,
     HostNotHamiltonianError,
-    _fold_hops,
+    RouteForest,
     build_embedding,
     embed_fan_via_median,
     embed_wheel_like_into_tree_host,
@@ -288,23 +291,63 @@ class TestWindmillConstruction:
         with pytest.raises(ValueError, match=r"uses the non-edge \(1, 5\)"):
             embed_windmill_into_circulant(windmill(8), circulant(16, {1, 2}))
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_routes_equal_the_four_ranges(self, n):
-        size, quarter = 2 ** n, 2 ** (n - 2)
-        expected = {}
-        for i in range(2, size + 1):
-            if i <= quarter + 1:
-                expected[(1, i)] = tuple(range(1, i + 1))
-            elif i >= 3 * quarter + 1:
-                expected[(1, i)] = (1,) + tuple(range(size, i - 1, -1))
-            elif i <= 2 * quarter + 1:
-                expected[(1, i)] = (1,) + tuple(range(quarter + 1, i + 1))
-            else:
-                expected[(1, i)] = (1,) + tuple(range(3 * quarter + 1, i - 1, -1))
-        for i in range(2, size - 1, 2):
-            expected[(i, i + 1)] = (i, i + 1)
+        # the forest of chains reads back as the literal tuples, in their order
         emb = embed_windmill_into_circulant(*windmill_instance(n))
-        assert emb.routes == expected
+        expected = windmill_four_range_routes(n)
+        assert list(dict(emb.routes).items()) == list(expected.items())
+
+    def test_each_spoke_is_one_node(self):
+        # four chains below the hub, one node per spoke plus the two chord
+        # nodes, and two nodes per outer edge
+        size = 2 ** 6
+        emb = embed_windmill_into_circulant(*windmill_instance(6))
+        assert len(emb.routes.vertex) == 1 + (size - 1) + 2 + 2 * (size // 2 - 1)
+
+    def test_peak_memory_at_n_12(self):
+        # 2 104 318 route entries as tuples, 19 MB; the forest holds 8 192 nodes
+        guest, host = windmill_instance(12)
+        tracemalloc.start()
+        try:
+            embed_windmill_into_circulant(guest, host)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+
+class TestRouteForest:
+    def test_routes_view_rejects_assignment(self):
+        emb = embed_windmill_into_circulant(*windmill_instance(3))
+        assert isinstance(emb.routes, Mapping) and not isinstance(emb.routes, MutableMapping)
+        with pytest.raises(TypeError):
+            emb.routes[(1, 2)] = (1, 2)
+        with pytest.raises(TypeError):
+            del emb.routes[(1, 2)]
+        assert emb.routes[(1, 2)] == (1, 2)
+
+    def test_repr_is_the_route_dict(self):
+        G = cycle(4)
+        routes = {(1, 2): (1, 2), (1, 4): (1, 4), (2, 3): (2, 3), (3, 4): (3, 4)}
+        emb = build_embedding(G, G, identity(G), routes)
+        assert repr(emb.routes) == repr(routes)
+        assert emb.routes == routes and routes == emb.routes
+
+    def test_a_forest_is_adopted_as_is(self):
+        emb = route_shortest(wheel(8), circulant(8, {1, 2}), identity(wheel(8)))
+        again = build_embedding(emb.guest, emb.host, emb.vmap, emb.routes)
+        assert again.routes is emb.routes
+
+    def test_shared_prefixes_are_stored_once(self):
+        G = cycle(4)
+        guest = complete(4)
+        routes = {(1, 2): (1, 2), (1, 3): (1, 2, 3), (1, 4): (1, 4), (2, 3): (2, 3),
+                  (2, 4): (2, 3, 4), (3, 4): (3, 4)}
+        emb = build_embedding(guest, G, identity(G), routes)
+        # roots 1, 2, 3; below 1: 2, 3, 4; below 2: 3, 4; below 3: 4
+        assert len(emb.routes.vertex) == 9
+        assert dict(emb.routes) == routes
 
 
 class TestMedianConstructions:
@@ -546,16 +589,16 @@ def routings(draw):
 
 
 def _pass_outcome(build):
-    """The loads and every `evaluate` field in iteration order, or the
-    ValueError text."""
+    """The routes read back, the loads and every `evaluate` field in
+    iteration order, or the ValueError text."""
     try:
         emb = build()
     except ValueError as exc:
         return str(exc)
     metrics = evaluate(emb)
-    return (list(emb._loads.items()), list(metrics.dil_per_edge.items()),
-            list(metrics.cong_per_edge.items()), metrics.max_dilation,
-            metrics.max_congestion, metrics.wirelength)
+    return (list(dict(emb.routes).items()), list(emb._loads.items()),
+            list(metrics.dil_per_edge.items()), list(metrics.cong_per_edge.items()),
+            metrics.max_dilation, metrics.max_congestion, metrics.wirelength)
 
 
 def _reference_outcome(guest, host, vmap, routes):
@@ -564,44 +607,61 @@ def _reference_outcome(guest, host, vmap, routes):
     if isinstance(loads, str):
         return loads
     dil = {e: len(route) - 1 for e, route in canonical.items()}
-    return (list(loads.items()), list(dil.items()), list(loads.items()),
-            max(dil.values(), default=0), max(loads.values(), default=0), sum(dil.values()))
+    return (list(canonical.items()), list(loads.items()), list(dil.items()),
+            list(loads.items()), max(dil.values(), default=0),
+            max(loads.values(), default=0), sum(dil.values()))
 
 
 @given(routings())
 @settings(max_examples=300)
 def test_extension_pass_equals_the_counter_fold(case):
+    # the forest walk gives the loads of one Counter over every hop and the
+    # first defect in route order, from a mapping and from its forest alike
     guest, host, vmap, routes = case
-    canonical = [tuple(route) for route in routes.values()]
-    loads, repeats, non_edges = _fold_hops(host, canonical)
-    reference = reference_fold_hops(host, dict(enumerate(canonical)))
-    assert loads == reference
-    if loads is not None:
-        assert list(loads) == list(reference)
-    assert repeats == [len(set(route)) != len(route) for route in canonical]
-    assert non_edges == [next(((a, b) for a, b in zip(route, route[1:])
-                               if not host.has_edge(a, b)), None) for route in canonical]
-    assert (_pass_outcome(lambda: build_embedding(guest, host, vmap, routes))
-            == _reference_outcome(guest, host, vmap, routes))
+    expected = _reference_outcome(guest, host, vmap, routes)
+    assert _pass_outcome(lambda: build_embedding(guest, host, vmap, routes)) == expected
+    forest = RouteForest.of(routes)
+    assert _pass_outcome(lambda: build_embedding(guest, host, vmap, forest)) == expected
 
 
 def test_extension_pass_on_duplicate_and_prefix_routes():
-    # (1, 2, 3) extends (1, 2), which appears twice; (1, 2, 1) extends a
-    # repeat-free route with a vertex it holds, and (1, 2, 1, 4) extends that
-    # repeating route with a new one; (5, 1) is outside the host, (3, 1) is
-    # no edge and (3, 1, 2) extends it
-    host = cycle(4)
-    routes = [(1, 2), (1, 2, 3), (1, 2), (1,), (), (1, 2, 1), (1, 2, 1, 4),
-              (4, 3), (5, 1), (3, 1), (3, 1, 2)]
-    loads, repeats, non_edges = _fold_hops(host, routes)
-    assert loads is None
-    assert repeats == [False, False, False, False, False, True, True,
-                       False, False, False, False]
-    assert non_edges == [None, None, None, None, None, None, None,
-                         None, (5, 1), (3, 1), (3, 1)]
-    valid = routes[:8]
-    loads, _, _ = _fold_hops(host, valid)
-    assert list(loads.items()) == list(reference_fold_hops(host, dict(enumerate(valid))).items())
+    # K4 onto C4: (1, 3) and (2, 4) extend (1, 2) and (2, 3) by one hop. Each
+    # variant breaks the valid routing one way; the defect that a walk over
+    # the shared nodes finds must be the one the per-route checks name first
+    guest, host = complete(4), cycle(4)
+    vmap = identity(host)
+    valid = {(1, 2): (1, 2), (1, 3): (1, 2, 3), (1, 4): (1, 4), (2, 3): (2, 3),
+             (2, 4): (2, 3, 4), (3, 4): (3, 4)}
+    variants = [
+        {},
+        {(1, 3): (1, 2)},                          # a duplicate of (1, 2)'s route
+        {(1, 2): ()},                              # empty
+        {(2, 3): (2,)},                            # one vertex, a prefix of (2, 4)
+        {(1, 3): (1, 2, 1, 2, 3)},                 # repeats below a repeat-free prefix
+        {(1, 4): (1, 2, 1, 4)},                    # extends the repeating (1, 2, 1)
+        {(1, 3): (1, 3), (1, 4): (1, 3, 4)},       # both share the non-edge (1, 3)
+        {(3, 4): (3, 5, 4)},                       # a vertex outside the host
+        {(2, 4): (2, 3, 2, 4), (3, 4): (3, 1, 4)}, # a repeat before a later non-edge
+        {(1, 2): (1, 4, 3, 2), (2, 4): (2, 1, 4)}, # longer routes, still valid
+    ]
+    outcomes = []
+    for change in variants:
+        routes = {**valid, **change}
+        outcome = _pass_outcome(lambda: build_embedding(guest, host, vmap, routes))
+        assert outcome == _reference_outcome(guest, host, vmap, routes)
+        outcomes.append(outcome if isinstance(outcome, str) else "valid")
+    assert outcomes == [
+        "valid",
+        "route for guest edge (1, 3) does not join its images",
+        "route for guest edge (1, 2) is empty",
+        "route for guest edge (2, 3) does not join its images",
+        "route for guest edge (1, 3) repeats a vertex",
+        "route for guest edge (1, 4) repeats a vertex",
+        "route for guest edge (1, 3) uses the non-edge (1, 3)",
+        "route for guest edge (3, 4) uses the non-edge (3, 5)",
+        "route for guest edge (2, 4) repeats a vertex",
+        "valid",
+    ]
 
 
 @pytest.mark.parametrize("build", [
