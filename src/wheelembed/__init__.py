@@ -41,7 +41,6 @@ from .families import (
     x_tree,
 )
 from .graphs import (
-    DistanceTable,
     Graph,
     Shells,
     all_pairs_distances,

@@ -12,6 +12,7 @@ seeds) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -56,6 +57,13 @@ EMBED_METHODS = {
                                                    {v: v for v in guest.vertices()}),
 }
 
+# metric -> its exhaustive oracle; only ec takes --route-cap
+ORACLES = {
+    "dil": oracle.exact_dilation,
+    "ec": oracle.exact_congestion,
+    "wl": oracle.exact_wirelength,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
@@ -79,9 +87,18 @@ def _reject_unread(args, command: str, *options: str) -> None:
             raise ValueError(f"{command} does not read --{option.replace('_', '-')}")
 
 
-def _load_graph(path: str) -> Graph:
+def _read(path: str, parse):
+    """Apply `parse` to the text of the file at `path`; a decode, parse or
+    validation error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_graph(path: str) -> Graph:
+    return _read(path, graph_from_json)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -254,8 +271,7 @@ def _cmd_metrics(args) -> int:
     if args.embedding is None:
         raise ValueError("metrics needs --embedding or --random")
     _reject_unread(args, "metrics --embedding", "seed")
-    with open(args.embedding, "r", encoding="utf-8") as fh:
-        emb = embedding_from_json(guest, host, fh.read())
+    emb = _read(args.embedding, lambda text: embedding_from_json(guest, host, text))
     payload = _metrics_payload(emb)
     _emit(_dump(payload) if args.format == "json" else _metrics_text(payload), args.out)
     return EXIT_OK
@@ -384,23 +400,9 @@ def _cmd_oracle(args) -> int:
         _reject_unread(args, f"oracle --metric {args.metric}", "route_cap")
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
-    if args.metric == "dil":
-        result = oracle.exact_dilation(guest, host, args.limit, jobs=args.jobs)
-    elif args.metric == "wl":
-        result = oracle.exact_wirelength(guest, host, args.limit, jobs=args.jobs)
-    else:
-        route_cap = oracle.DEFAULT_ROUTE_CAP if args.route_cap is None else args.route_cap
-        result = oracle.exact_congestion(guest, host, args.limit,
-                                         route_cap=route_cap, jobs=args.jobs)
-    payload = {
-        "metric": result.metric,
-        "optimum": result.optimum,
-        "witness_vmap": list(result.witness_vmap),
-        "search_space": result.search_space,
-        "exact": result.exact,
-        "notes": result.notes,
-    }
-    _emit(_dump(payload), args.out)
+    cap = {} if args.route_cap is None else {"route_cap": args.route_cap}
+    result = ORACLES[args.metric](guest, host, args.limit, jobs=args.jobs, **cap)
+    _emit(_dump(dataclasses.asdict(result)), args.out)
     return EXIT_OK
 
 
@@ -413,8 +415,7 @@ def _cmd_export(args) -> int:
         if args.guest is None:
             raise ValueError("--embedding annotation needs --guest (with --graph as the host)")
         guest = _load_graph(args.guest)
-        with open(args.embedding, "r", encoding="utf-8") as fh:
-            emb = embedding_from_json(guest, G, fh.read())
+        emb = _read(args.embedding, lambda text: embedding_from_json(guest, G, text))
         congestion = dict(evaluate(emb).cong_per_edge)
     _emit(export_dot(G, congestion), args.out)
     return EXIT_OK
@@ -489,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive exact optimum over all bijections")
     p.add_argument("--guest", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--metric", required=True, choices=("dil", "ec", "wl"))
+    p.add_argument("--metric", required=True, choices=ORACLES)
     p.add_argument("--limit", type=_positive, default=oracle.DEFAULT_LIMIT)
     p.add_argument("--jobs", type=_positive, default=1, help="worker processes")
     p.add_argument("--route-cap", type=_positive,
@@ -521,6 +522,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

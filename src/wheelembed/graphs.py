@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-INFINITY = math.inf
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -104,17 +101,6 @@ def require_equal_orders(guest: Graph, host: Graph) -> None:
 
 
 @dataclass(frozen=True)
-class DistanceTable:
-    """Hop distances between all vertex pairs; math.inf marks unreachable pairs."""
-
-    order: int
-    dist: tuple[tuple[float, ...], ...]
-
-    def between(self, u: int, v: int) -> float:
-        return self.dist[u - 1][v - 1]
-
-
-@dataclass(frozen=True)
 class Shells:
     """Vertices grouped by distance from a center; layers[i] holds distance i+1."""
 
@@ -156,13 +142,11 @@ def single_source_distances(G: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def all_pairs_distances(G: Graph) -> DistanceTable:
-    """Hop distances for all pairs, one BFS per vertex, math.inf where unreachable."""
-    rows = []
-    for v in G.vertices():
-        row = single_source_distances(G, v)
-        rows.append(tuple(INFINITY if d < 0 else d for d in row[1:]))
-    return DistanceTable(G.order, tuple(rows))
+def all_pairs_distances(G: Graph) -> list[tuple[int, ...]]:
+    """Hop distances for all pairs, one BFS per vertex: row v is
+    `single_source_distances(G, v)`, so -1 marks an unreachable vertex, and
+    row 0, which names no vertex, is empty."""
+    return [()] + [single_source_distances(G, v) for v in G.vertices()]
 
 
 def is_connected(G: Graph) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, edge_key, require_equal_orders, single_source_distances
+from .graphs import Graph, all_pairs_distances, edge_key, require_equal_orders
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
@@ -33,8 +33,10 @@ class OracleResult:
     """Optimum value, lexicographically least optimal bijection, search size.
 
     `search_space` counts the leaves the search reached: complete bijections
-    that survived pruning (each routed, for congestion). With `prune=False`
-    it is n!.
+    that survived pruning (each routed, for congestion). For dilation and
+    wirelength these are the strict running minima in lexicographic order.
+    `exact` is False when the routing space was restricted, and `notes` then
+    says how. The CLI's `oracle` prints these six fields as they are.
     """
 
     metric: str
@@ -50,7 +52,7 @@ def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ..
     require_equal_orders(guest, host)
     if guest.order > limit:
         raise ValueError(f"order {guest.order} exceeds the oracle limit {limit}")
-    dist = [()] + [single_source_distances(host, v) for v in host.vertices()]
+    dist = all_pairs_distances(host)
     if min(dist[1]) < 0:
         raise ValueError("oracle requires a connected host")
     return dist
@@ -104,13 +106,14 @@ def _search(args):
     this charges the hub's spokes exactly the status of its image. Congestion
     takes the larger of the running hub bound ceil(deg_G(g)/deg_H(f(g))) and
     the wirelength bound spread over |E(H)|. A leaf's value is its cost, or
-    for congestion its best shortest-path routing. The search keeps its own
+    for congestion its best shortest-path routing (over the lex-least routes
+    alone when the route combinations exceed the cap). The search keeps its own
     stack of frames, one per placed depth, so its depth is bounded by memory,
     not by the interpreter's recursion limit. Returns (best, witness, leaves,
     capped, nodes); leaves counts every complete bijection reached (routed,
     for congestion) and nodes every push onto the stack, the root included.
     """
-    n, prior, dist, near, pending, both_free, first_images, prune, minimax, cong = args
+    n, prior, dist, near, pending, both_free, first_images, minimax, cong = args
     if cong is not None:
         hub, host_edge_count, guest_edges, route_table, route_cap = cong
     best = math.inf
@@ -164,9 +167,8 @@ def _search(args):
                 choices = [route_table[edge_key(images[u], images[v])] for u, v in guest_edges]
                 if math.prod(len(c) for c in choices) > route_cap:
                     capped = True
-                    value = _canonical_congestion(choices)
-                else:
-                    value = _min_congestion_for_choices(choices, best if prune else math.inf)
+                    choices = [c[:1] for c in choices]  # the lex-least route only
+                value = _min_congestion_for_choices(choices, best)
             if value is not None and value < best:
                 best = value
                 witness = tuple(images[1:])
@@ -189,15 +191,15 @@ def _search(args):
             limit = best
             if cong is not None:
                 top = max(hub_max, hub[k][h])
-                if prune and top >= best:
+                if top >= best:
                     continue
                 # ceil(total / |E(H)|) < best  <=>  total <= (best - 1) * |E(H)|
                 limit = (best - 1) * host_edge_count + 1
-            if prune and val >= limit:
+            if val >= limit:
                 continue
             images[k] = h
             used[h] = True
-            if not prune or below(k, val, limit):
+            if below(k, val, limit):
                 frames.append((iter(everyone), val, top))
                 nodes += 1
                 break
@@ -224,8 +226,7 @@ def _reduce(parts):
     return best, witness, leaves, capped, nodes
 
 
-def _run_partitioned(guest: Graph, dist, prune: bool, jobs: int, *,
-                     minimax: bool = False, cong=None):
+def _run_partitioned(guest: Graph, dist, jobs: int, *, minimax: bool = False, cong=None):
     """Run `_search` serially, or with one pool task per first image."""
     n = guest.order
     prior = _prior_neighbors(guest)
@@ -234,7 +235,7 @@ def _run_partitioned(guest: Graph, dist, prune: bool, jobs: int, *,
     firsts = range(1, n + 1)
 
     def make_args(hs):
-        return (n, prior, dist, near, pending, both_free, hs, prune, minimax, cong)
+        return (n, prior, dist, near, pending, both_free, hs, minimax, cong)
 
     if jobs <= 1:
         return _search(make_args(firsts))
@@ -246,20 +247,20 @@ def _run_partitioned(guest: Graph, dist, prune: bool, jobs: int, *,
 
 
 def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
-                   prune: bool = True, jobs: int = 1) -> OracleResult:
+                   jobs: int = 1) -> OracleResult:
     """Exact dil(guest, host): shortest routing makes per-edge dilation equal
     to the host distance of the images, so bijections alone decide the value."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _, _ = _run_partitioned(guest, dist, prune, jobs, minimax=True)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, jobs, minimax=True)
     return OracleResult("dilation", int(best), witness, leaves, exact=True)
 
 
 def exact_wirelength(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
-                     prune: bool = True, jobs: int = 1) -> OracleResult:
+                     jobs: int = 1) -> OracleResult:
     """Exact WL(guest, host): minimum over bijections of the summed host
     distances between adjacent images."""
     dist = _check_instance(guest, host, limit)
-    best, witness, leaves, _, _ = _run_partitioned(guest, dist, prune, jobs)
+    best, witness, leaves, _, _ = _run_partitioned(guest, dist, jobs)
     return OracleResult("wirelength", int(best), witness, leaves, exact=True)
 
 
@@ -308,18 +309,8 @@ def _min_congestion_for_choices(choices, upper: float):
     return int(best) if best < upper else None
 
 
-def _canonical_congestion(choices) -> int:
-    """Max edge load when every edge takes its first (lex-least) route."""
-    loads: dict[tuple[int, int], int] = {}
-    for c in choices:
-        for e in c[0]:
-            loads[e] = loads.get(e, 0) + 1
-    return max(loads.values(), default=0)
-
-
 def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
-                     route_cap: int = DEFAULT_ROUTE_CAP, prune: bool = True,
-                     jobs: int = 1) -> OracleResult:
+                     route_cap: int = DEFAULT_ROUTE_CAP, jobs: int = 1) -> OracleResult:
     """Minimum over bijections and per-edge shortest-path choices of the max
     edge congestion.
 
@@ -337,7 +328,7 @@ def exact_congestion(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,
     hub = [()] + [[0] + [-(guest.degree(g) // -max(host.degree(h), 1)) for h in host.vertices()]
                   for g in guest.vertices()]
     cong = (hub, max(len(host.edges), 1), guest.edge_list(), route_table, route_cap)
-    best, witness, leaves, capped, _ = _run_partitioned(guest, dist, prune, jobs, cong=cong)
+    best, witness, leaves, capped, _ = _run_partitioned(guest, dist, jobs, cong=cong)
 
     tree_host = len(host.edges) == host.order - 1  # the host is connected
     exact = tree_host and not capped

@@ -1,14 +1,14 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
-from wheelembed import oracle as oracle_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
 from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
 
@@ -157,8 +157,8 @@ def reference_is_connected(G: Graph) -> bool:
 
 
 def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
-    """Wrap the BFS kernel in `graphs` and in `oracle`, which imports it by
-    name; the returned list collects (graph, source) per run.
+    """Wrap the BFS kernel in `graphs`, whose all-pairs rows the oracle
+    reads; the returned list collects (graph, source) per run.
 
     The graphs stay referenced, so `id` tells distinct instances apart."""
     runs: list[tuple[Graph, int]] = []
@@ -168,8 +168,7 @@ def record_bfs(monkeypatch) -> list[tuple[Graph, int]]:
         runs.append((G, source))
         return kernel(G, source)
 
-    for module in (graphs_mod, oracle_mod):
-        monkeypatch.setattr(module, "single_source_distances", recording)
+    monkeypatch.setattr(graphs_mod, "single_source_distances", recording)
     return runs
 
 
@@ -182,10 +181,10 @@ def hop_congestion(emb) -> dict[tuple[int, int], int]:
     return cong
 
 
-def reference_fold_hops(host: Graph, routes) -> dict | None:
+def reference_hop_loads(host: Graph, routes) -> dict | None:
     """Per-host-edge loads of the `routes` mapping from one Counter of all
-    their hops, the fold that the route-extension pass replaced; None when
-    some hop is not a host edge."""
+    their hops, the reference for the route forest's loads; None when some
+    hop is not a host edge."""
     hops = Counter(chain.from_iterable(zip(route, route[1:]) for route in routes.values()))
     loads = {e: 0 for e in host.edges}
     for hop, count in hops.items():
@@ -200,7 +199,7 @@ def reference_route_checks(host: Graph, vmap, routes):
     """Loads of canonical `routes` by the reference fold, or the ValueError
     text of the first defect in route order: within a route the empty,
     join, repeated-vertex and non-edge checks, in that order."""
-    loads = reference_fold_hops(host, routes)
+    loads = reference_hop_loads(host, routes)
     for (u, v), route in routes.items():
         if not route:
             return f"route for guest edge ({u}, {v}) is empty"
@@ -238,6 +237,43 @@ def brute_running_minima(guest: Graph, host: Graph, minimax: bool):
         if value < best:
             count, best, witness = count + 1, value, images
     return count, best, witness
+
+
+def brute_shortest_routes(G: Graph, a: int, b: int) -> list[tuple[int, ...]]:
+    """Every shortest a-b path of G as a vertex sequence, in lexicographic
+    order: all permutations of the other vertices at the Floyd-Warshall
+    distance, filtered."""
+    length = brute_distances(G)[(a, b)]
+    others = [v for v in G.vertices() if v not in (a, b)]
+    seqs = [(a, *middle, b) for middle in permutations(others, length - 1)]
+    return sorted(seq for seq in seqs if all(G.has_edge(x, y) for x, y in zip(seq, seq[1:])))
+
+
+def brute_min_congestion(choices) -> int:
+    """The least max edge load over every combination of one route (a
+    collection of host edges) per entry of `choices`, by itertools.product."""
+    return min(max(Counter(chain.from_iterable(combo)).values(), default=0)
+               for combo in product(*choices))
+
+
+def brute_congestion(guest: Graph, host: Graph, route_cap: int):
+    """Walk all bijections in lexicographic order; route each guest edge on a
+    shortest host path from its smaller image to its larger one, trying every
+    combination, or only each edge's lex-least path when the combinations
+    exceed `route_cap`. Return the least max edge load and the first
+    bijection attaining it."""
+    routes = {(a, b): [{edge_key(x, y) for x, y in zip(seq, seq[1:])}
+                       for seq in brute_shortest_routes(host, a, b)]
+              for a, b in combinations(host.vertices(), 2)}
+    best, witness = float("inf"), None
+    for images in permutations(host.vertices()):
+        choices = [routes[edge_key(images[u - 1], images[v - 1])] for u, v in guest.edges]
+        if math.prod(len(c) for c in choices) > route_cap:
+            choices = [c[:1] for c in choices]
+        value = brute_min_congestion(choices)
+        if value < best:
+            best, witness = value, images
+    return best, witness
 
 
 def reference_fault_sets(G: Graph, f: int):

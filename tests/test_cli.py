@@ -642,6 +642,34 @@ class TestHostileInput:
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", ["not json", '{"order": 2, "edges": [[1, 1]]}'],
+                         ids=["parse", "validation"])
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--guest", "G", "--host", "BAD", "--metric", "dil"),
+    ("oracle", "--guest", "BAD", "--host", "G", "--metric", "wl"),
+    ("metrics", "--guest", "G", "--host", "G", "--embedding", "BAD"),
+    ("export", "--graph", "G", "--guest", "G", "--embedding", "BAD"),
+], ids=["oracle-host", "oracle-guest", "metrics-embedding", "export-embedding"])
+def test_the_file_that_failed_to_load_is_named(capsys, tmp_path, argv, text):
+    files = {"G": write_graph(tmp_path, wheel(6), "good.json"), "BAD": str(tmp_path / "bad.json")}
+    (tmp_path / "bad.json").write_text(text)
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith(f"error: {files['BAD']}: ")
+    assert files["G"] not in err
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("gen", "wheel", "1000000000000"), "wheel"),
+    (("verify", "dil-hypertree", "--level", "40"), "hypertree"),
+])
+def test_out_of_memory_is_one_line(capsys, monkeypatch, argv, family):
+    def exhausted(*_):
+        raise MemoryError
+    monkeypatch.setitem(families_mod._SINGLE_PARAM, family, exhausted)
+    assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("metrics", "--guest", "G", "--host", "G", "--random", "1", "--embedding", "M"),
      "metrics --random does not read --embedding"),

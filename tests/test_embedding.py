@@ -11,7 +11,7 @@ from helpers import (
     connected_graphs,
     graphs,
     hop_congestion,
-    reference_fold_hops,
+    reference_hop_loads,
     reference_route_checks,
     reference_routes,
     windmill_four_range_routes,
@@ -89,9 +89,9 @@ class TestRouteShortestAndEvaluate:
     def test_routes_are_shortest(self):
         guest, host = wheel(9), torus([3, 3])
         emb = route_shortest(guest, host, identity(guest))
-        table = all_pairs_distances(host)
+        dist = all_pairs_distances(host)
         for (u, v), route in emb.routes.items():
-            assert len(route) - 1 == table.between(emb.vmap[u], emb.vmap[v])
+            assert len(route) - 1 == dist[emb.vmap[u]][emb.vmap[v]]
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="orders"):
@@ -426,9 +426,9 @@ def test_double_counting_identity_on_seeded_random_embeddings():
 def test_shortest_routing_meets_distance_lower_bound(host):
     guest = cycle(host.order) if host.order >= 3 else host
     emb = route_shortest(guest, host, identity(guest))
-    table = all_pairs_distances(host)
+    dist = all_pairs_distances(host)
     for (u, v), d in evaluate(emb).dil_per_edge.items():
-        assert d == table.between(emb.vmap[u], emb.vmap[v])
+        assert d == dist[emb.vmap[u]][emb.vmap[v]]
 
 
 @st.composite
@@ -673,6 +673,6 @@ def test_extension_pass_pins_large_instances(build):
     spokes = {route for (u, _), route in emb.routes.items() if u == 1}
     # every spoke route but the shortest extends another by one hop
     assert sum(route[:-1] in spokes for route in spokes) >= len(spokes) - 4
-    reference = reference_fold_hops(emb.host, emb.routes)
+    reference = reference_hop_loads(emb.host, emb.routes)
     assert list(emb._loads.items()) == list(reference.items())
     assert evaluate(emb).cong_per_edge == hop_congestion(emb)

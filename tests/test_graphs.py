@@ -77,6 +77,9 @@ class TestDistanceRows:
         G = build_graph(4, [(1, 2), (2, 3)])
         assert single_source_distances(G, 1) == (0, 0, 1, 2, -1)
         assert single_source_distances(G, 4) == (0, -1, -1, -1, 0)
+        # the all-pairs rows stack them under an empty row 0
+        assert all_pairs_distances(G) == [(), *(single_source_distances(G, v)
+                                               for v in G.vertices())]
 
     def test_row_rejects_bad_vertex(self):
         with pytest.raises(ValueError, match="outside"):
@@ -86,7 +89,7 @@ class TestDistanceRows:
 
     def test_rows_are_computed_once(self, monkeypatch):
         # radius and medians come from the ball pass, a shell reads the row
-        # of its center, and the all-pairs table one row per vertex
+        # of its center, and the all-pairs rows one row per vertex
         runs = record_bfs(monkeypatch)
         G = hypertree(4)
         radius_diameter(G)
@@ -136,18 +139,18 @@ class TestDistanceRows:
 
 class TestDistances:
     def test_cycle_distance(self):
-        table = all_pairs_distances(cycle(5))
-        assert table.between(1, 3) == 2
-        assert table.between(1, 4) == 2
+        dist = all_pairs_distances(cycle(5))
+        assert dist[1][3] == 2
+        assert dist[1][4] == 2
 
     def test_hypertree_root_row(self):
-        table = all_pairs_distances(hypertree(4))
-        assert max(table.dist[0]) == 3
+        dist = all_pairs_distances(hypertree(4))
+        assert max(dist[1]) == 3
 
-    def test_disconnected_pair_is_infinite(self):
-        table = all_pairs_distances(build_graph(2, []))
-        assert table.between(1, 2) == math.inf
-        assert table.between(1, 1) == 0
+    def test_disconnected_pair_is_unreachable(self):
+        dist = all_pairs_distances(build_graph(2, []))
+        assert dist[1][2] == dist[2][1] == -1
+        assert dist[1][1] == 0
 
     def test_radius_diameter_path(self):
         assert radius_diameter(path(5)) == (2, 4)
@@ -278,17 +281,14 @@ class TestJsonRoundTrip:
 @settings(max_examples=80)
 def test_rows_match_floyd_warshall(G):
     oracle = brute_distances(G)
-    table = all_pairs_distances(G)
+    dist = all_pairs_distances(G)
     for u in G.vertices():
         row = single_source_distances(G, u)
         assert row[0] == 0 and len(row) == G.order + 1
+        assert dist[u] == row
         for v in G.vertices():
             expected = oracle[(u, v)]
-            if expected == math.inf:
-                assert row[v] == -1
-                assert table.between(u, v) == math.inf
-            else:
-                assert row[v] == table.between(u, v) == expected
+            assert row[v] == (-1 if expected == math.inf else expected)
     assert is_connected(G) == (math.inf not in oracle.values())
 
 
@@ -305,26 +305,25 @@ def test_union_find_connectivity_matches_bfs(G):
 @given(graphs(max_order=7))
 @settings(max_examples=60)
 def test_distances_symmetric_and_triangular(G):
-    table = all_pairs_distances(G)
+    dist = all_pairs_distances(G)
     oracle = brute_distances(G)
     for u in G.vertices():
-        assert table.between(u, u) == 0
+        assert dist[u][u] == 0
         for v in G.vertices():
-            assert table.between(u, v) == table.between(v, u) == oracle[(u, v)]
+            assert dist[u][v] == dist[v][u] == (-1 if oracle[(u, v)] == math.inf
+                                                else oracle[(u, v)])
             for w in G.vertices():
-                lhs = table.between(u, w)
-                rhs = table.between(u, v) + table.between(v, w)
-                if rhs != math.inf:
-                    assert lhs <= rhs
+                if dist[u][v] >= 0 and dist[v][w] >= 0:
+                    assert 0 <= dist[u][w] <= dist[u][v] + dist[v][w]
 
 
 @given(connected_graphs(max_order=8))
 @settings(max_examples=60)
 def test_shell_status_matches_distance_sums(G):
-    table = all_pairs_distances(G)
+    dist = all_pairs_distances(G)
     medians, delta = status_and_median(G)
     for u in G.vertices():
-        total = sum(table.dist[u - 1])
+        total = sum(dist[u])
         assert shells(G, u).status == total
         assert (total == delta) == (u in medians)
 

@@ -1,12 +1,19 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_running_minima, connected_graphs, shallow_recursion_limit
+from helpers import (
+    brute_congestion,
+    brute_min_congestion,
+    brute_running_minima,
+    connected_graphs,
+    shallow_recursion_limit,
+)
 from wheelembed.embedding import embed_wheel_like_into_tree_host, evaluate, route_shortest
 from wheelembed.families import (
     circulant,
@@ -27,7 +34,9 @@ from wheelembed.families import (
 )
 from wheelembed.graphs import all_pairs_distances, build_graph
 from wheelembed.oracle import (
+    DEFAULT_ROUTE_CAP,
     _check_instance,
+    _min_congestion_for_choices,
     _run_partitioned,
     exact_congestion,
     exact_dilation,
@@ -77,10 +86,10 @@ class TestExactWirelength:
     def test_never_beats_distance_sums(self):
         # for any fixed bijection, shortest routing equals the image distance sum
         guest, host = star(6), cycle(6)
-        table = all_pairs_distances(host)
+        dist = all_pairs_distances(host)
         result = exact_wirelength(guest, host)
         best_by_hand = min(
-            sum(table.between(images[0], images[g - 1]) for g in range(2, 7))
+            sum(dist[images[0]][images[g - 1]] for g in range(2, 7))
             for images in __import__("itertools").permutations(range(1, 7))
         )
         assert result.optimum == best_by_hand
@@ -114,19 +123,21 @@ class TestExactCongestion:
 
 class TestRouteCapFallback:
     """Bijections whose shortest-route product exceeds `route_cap` are
-    routed canonically; the result then says so and is not exact."""
+    routed on each edge's lex-least route; the result then says so and is
+    not exact."""
 
     @pytest.mark.parametrize("guest,host", [
         (star(6), cycle(6)),
         (wheel(6), circulant(6, {1, 2})),
+        # a 4-cycle plus a pendant: the lex-least routes give 4, the
+        # lex-greatest ones 5
+        (complete(5), build_graph(5, [(1, 2), (1, 5), (2, 4), (3, 5), (4, 5)])),
     ])
     def test_capped_search_agrees_across_modes(self, guest, host):
         capped = exact_congestion(guest, host, route_cap=1)
         assert not capped.exact
         assert "route-combination cap 1" in capped.notes
-        free = exact_congestion(guest, host, route_cap=1, prune=False)
-        assert (free.optimum, free.witness_vmap) == (capped.optimum, capped.witness_vmap)
-        assert free.search_space == 720
+        assert brute_congestion(guest, host, 1) == (capped.optimum, capped.witness_vmap)
         parallel = exact_congestion(guest, host, route_cap=1, jobs=2)
         assert (parallel.optimum, parallel.witness_vmap, parallel.notes) == (
             capped.optimum, capped.witness_vmap, capped.notes)
@@ -148,17 +159,14 @@ class TestOracleExhaustiveCongestion:
     def test_matches_recorded_output(self, guest, host, name):
         expected = json.loads((EXPECTED / f"{name}.out").read_text())
         result = exact_congestion(guest, host)
-        assert {
-            "metric": result.metric,
-            "optimum": result.optimum,
-            "witness_vmap": list(result.witness_vmap),
-            "search_space": result.search_space,
-            "exact": result.exact,
-            "notes": result.notes,
-        } == expected
+        assert {**vars(result), "witness_vmap": list(result.witness_vmap)} == expected
 
 
 class TestDeterminismAndPruning:
+    """The pruned search against brute force over every bijection in
+    lexicographic order: `brute_running_minima` for dilation and wirelength,
+    `brute_congestion` under the same route cap for congestion."""
+
     INSTANCES = [
         (cycle(5), cycle(5)),
         (star(5), path(5)),
@@ -166,24 +174,26 @@ class TestDeterminismAndPruning:
         (cycle(6), circulant(6, {1, 2})),
     ]
 
+    @staticmethod
+    def assert_matches_brute_force(guest, host, route_cap=DEFAULT_ROUTE_CAP):
+        for runner, minimax in ((exact_dilation, True), (exact_wirelength, False)):
+            result = runner(guest, host)
+            assert (result.optimum, result.witness_vmap) == brute_running_minima(
+                guest, host, minimax)[1:]
+        result = exact_congestion(guest, host, route_cap=route_cap)
+        assert (result.optimum, result.witness_vmap) == brute_congestion(
+            guest, host, route_cap)
+
     @pytest.mark.parametrize("guest,host", INSTANCES)
     def test_pruned_equals_unpruned(self, guest, host):
-        for runner in (exact_dilation, exact_wirelength, exact_congestion):
-            pruned = runner(guest, host, prune=True)
-            free = runner(guest, host, prune=False)
-            assert pruned.optimum == free.optimum
-            assert pruned.witness_vmap == free.witness_vmap
+        self.assert_matches_brute_force(guest, host)
 
     @given(st.integers(3, 6).flatmap(
-        lambda n: st.tuples(connected_graphs(n, n), connected_graphs(n, n))))
+        lambda n: st.tuples(connected_graphs(n, n), connected_graphs(n, n))),
+        st.sampled_from([1, 2, 4, DEFAULT_ROUTE_CAP]))
     @settings(max_examples=50, deadline=None)
-    def test_pruning_never_changes_the_answer(self, pair):
-        guest, host = pair
-        for runner in (exact_dilation, exact_wirelength, exact_congestion):
-            pruned = runner(guest, host, prune=True)
-            free = runner(guest, host, prune=False)
-            assert (pruned.optimum, pruned.witness_vmap) == (free.optimum, free.witness_vmap)
-        assert exact_congestion(guest, host, prune=False).search_space == math.factorial(guest.order)
+    def test_pruning_never_changes_the_answer(self, pair, route_cap):
+        self.assert_matches_brute_force(*pair, route_cap)
 
     @given(st.integers(3, 7).flatmap(
         lambda n: st.tuples(connected_graphs(n, n), connected_graphs(n, n))))
@@ -194,16 +204,9 @@ class TestDeterminismAndPruning:
         # whatever admissible bound prunes above them
         guest, host = pair
         for runner, minimax in ((exact_dilation, True), (exact_wirelength, False)):
-            count, best, witness = brute_running_minima(guest, host, minimax)
-            pruned = runner(guest, host)
-            free = runner(guest, host, prune=False)
-            assert (pruned.search_space, free.search_space) == (count, math.factorial(guest.order))
-            for result in (pruned, free):
-                assert (result.optimum, result.witness_vmap) == (best, witness)
-
-    def test_unpruned_search_space_is_factorial(self):
-        result = exact_wirelength(cycle(5), cycle(5), prune=False)
-        assert result.search_space == 120
+            result = runner(guest, host)
+            assert (result.search_space, result.optimum, result.witness_vmap) == (
+                brute_running_minima(guest, host, minimax))
 
     @pytest.mark.parametrize("guest,host", INSTANCES[:2])
     def test_parallel_matches_serial(self, guest, host):
@@ -239,7 +242,44 @@ class TestAssignmentBound:
     ])
     def test_node_count(self, guest, host, minimax, nodes):
         dist = _check_instance(guest, host, guest.order)
-        assert _run_partitioned(guest, dist, True, 1, minimax=minimax)[4] == nodes
+        assert _run_partitioned(guest, dist, 1, minimax=minimax)[4] == nodes
+
+
+def random_choices(rng, edges, routes):
+    """Up to `edges` guest edges, each with 1..`routes` routes, a route
+    being 1..3 distinct edges of K5."""
+    pairs = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    return [[tuple(rng.sample(pairs, rng.randint(1, 3))) for _ in range(rng.randint(1, routes))]
+            for _ in range(rng.randint(0, edges))]
+
+
+class TestCongestionLeaf:
+    """The one congestion leaf search, capped leaves included, against
+    brute force over every route combination."""
+
+    @pytest.mark.parametrize("routes", [1, 3], ids=["one-route-per-edge", "up-to-three"])
+    def test_matches_product_brute_force(self, routes):
+        rng = random.Random(routes)
+        for _ in range(200):
+            choices = random_choices(rng, 6, routes)
+            upper = rng.choice([math.inf, rng.randint(1, 4)])
+            optimum = brute_min_congestion(choices)
+            expected = optimum if optimum < upper else None
+            assert _min_congestion_for_choices(choices, upper) == expected
+
+    def test_upper_at_or_below_the_optimum_gives_none(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            choices = random_choices(rng, 6, 3)
+            optimum = brute_min_congestion(choices)
+            assert _min_congestion_for_choices(choices, math.inf) == optimum
+            for upper in range(optimum + 1):
+                assert _min_congestion_for_choices(choices, upper) is None
+
+    def test_no_edges_give_zero(self):
+        assert _min_congestion_for_choices([], math.inf) == 0
+        assert _min_congestion_for_choices([], 1) == 0
+        assert _min_congestion_for_choices([], 0) is None
 
 
 class TestDeeperThanTheRecursionLimit:
