@@ -7,7 +7,6 @@ closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import families
@@ -21,8 +20,8 @@ from .embedding import (
     evaluate,
     route_shortest,
 )
-from .graphs import (Graph, has_universal_vertex, is_connected, max_degree, radius_diameter,
-                     require_equal_orders, status_and_median)
+from .graphs import (Graph, Record, has_universal_vertex, is_connected, max_degree,
+                     radius_diameter, require_equal_orders, status_and_median)
 
 # the claimed-sharp theorems: id -> (the parameter of one instance, its least
 # value, the tree host kind of a dilation theorem, the options it reads besides
@@ -54,17 +53,19 @@ def _hub_guest(kind: str, n: int) -> Graph:
     return families.build_family(kind, [(n - 1) // 2 if kind == "friendship" else n])
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A lower bound, the value a construction achieved, and the verdict."""
+class BoundReport(Record):
+    """A lower bound, the value a construction achieved, and the verdict.
 
-    metric: str
-    bound: int
-    achieved: Optional[int] = None
-    sharp: Optional[bool] = None
-    witness: Optional[EmbeddingMap] = field(default=None, compare=False, repr=False)
-    notes: str = ""
-    host: str = ""  # the host's name
+    The `witness` embedding takes no part in `==`, `hash` or the repr, and
+    `host` is the host's name."""
+
+    _fields = ("metric", "bound", "achieved", "sharp", "notes", "host")
+
+    def __init__(self, metric: str, bound: int, achieved: Optional[int] = None,
+                 sharp: Optional[bool] = None, witness: Optional[EmbeddingMap] = None,
+                 notes: str = "", host: str = ""):
+        vars(self).update(metric=metric, bound=bound, achieved=achieved, sharp=sharp,
+                          witness=witness, notes=notes, host=host)
 
 
 def _require_universal(G: Graph) -> None:

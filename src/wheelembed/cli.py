@@ -12,7 +12,6 @@ seeds) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -402,7 +401,7 @@ def _cmd_oracle(args) -> int:
     host = _load_graph(args.host)
     cap = {} if args.route_cap is None else {"route_cap": args.route_cap}
     result = ORACLES[args.metric](guest, host, args.limit, jobs=args.jobs, **cap)
-    _emit(_dump(dataclasses.asdict(result)), args.out)
+    _emit(_dump(vars(result)), args.out)
     return EXIT_OK
 
 

@@ -13,10 +13,9 @@ fit.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Graph, require_equal_orders, status_and_median
+from .graphs import Graph, Record, require_equal_orders, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -25,18 +24,17 @@ class HostNotHamiltonianError(ValueError):
     the median construction (and wirelength equality) is unattainable."""
 
 
-@dataclass(frozen=True, eq=False)
-class RouteForest(Mapping):
+class RouteForest(Mapping, Record):
     """Guest-edge routes stored once as a prefix forest, read as a mapping.
 
     Node k is host vertex `vertex[k]` below node `parent[k]` (-1 at a root),
     parents before children; the route of guest edge e runs from a root down
     to node `ends[e]` (-1 for an empty route). Reading a key builds its route
-    tuple, and no route can be assigned through the mapping."""
+    tuple, and no route can be assigned through the mapping. Mapping comes
+    first, so a forest compares as a mapping and is unhashable."""
 
-    parent: list[int]
-    vertex: list[int]
-    ends: dict[tuple[int, int], int]
+    def __init__(self, parent: list[int], vertex: list[int], ends: dict[tuple[int, int], int]):
+        vars(self).update(parent=parent, vertex=vertex, ends=ends)
 
     @classmethod
     def of(cls, routes: Mapping) -> RouteForest:
@@ -73,8 +71,7 @@ class RouteForest(Mapping):
         return repr(dict(self))
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingMap:
+class EmbeddingMap(Record):
     """Vertex bijection plus per-guest-edge host routes, validated when built.
 
     Routes are keyed by canonical guest edges (u, v) with u < v and read as
@@ -82,22 +79,19 @@ class EmbeddingMap:
     therefore well-defined even for routings that are not shortest paths.
     Construction checks bijectivity and route wellformedness, raising on the
     first defect, and stores a copy of `vmap`, the routes as a `RouteForest`,
-    the node depths and the per-host-edge loads.
+    the node depths and the per-host-edge loads. Embeddings compare by
+    identity.
     """
 
-    guest: Graph
-    host: Graph
-    vmap: Mapping[int, int]
-    routes: Mapping[tuple[int, int], tuple[int, ...]]
-    _depth: list = field(init=False, repr=False)
-    _loads: dict = field(init=False, repr=False)
+    _fields = ("guest", "host", "vmap", "routes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        guest, host, vmap = self.guest, self.host, self.vmap
+    def __init__(self, guest: Graph, host: Graph, vmap: Mapping[int, int],
+                 routes: Mapping[tuple[int, int], tuple[int, ...]]):
         require_equal_orders(guest, host)
         if sorted(vmap) != list(guest.vertices()) or sorted(vmap.values()) != list(host.vertices()):
             raise ValueError("vmap must be a bijection from guest vertices onto host vertices")
-        forest = RouteForest.of(self.routes)
+        forest = RouteForest.of(routes)
         for u, v in forest.ends:
             if not u < v:  # else (1, 2) and (2, 1) could both route one edge
                 raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
@@ -115,21 +109,23 @@ class EmbeddingMap:
                 raise ValueError(f"route for guest edge ({u}, {v}) repeats a vertex")
             if non_edge[node] is not None:
                 raise ValueError(f"route for guest edge ({u}, {v}) uses the non-edge {non_edge[node]}")
-        object.__setattr__(self, "vmap", dict(vmap))
-        object.__setattr__(self, "routes", forest)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_loads", loads)
+        vars(self).update(guest=guest, host=host, vmap=dict(vmap), routes=forest,
+                          _depth=depth, _loads=loads)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingMetrics:
-    """Per-edge dilation and congestion together with their maxima and sum."""
+class EmbeddingMetrics(Record):
+    """Per-edge dilation and congestion together with their maxima and sum;
+    compared by identity."""
 
-    dil_per_edge: Mapping[tuple[int, int], int]
-    cong_per_edge: Mapping[tuple[int, int], int]
-    max_dilation: int
-    max_congestion: int
-    wirelength: int
+    _fields = ("dil_per_edge", "cong_per_edge", "max_dilation", "max_congestion", "wirelength")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, dil_per_edge: Mapping[tuple[int, int], int],
+                 cong_per_edge: Mapping[tuple[int, int], int], max_dilation: int,
+                 max_congestion: int, wirelength: int):
+        vars(self).update(dil_per_edge=dil_per_edge, cong_per_edge=cong_per_edge,
+                          max_dilation=max_dilation, max_congestion=max_congestion,
+                          wirelength=wirelength)
 
 
 def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, list, dict]:

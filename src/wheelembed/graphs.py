@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -23,8 +22,41 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable record: `__init__` stores the fields in the instance
+    `__dict__`, and assigning or deleting an attribute raises AttributeError.
+
+    `_fields` names, in order, the fields that the repr shows and that `==`
+    and `hash` compare between records of one class; a field it leaves out
+    is stored but takes no part. A record compared by identity restores
+    object's `__eq__` and `__hash__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class Graph(Record):
     """Simple undirected graph on vertices 1..order.
 
     `edges` holds canonical (u, v) pairs with u < v. The `name` tag is a
@@ -32,12 +64,13 @@ class Graph:
     built on first read, maps every vertex to its sorted neighbor tuple.
     """
 
-    order: int
-    edges: frozenset[tuple[int, int]]
-    name: str = field(default="", compare=False)
+    # neither `name` nor the cached properties are in _fields, so equality and
+    # hash ignore them; each cached property is stored in the instance
+    # __dict__ on first read
+    _fields = ("order", "edges")
 
-    # cached properties are not fields, so equality and hash ignore them;
-    # each is stored in the instance __dict__ on first read
+    def __init__(self, order: int, edges: frozenset[tuple[int, int]], name: str = ""):
+        vars(self).update(order=order, edges=edges, name=name)
 
     @functools.cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -100,12 +133,13 @@ def require_equal_orders(guest: Graph, host: Graph) -> None:
                          f"got {guest.order} vs {host.order}")
 
 
-@dataclass(frozen=True)
-class Shells:
+class Shells(Record):
     """Vertices grouped by distance from a center; layers[i] holds distance i+1."""
 
-    center: int
-    layers: tuple[frozenset[int], ...]
+    _fields = ("center", "layers")
+
+    def __init__(self, center: int, layers: tuple[frozenset[int], ...]):
+        vars(self).update(center=center, layers=layers)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)

@@ -40,28 +40,28 @@ report returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import Graph, edge_key
+from .graphs import Graph, Record, edge_key
 
 
 class SearchBudgetExceeded(RuntimeError):
     """A search hit its node-expansion cap; the outcome is inconclusive, not false."""
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """A concrete set of failed vertices and failed edges: the certificate of
     a failing fault sweep."""
 
-    vertices: frozenset[int] = frozenset()
-    edges: frozenset[tuple[int, int]] = frozenset()
+    _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[int] = frozenset(),
+                 edges: frozenset[tuple[int, int]] = frozenset()):
+        vars(self).update(vertices=vertices, edges=edges)
 
 
-@dataclass(frozen=True)
-class HamiltonicityReport:
+class HamiltonicityReport(Record):
     """Outcome of a fault-tolerance query.
 
     For a true cycle verdict, `witness` is the spanning cycle of the
@@ -73,10 +73,13 @@ class HamiltonicityReport:
     the vertex pair with no spanning path.
     """
 
-    verdict: bool
-    witness: Optional[tuple[int, ...]] = None
-    failing_fault: Optional[FaultSpec] = None
-    failing_pair: Optional[tuple[int, int]] = None
+    _fields = ("verdict", "witness", "failing_fault", "failing_pair")
+
+    def __init__(self, verdict: bool, witness: Optional[tuple[int, ...]] = None,
+                 failing_fault: Optional[FaultSpec] = None,
+                 failing_pair: Optional[tuple[int, int]] = None):
+        vars(self).update(verdict=verdict, witness=witness, failing_fault=failing_fault,
+                          failing_pair=failing_pair)
 
 
 class _Budget:

@@ -20,16 +20,14 @@ lexicographic order, whichever admissible bound prunes above them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import Graph, all_pairs_distances, edge_key, require_equal_orders
+from .graphs import Graph, Record, all_pairs_distances, edge_key, require_equal_orders
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Optimum value, lexicographically least optimal bijection, search size.
 
     `search_space` counts the leaves the search reached: complete bijections
@@ -39,12 +37,12 @@ class OracleResult:
     says how. The CLI's `oracle` prints these six fields as they are.
     """
 
-    metric: str
-    optimum: int
-    witness_vmap: tuple[int, ...]
-    search_space: int
-    exact: bool
-    notes: str = ""
+    _fields = ("metric", "optimum", "witness_vmap", "search_space", "exact", "notes")
+
+    def __init__(self, metric: str, optimum: int, witness_vmap: tuple[int, ...],
+                 search_space: int, exact: bool, notes: str = ""):
+        vars(self).update(metric=metric, optimum=optimum, witness_vmap=witness_vmap,
+                          search_space=search_space, exact=exact, notes=notes)
 
 
 def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ...]]:
