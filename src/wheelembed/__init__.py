@@ -19,7 +19,6 @@ from .embedding import (
     embed_wheel_via_median,
     embed_windmill_into_circulant,
     evaluate,
-    preorder_sequence,
     route_shortest,
 )
 from .families import (
@@ -58,7 +57,6 @@ from .hamiltonian import (
     FaultSpec,
     HamiltonicityReport,
     SearchBudgetExceeded,
-    fault_specs,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
     is_f_fault_hamiltonian,

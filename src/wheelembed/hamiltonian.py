@@ -2,10 +2,12 @@
 
 One backtracking search, `_spanning`, answers cycle and path queries alike,
 with reachability and anchor-degree pruning on bitmasks: a survivor graph is
-a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff edge
-vw survives) plus a mask of surviving vertices, and the unvisited set is one
-int. Below the root, cycle and fixed-end path queries re-check the degree of
-only the vertices that lost a usable neighbour.
+a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff vw
+is an edge of G that did not fail) plus a mask `alive` of surviving
+vertices, and the unvisited set is one int. A failed vertex only clears its
+bit in `alive`; the rows keep it, and every read of a row is masked by a
+subset of `alive`. Below the root, cycle and fixed-end path queries re-check
+the degree of only the vertices that lost a usable neighbour.
 
 The reachability test asks, at a node whose path ends at `cur`, whether
 G[unvisited + cur] is connected. The root floods every unvisited vertex. A
@@ -30,12 +32,19 @@ graph), then the search; only the search spends budget.
 
 Both fault sweeps are one loop, `_sweep`, over the (vertices, edges) tuple
 pairs of `fault_specs`: one cycle query per set, or one path query per
-surviving pair. It skips a query whose survivor graph keeps a cycle (or u-v
-path) found for an earlier set with the same failed vertices; only passing
-queries are skipped, so every report is that of one search per query. The
-path queries of one set read the colour classes of its survivor graph,
-found once for the set. A `FaultSpec` is built only for the failing set a
-report returns.
+surviving pair. It keeps every walk it finds as one int of edge bits and
+skips a query that a kept walk answers without a failed edge of its set: a
+u-v path for the same failed vertices, or a cycle for the same failed
+vertices. A new path also yields its Pósa rotations, one per edge of G from
+an end to a vertex other than its path neighbour, each kept under its own
+end pair. A cycle kept for failed vertices X also answers X plus a vertex w,
+by its shortcut past w, when the cycle has at least 4 vertices and w's two
+cycle neighbours are adjacent in G; a shortcut that answers a query is kept
+as a cycle too, and cycle sweeps keep each cycle's vertex order for this.
+Only passing queries are skipped and the fault-free set is searched first,
+so every report is that of one search per query. The path queries of one set
+read the colour classes of its survivor graph, found once for the set. A
+`FaultSpec` is built only for the failing set a report returns.
 """
 
 from __future__ import annotations
@@ -119,20 +128,23 @@ def _masks(G: Graph) -> list[int]:
 
 def _survivors(G: Graph, base: list[int], without_vertices=(),
                without_edges=()) -> tuple[list[int], int]:
-    """G's neighbour masks `base` minus the faults, and the surviving vertices."""
-    adj = base[:]
-    for u, v in without_edges:
-        if edge_key(u, v) not in G.edges:
-            raise ValueError(f"failed edge ({u}, {v}) is not an edge of the graph")
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
+    """G's neighbour masks `base` minus the failed edges, and the surviving
+    vertices. A failed vertex only leaves `alive`: the rows keep its bit, and
+    every reader masks them with a subset of `alive`. The rows are copied
+    only when an edge fails, so `base` itself may come back."""
+    adj = base
+    if without_edges:
+        adj = base[:]
+        for u, v in without_edges:
+            if edge_key(u, v) not in G.edges:
+                raise ValueError(f"failed edge ({u}, {v}) is not an edge of the graph")
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
     alive = (1 << (G.order + 1)) - 2
-    if without_vertices:
-        for v in without_vertices:
-            if not 1 <= v <= G.order:
-                raise ValueError(f"vertex {v} outside 1..{G.order}")
-            alive &= ~(1 << v)
-        adj = [m & alive for m in adj]  # a failed vertex's own row is never read
+    for v in without_vertices:
+        if not 1 <= v <= G.order:
+            raise ValueError(f"vertex {v} outside 1..{G.order}")
+        alive &= ~(1 << v)
     return adj, alive
 
 
@@ -256,8 +268,8 @@ def _path_search(adj, alive, budget, ends=None, classes=None) -> Optional[list[i
 def _colour_classes(adj, alive) -> tuple:
     """The colour classes (larger first) of a connected bipartite survivor
     graph, as two masks; () when it is not connected or not bipartite.
-    Breadth-first layers alternate classes; an edge inside one layer closes
-    an odd cycle."""
+    Breadth-first layers, inside `alive`, alternate classes; an edge inside
+    one layer closes an odd cycle."""
     layer = alive & -alive
     seen, sides = layer, [0, 0]
     while layer:
@@ -269,7 +281,7 @@ def _colour_classes(adj, alive) -> tuple:
             rest ^= low
         if reached & layer:
             return ()
-        layer = reached & ~seen
+        layer = reached & alive & ~seen
         seen |= layer
         sides.reverse()
     if seen != alive:
@@ -351,9 +363,9 @@ def fault_specs(G: Graph, f: int) -> Iterator[tuple[tuple, tuple]]:
     """
     if f < 0:
         raise ValueError(f"fault budget must be non-negative, got {f}")
+    yield (), ()
     verts = list(G.vertices())
     edges = G.edge_list()
-    yield (), ()
     for size in range(1, min(f, len(verts) + len(edges)) + 1):
         for vs in combinations(verts, size):
             yield vs, ()
@@ -366,23 +378,67 @@ def fault_specs(G: Graph, f: int) -> Iterator[tuple[tuple, tuple]]:
                     yield vs, es
 
 
+def _known_cycle(found, vs, failed, bits) -> bool:
+    """Does a cycle found earlier survive the failed vertices `vs` and the
+    failed edge bits `failed`? Either one kept for `vs` itself, or the
+    shortcut of one kept for `vs` minus a vertex w: when that cycle has at
+    least 4 vertices and w's two neighbours on it are adjacent in G, their
+    edge skips w. A shortcut that survives is kept for `vs` in turn."""
+    for walk, _ in found.get(vs, ()):
+        if not walk & failed:
+            return True
+    for i, w in enumerate(vs):
+        for walk, order in found.get(vs[:i] + vs[i + 1:], ()):
+            if len(order) < 4:
+                continue
+            j = order.index(w)
+            a, b = order[j - 1], order[j + 1 - len(order)]
+            chord = bits.get((a, b))
+            if chord:
+                walk += chord - bits[a, w] - bits[w, b]
+                if not walk & failed:
+                    found.setdefault(vs, []).append((walk, order[:j] + order[j + 1:]))
+                    return True
+    return False
+
+
+def _rotations(path, walk, bits, adj, alive):
+    """(end, end, edge bits) of every Pósa rotation of `path`, whose edge
+    bits are `walk`. An edge (t, p_i) of G at the end t = p_k gives the path
+    p_0..p_i, t, p_(k-1)..p_(i+1), which ends at p_0 and p_(i+1); the end
+    p_0 rotates alike."""
+    for p in (path, path[::-1]):
+        s, t = p[0], p[-1]
+        rest = adj[t] & alive & ~(1 << p[-2])
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            after = p[p.index(v) + 1]
+            yield s, after, walk - bits[v, after] + bits[t, v]
+
+
 def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> HamiltonicityReport:
     """Query each fault set in canonical order: a spanning cycle (pair None),
     or with `pairs` a spanning u-v path per surviving pair. The first failure
     is the certificate and the first fault-free query gives the witness. A
-    query is skipped when a cycle or path found for the same failed vertices
-    and pair avoids its failed edges (only sets that fail edges come later).
-    The pairs of one fault set share one colouring of its survivor graph."""
+    query is skipped when a walk found earlier answers it: a cycle (or its
+    shortcut past one more failed vertex, see `_known_cycle`), or a path or
+    Pósa rotation for the same failed vertices and pair, that avoids the
+    query's failed edges. The pairs of one fault set share one colouring of
+    its survivor graph."""
     witness = bits = None
     base = _masks(G)
-    found: dict = {}  # (failed vertices, pair) -> cycles or paths, as sums of edge bits
+    # cycles: failed vertices -> (edge bits, vertex order) per cycle;
+    # paths: (failed vertices, pair) -> edge bits per path
+    found: dict = {}
     for vs, es in fault_specs(G, f):
         failed = sum(map(bits.get, es)) if bits else 0
-        queries = combinations([v for v in G.vertices() if v not in vs], 2) if pairs else [None]
+        queries = combinations([v for v in G.vertices() if v not in vs], 2) if pairs else (None,)
         adj = None
         for pair in queries:
-            walks = found.setdefault((vs, pair), [])
-            if any(not w & failed for w in walks):
+            if (_known_cycle(found, vs, failed, bits) if pair is None
+                    else any(not walk & failed for walk in found.get((vs, pair), ()))):
                 continue
             if adj is None:
                 adj, alive = _survivors(G, base, vs, es)
@@ -396,8 +452,14 @@ def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> Hamilton
             if witness is None and not (vs or es):
                 witness = tuple(walk)
             bits = bits or _witness_bits(G)
-            closing = walk[:1] if pair is None else []
-            walks.append(sum(map(bits.get, zip(walk, walk[1:] + closing))))
+            if pair is None:
+                cycle = sum(map(bits.get, zip(walk, walk[1:] + walk[:1])))
+                found.setdefault(vs, []).append((cycle, walk))
+                continue
+            edges = sum(map(bits.get, zip(walk, walk[1:])))
+            found.setdefault((vs, pair), []).append(edges)
+            for u, v, rotated in _rotations(walk, edges, bits, base, alive):
+                found.setdefault((vs, (u, v) if u < v else (v, u)), []).append(rotated)
     return HamiltonicityReport(True, witness, None)
 
 

@@ -403,7 +403,7 @@ def reference_cycle_search(adj, alive, budget):
     rest = alive
     while rest:
         low = rest & -rest
-        a = adj[low.bit_length() - 1]
+        a = adj[low.bit_length() - 1] & alive  # rows keep the bits of failed vertices
         if a & (a - 1) == 0:
             return None  # a vertex with fewer than two neighbors
         rest ^= low

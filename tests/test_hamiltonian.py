@@ -25,10 +25,13 @@ from wheelembed.hamiltonian import (
     _Budget,
     _colour_classes,
     _cycle_search,
+    _known_cycle,
     _masks,
     _parity_allows,
     _path_search,
+    _rotations,
     _survivors,
+    _witness_bits,
     fault_specs,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
@@ -189,7 +192,7 @@ NODE_BUDGETS = [
                                       without_edges=[(13, 15), (15, 16)], node_limit=L),
      32, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
     ("ftrace1-circulant16",
-     lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 624, True),
+     lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 536, True),
     ("fham1-torus3x3",
      lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 13, True),
     # needs the closing-edge test of the cycle search to stay at 23
@@ -496,6 +499,111 @@ def test_fault_sweeps_match_the_reference(G, f, traceable):
         reference_fault_sweep(G, f, traceable)
 
 
+def labelled_graphs(max_order):
+    """Every labelled graph on 1..max_order vertices, one per edge subset."""
+    for n in range(1, max_order + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("traceable", [False, True], ids=["hamiltonian", "traceable"])
+def test_sweep_differential_on_every_graph_up_to_5_vertices(traceable, f):
+    # exhaustive where the property test above samples: skipping what found
+    # walks, their Pósa rotations and cycle shortcuts answer must leave every
+    # report that of one search per query
+    sweep = is_f_fault_traceable if traceable else is_f_fault_hamiltonian
+    for G in labelled_graphs(5):
+        report = sweep(G, f)
+        assert (report.verdict, report.witness, report.failing_fault, report.failing_pair) == \
+            reference_fault_sweep(G, f, traceable), sorted(G.edges)
+
+
+def edges_of(walk, bits):
+    """The edges whose bits make up `walk`."""
+    return {e for e, bit in bits.items() if e[0] < e[1] and walk & bit}
+
+
+def test_a_shortcut_answers_only_sets_whose_failed_edges_it_avoids():
+    # the cycle 1-2-3-4-5 of K5, kept for no failed vertex, skips 2 by the
+    # edge (1, 3); the shortcut 1-3-4-5 answers vertex 2 with an edge off it
+    G = complete(5)
+    bits = _witness_bits(G)
+    order = [1, 2, 3, 4, 5]
+    walk = sum(bits[e] for e in zip(order, order[1:] + order[:1]))
+    shortcut = walk - bits[1, 2] - bits[2, 3] + bits[1, 3]
+    for failed_edge, answered in (((1, 3), False), ((4, 5), False), ((1, 4), True)):
+        found = {(): [(walk, order)]}
+        assert _known_cycle(found, (2,), bits[failed_edge], bits) == answered
+        assert found.get((2,)) == ([(shortcut, [1, 3, 4, 5])] if answered else None)
+    # kept for vertex 2, the shortcut answers it again only without its edges
+    assert _known_cycle(found, (2,), bits[3, 5], bits)
+    assert not _known_cycle(found, (2,), bits[3, 4], bits)
+    # a shortcut of a triangle is no cycle
+    triangle = [1, 2, 3]
+    found = {(): [(sum(bits[e] for e in [(1, 2), (2, 3), (3, 1)]), triangle)]}
+    assert not _known_cycle(found, (2,), 0, bits)
+
+
+@given(connected_graphs(min_order=2, max_order=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_rotation_is_a_spanning_path_between_its_ends(G, data):
+    paths = list(brute_spanning_paths(G))
+    assume(paths)
+    path = list(data.draw(st.sampled_from(paths)))
+    bits = _witness_bits(G)
+    walk = sum(bits[e] for e in zip(path, path[1:]))
+    rotations = list(_rotations(path, walk, bits, _masks(G), (1 << G.order + 1) - 2))
+    # one per edge from either end to a vertex other than its path neighbour
+    degree = {v: sum(G.has_edge(v, w) for w in G.vertices()) for v in G.vertices()}
+    assert len(rotations) == degree[path[0]] + degree[path[-1]] - 2
+    for u, v, rotated in rotations:
+        assert any({p[0], p[-1]} == {u, v} and edges_of(rotated, bits)
+                   == {edge_key(a, b) for a, b in zip(p, p[1:])} for p in paths)
+
+
+def count_searches(monkeypatch) -> list[int]:
+    """A one-item list that counts the cycle and path searches a sweep runs."""
+    calls = [0]
+    for name in ("_cycle_search", "_path_search"):
+        def counting(*args, search=getattr(hamiltonian, name)):
+            calls[0] += 1
+            return search(*args)
+        monkeypatch.setattr(hamiltonian, name, counting)
+    return calls
+
+
+# the searches a true sweep still runs; fewer means that more queries are
+# answered by walks found earlier. Reusing a walk only for the same failed
+# vertices and pair, without rotations or shortcuts, ran 512, 312, 183, 2645
+# and 9396
+SWEEP_SEARCHES = [
+    ("fham3-complete9", lambda: is_f_fault_hamiltonian(complete(9), 3), 82),
+    ("fham2-circulant16", lambda: is_f_fault_hamiltonian(_input("circulant-16-1-2-4"), 2), 68),
+    ("fham2-circulant12", lambda: is_f_fault_hamiltonian(_input("circulant-12-1-2-3"), 2), 33),
+    ("ftrace1-circulant16", lambda: is_f_fault_traceable(circulant(16, {1, 2}), 1), 975),
+    ("ftrace1-circulant24", lambda: is_f_fault_traceable(circulant(24, {1, 2}), 1), 3827),
+]
+
+
+@pytest.mark.parametrize("sweep, searches", [row[1:] for row in SWEEP_SEARCHES],
+                         ids=[row[0] for row in SWEEP_SEARCHES])
+def test_a_sweep_searches_only_what_no_found_walk_answers(sweep, searches, monkeypatch):
+    calls = count_searches(monkeypatch)
+    assert sweep().verdict
+    assert calls == [searches]
+
+
+def test_the_two_fault_census_searches_49463_cycles(monkeypatch):
+    # every connected labelled graph on at most six vertices, as in the
+    # benchmark's census job; 64600 searches without cycle shortcuts
+    calls = count_searches(monkeypatch)
+    verdicts = [is_f_fault_hamiltonian(G, 2).verdict
+                for G in labelled_graphs(6) if is_connected(G)]
+    assert (len(verdicts), sum(verdicts), calls) == (27476, 77, [49463])
+
+
 def test_a_traceable_sweep_colours_each_survivor_graph_once(monkeypatch):
     # every pair of a fault set reads the same colour classes; a set whose
     # pairs are all answered by earlier paths builds no survivor graph
@@ -508,7 +616,7 @@ def test_a_traceable_sweep_colours_each_survivor_graph_once(monkeypatch):
     G = circulant(16, {1, 2})
     assert is_f_fault_traceable(G, 1).verdict
     assert len(list(fault_specs(G, 1))) == 49
-    assert len(coloured) == len(built) == len(set(built)) == 48
+    assert len(coloured) == len(built) == len(set(built)) == 47
 
 
 @pytest.mark.parametrize("sweep", [is_f_fault_hamiltonian, is_f_fault_traceable])
