@@ -13,6 +13,8 @@ fit.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import chain
+from operator import ne
 from typing import Optional
 
 from .graphs import Graph, Record, require_equal_orders, status_and_median
@@ -95,7 +97,7 @@ class EmbeddingMap(Record):
         for u, v in forest.ends:
             if not u < v:  # else (1, 2) and (2, 1) could both route one edge
                 raise ValueError(f"route key ({u}, {v}) is not a guest edge (u, v) with u < v")
-        if set(forest.ends) != guest.edges:
+        if forest.ends.keys() != guest.edges:
             raise ValueError("routes must cover exactly the guest edges")
         # one walk gives the loads and every node's verdicts; they are read in
         # route order, so the first defect in route order is the one reported
@@ -132,21 +134,28 @@ def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, li
     """Per node of `forest` its route's first vertex, depth, first hop off the
     host's edges (or None) and whether it repeats a vertex; and the loads.
     Node weights, the routes ending in each subtree, are summed toward the
-    roots; then one depth-first walk with an explicit stack enters parents
-    first, keeps the path's vertices and loads each hop with its weight."""
+    roots, and each node's children are linked in id order through flat
+    first-child and next-sibling lists; then one depth-first walk with an
+    explicit stack enters parents first, keeps the path's vertices and loads
+    each hop with its weight."""
     parent, vertex, count = forest.parent, forest.vertex, len(forest.vertex)
-    # slot -1 stands for the parent of the roots and the end of an empty route
-    weight, children = [0] * (count + 1), [[] for _ in range(count + 1)]
+    # slot -1 stands for the parent of the roots and the end of an empty route,
+    # and -1 for no child or no next sibling
+    weight, first_child, next_sibling = [0] * (count + 1), [-1] * (count + 1), [-1] * count
     for node in forest.ends.values():
         weight[node] += 1
     for i in range(count - 1, -1, -1):
-        weight[parent[i]] += weight[i]
-        children[parent[i]].append(i)
-    loads, todo = {e: 0 for e in host.edges}, children[-1]
+        p = parent[i]
+        weight[p] += weight[i]
+        next_sibling[i], first_child[p] = first_child[p], i
+    loads, todo = {e: 0 for e in host.edges}, [first_child[-1]]
     first, depth, non_edge, repeats = vertex[:], [0] * count, [None] * count, [False] * count
     path, held = [], {}  # the current root path, and each of its vertices' first node
     while todo:
         i = todo.pop()
+        if i < 0:
+            continue
+        todo += next_sibling[i], first_child[i]  # i's subtree before its next sibling
         p, x = parent[i], vertex[i]
         while path and path[-1] != p:
             j = path.pop()
@@ -163,7 +172,6 @@ def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, li
             repeats[i] = repeats[p] or x in held
         held.setdefault(x, i)
         path.append(i)
-        todo += children[i]
     return first, depth, non_edge, repeats, loads
 
 
@@ -189,7 +197,8 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
     require_equal_orders(guest, host)
     adjacency, tree_of = host.adjacency, None
     parent, vertex, ends = [], [], {}
-    for u, v in guest.edge_list():
+    for edge in guest.edge_list():  # the guest's own tuples are the route keys
+        u, v = edge
         s, t = vmap[u], vmap[v]
         if tree_of != u:  # the edges from u are contiguous in edge_list()
             tree_of = u
@@ -219,7 +228,7 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
             parent.append(node_of[t])
             vertex.append(x)
             node_of[x], t = len(vertex) - 1, x
-        ends[u, v] = node_of[t]
+        ends[edge] = node_of[t]
     return build_embedding(guest, host, vmap, RouteForest(parent, vertex, ends))
 
 
@@ -291,18 +300,31 @@ def embed_windmill_into_circulant(guest: Graph, host: Graph) -> EmbeddingMap:
     # four chains below the hub: through either hub chord then along the outer
     # cycle, and along the outer cycle either way. Spoke (1, i) ends at label
     # i's node on the last chain that holds it; an outer edge is two nodes
-    parent, vertex, spoke = [-1], [1], {}
-    for chain in (range(quarter + 1, 2 * quarter + 2), range(3 * quarter + 1, 2 * quarter + 1, -1),
-                  range(2, quarter + 2), range(size, 3 * quarter, -1)):
+    parent, vertex = [-1], [1]
+    for labels in (range(quarter + 1, 2 * quarter + 2), range(3 * quarter + 1, 2 * quarter + 1, -1),
+                   range(2, quarter + 2), range(size, 3 * quarter, -1)):
         base = len(vertex)
-        parent += [0, *range(base, base + len(chain) - 1)]
-        vertex += chain
-        spoke.update(zip(chain, range(base, len(vertex))))
-    ends = {(1, i): spoke[i] for i in range(2, size + 1)}
-    for i in range(2, size - 1, 2):
+        parent += [0, *range(base, base + len(labels) - 1)]
+        vertex += labels
+    spoke = [0] * (size + 1)  # by label; the hub's entry is never read
+    for node, i in enumerate(vertex):
+        spoke[i] = node
+
+    # the windmill's edges in sorted order: the spokes, then the outer edges.
+    # The guest's own edge tuples are the route keys when they are these; any
+    # other guest gets these, which validation finds do not cover its edges
+    def windmill_edges():
+        return chain(((1, i) for i in range(2, size + 1)),
+                     ((i, i + 1) for i in range(2, size - 1, 2)))
+
+    keys = guest.edge_list()
+    if len(keys) != 3 * size // 2 - 2 or any(map(ne, keys, windmill_edges())):
+        keys = list(windmill_edges())
+    ends = dict(zip(keys, spoke[2:]))
+    for key in keys[size - 1:]:
         parent += (-1, len(vertex))
-        vertex += (i, i + 1)
-        ends[i, i + 1] = len(vertex) - 1
+        vertex += key
+        ends[key] = len(vertex) - 1
     return build_embedding(guest, host, vmap, RouteForest(parent, vertex, ends))
 
 

@@ -106,10 +106,12 @@ class Graph(Record):
 
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
-    """Validate vertex range, self-loops and duplicates, then build a Graph."""
+    """Validate vertex range, self-loops and duplicates, then build a Graph
+    whose edge tuples all hold one shared int object per vertex id."""
     # type() rather than isinstance(): bool subclasses int, and JSON true is no vertex id
     if type(order) is not int or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
+    ids = list(range(order + 1))  # ints above 256 are new objects wherever they are made
     canon: set[tuple[int, int]] = set()
     for pair in edges:
         u, v = pair
@@ -119,7 +121,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]], name: str = "") ->
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{order}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
-        key = edge_key(u, v)
+        key = edge_key(ids[u], ids[v])
         if key in canon:
             raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
         canon.add(key)
@@ -260,8 +262,18 @@ def shells(G: Graph, center: int) -> Shells:
     return Shells(center, tuple(frozenset(layer) for layer in layers))
 
 
+def _degrees(G: Graph) -> list[int]:
+    """Degrees indexed by vertex (index 0 holds 0), counted from the edges
+    without building the adjacency."""
+    degrees = [0] * (G.order + 1)
+    for u, v in G.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
 def max_degree(G: Graph) -> int:
-    return max((G.degree(v) for v in G.vertices()), default=0)
+    return max(_degrees(G))
 
 
 def has_universal_vertex(G: Graph) -> Optional[int]:
@@ -269,8 +281,9 @@ def has_universal_vertex(G: Graph) -> Optional[int]:
 
     Existence is equivalent to domination number 1.
     """
+    degrees = _degrees(G)
     for v in G.vertices():
-        if G.degree(v) == G.order - 1:
+        if degrees[v] == G.order - 1:
             return v
     return None
 

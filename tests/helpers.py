@@ -195,6 +195,42 @@ def reference_hop_loads(host: Graph, routes) -> dict | None:
     return loads
 
 
+def reference_walk_forest(host: Graph, forest):
+    """`embedding._walk_forest` with one list of children per node, the
+    reference for its flat first-child and next-sibling links: per node the
+    first vertex, depth, first non-edge hop and repeat flag, then the loads."""
+    parent, vertex, count = forest.parent, forest.vertex, len(forest.vertex)
+    weight, children = [0] * (count + 1), [[] for _ in range(count + 1)]
+    for node in forest.ends.values():
+        weight[node] += 1
+    for i in range(count - 1, -1, -1):
+        weight[parent[i]] += weight[i]
+        children[parent[i]].append(i)
+    loads, todo = {e: 0 for e in host.edges}, children[-1]
+    first, depth, non_edge, repeats = vertex[:], [0] * count, [None] * count, [False] * count
+    path, held = [], {}
+    while todo:
+        i = todo.pop()
+        p, x = parent[i], vertex[i]
+        while path and path[-1] != p:
+            j = path.pop()
+            if held[vertex[j]] == j:
+                del held[vertex[j]]
+        if p >= 0:
+            a = vertex[p]
+            first[i], depth[i], non_edge[i] = first[p], depth[p] + 1, non_edge[p]
+            key = edge_key(a, x)
+            if key in loads:
+                loads[key] += weight[i]
+            elif non_edge[i] is None:
+                non_edge[i] = (a, x)
+            repeats[i] = repeats[p] or x in held
+        held.setdefault(x, i)
+        path.append(i)
+        todo += children[i]
+    return first, depth, non_edge, repeats, loads
+
+
 def reference_route_checks(host: Graph, vmap, routes):
     """Loads of canonical `routes` by the reference fold, or the ValueError
     text of the first defect in route order: within a route the empty,

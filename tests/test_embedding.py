@@ -14,12 +14,14 @@ from helpers import (
     reference_hop_loads,
     reference_route_checks,
     reference_routes,
+    reference_walk_forest,
     windmill_four_range_routes,
 )
 from wheelembed.embedding import (
     EmbeddingMap,
     HostNotHamiltonianError,
     RouteForest,
+    _walk_forest,
     build_embedding,
     embed_fan_via_median,
     embed_wheel_like_into_tree_host,
@@ -315,6 +317,15 @@ class TestWindmillConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: embed_windmill_into_circulant(*windmill_instance(5)),
+    lambda: embed_wheel_like_into_tree_host(fan(31), hypertree(5)),
+], ids=["windmill-5", "fan-hypertree-5"])
+def test_route_keys_are_the_guest_edge_tuples(build):
+    emb = build()
+    assert sorted(map(id, emb.routes.ends)) == sorted(map(id, emb.guest.edges))
 
 
 class TestRouteForest:
@@ -662,6 +673,58 @@ def test_extension_pass_on_duplicate_and_prefix_routes():
         "route for guest edge (2, 4) repeats a vertex",
         "valid",
     ]
+
+
+@st.composite
+def random_forests(draw):
+    """A host, a guest of its order, a bijection and a random route forest:
+    each node hangs below a root or an earlier node, on a host neighbour of
+    its parent's vertex at a drawn rate and else on any vertex (one past the
+    host included). Each guest edge ends, at a drawn rate, at a node whose
+    route joins its images if one does, and else at a random node or on an
+    empty route. So routes share prefixes, repeat vertices and take
+    non-edges."""
+    host = draw(graphs(min_order=2, max_order=7))
+    guest = draw(graphs(min_order=host.order, max_order=host.order))
+    rng = draw(st.randoms(use_true_random=False))
+    along = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    joins = draw(st.sampled_from((0.0, 0.8, 1.0)))
+    images = list(host.vertices())
+    rng.shuffle(images)
+    parent, vertex = [], []
+    for k in range(rng.randrange(4 * host.order)):
+        parent.append(rng.randrange(-1, k))
+        near = host.adjacency.get(vertex[parent[k]], ()) if parent[k] >= 0 else ()
+        if near and rng.random() < along:
+            vertex.append(rng.choice(near))
+        else:
+            vertex.append(rng.randrange(1, host.order + 2))
+    vmap = dict(zip(guest.vertices(), images))
+    first = []  # each node's root vertex
+    for k, p in enumerate(parent):
+        first.append(first[p] if p >= 0 else vertex[k])
+    ends = {}
+    for u, v in guest.edge_list():
+        joining = [k for k in range(len(vertex))
+                   if (first[k], vertex[k]) == (vmap[u], vmap[v])]
+        ends[u, v] = (rng.choice(joining) if joining and rng.random() < joins
+                      else rng.randrange(-1, len(vertex)))
+    return guest, host, vmap, RouteForest(parent, vertex, ends)
+
+
+@given(random_forests() | routings())
+@settings(max_examples=300)
+def test_walk_forest_equals_the_children_list_walk(case):
+    # every node's verdicts and the loads, in their order, and the first
+    # defect that build_embedding reports, on random forests and on the
+    # forests of routings along random trees
+    guest, host, vmap, routes = case
+    forest = RouteForest.of(routes)
+    walked, expected = _walk_forest(host, forest), reference_walk_forest(host, forest)
+    assert walked[:4] == expected[:4]
+    assert list(walked[4].items()) == list(expected[4].items())
+    assert (_pass_outcome(lambda: build_embedding(guest, host, vmap, forest))
+            == _reference_outcome(guest, host, vmap, dict(forest)))
 
 
 @pytest.mark.parametrize("build", [

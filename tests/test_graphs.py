@@ -14,7 +14,8 @@ from helpers import (
     sparse_graphs,
 )
 from wheelembed import graphs as graphs_mod
-from wheelembed.families import circulant, cycle, generalized_petersen, hypertree, path, star, wheel
+from wheelembed.families import (circulant, cycle, generalized_petersen, hypertree, path, star,
+                                 wheel, windmill)
 from wheelembed.graphs import (
     Graph,
     all_pairs_distances,
@@ -256,6 +257,17 @@ class TestDegrees:
         assert has_universal_vertex(G) is None
 
 
+@pytest.mark.parametrize("build", [
+    lambda: circulant(600, {1, 7}),
+    lambda: graph_from_json(graph_to_json(circulant(600, {1, 7}))),
+    lambda: windmill(300),
+], ids=["circulant-600", "from-json", "windmill-300"])
+def test_edge_endpoints_share_one_object_per_vertex_id(build):
+    # ints above 256 are new objects wherever they are computed or parsed
+    G = build()
+    assert len({id(x) for edge in G.edges for x in edge}) == G.order
+
+
 class TestJsonRoundTrip:
     def test_round_trip(self):
         G = hypertree(4)
@@ -356,12 +368,16 @@ def test_radius_diameter_bounds(G):
     assert r <= d <= 2 * r
 
 
-@given(graphs(max_order=7))
-@settings(max_examples=60)
+@given(graphs(max_order=9) | sparse_graphs(max_order=14))
+@example(build_graph(1, []))
+@example(build_graph(5, []))
+@example(build_graph(2, [(1, 2)]))
+@settings(max_examples=100)
 def test_universal_vertex_matches_degree(G):
-    u = has_universal_vertex(G)
+    # both count degrees from the edges, so neither builds the adjacency
+    G = build_graph(G.order, G.edge_list())  # a fresh instance, whatever ran before
+    top, u = max_degree(G), has_universal_vertex(G)
+    assert "adjacency" not in vars(G)
     degrees = [G.degree(v) for v in G.vertices()]
-    if u is None:
-        assert all(deg < G.order - 1 for deg in degrees)
-    else:
-        assert G.degree(u) == G.order - 1
+    assert top == max(degrees)
+    assert u == next((v for v in G.vertices() if degrees[v - 1] == G.order - 1), None)
