@@ -415,7 +415,7 @@ def _cmd_export(args) -> int:
             raise ValueError("--embedding annotation needs --guest (with --graph as the host)")
         guest = _load_graph(args.guest)
         emb = _read(args.embedding, lambda text: embedding_from_json(guest, G, text))
-        congestion = dict(evaluate(emb).cong_per_edge)
+        congestion = evaluate(emb).cong_per_edge
     _emit(export_dot(G, congestion), args.out)
     return EXIT_OK
 

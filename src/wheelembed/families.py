@@ -6,6 +6,11 @@ sibling tree, X-tree), circulants, generalized Petersen graphs, and tori.
 Labelings follow the conventions the constructive embeddings rely on: hubs
 and roots are vertex 1, tree vertices keep their heap labels, circulant
 vertices run 1..n around the ring.
+
+Every builder emits each edge once, as a raw (u, v) pair, straight to
+`graphs.build_graph`, which alone canonicalises edges and rejects a repeat;
+the parameter checks rule out every repeat a family could make, so no
+builder keeps an edge set or a sorted copy of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-from .graphs import Graph, build_graph, edge_key
+from .graphs import Graph, build_graph
 
 
 def wheel(n: int) -> Graph:
@@ -120,12 +125,12 @@ def circulant(n: int, jumps: Iterable[int]) -> Graph:
     for s in jump_set:
         if not 1 <= s <= n // 2:
             raise ValueError(f"jump {s} outside 1..{n // 2} for order {n}")
-    edges = set()
-    for v in range(n):
-        for s in jump_set:
-            edges.add(edge_key(v + 1, (v + s) % n + 1))
+    # a jump of n/2 joins each vertex of the first half to its opposite, so
+    # it starts only there; any other jump starts at every vertex
+    edges = ((v, (v + s - 1) % n + 1) for s in jump_set
+             for v in range(1, (n // 2 if 2 * s == n else n) + 1))
     tag = "-".join(str(s) for s in jump_set)
-    return build_graph(n, sorted(edges), f"circulant-{n}-{tag}")
+    return build_graph(n, edges, f"circulant-{n}-{tag}")
 
 
 def generalized_petersen(n: int, m: int) -> Graph:
@@ -137,8 +142,7 @@ def generalized_petersen(n: int, m: int) -> Graph:
     edges = [(i, i % n + 1) for i in range(1, n + 1)]
     edges += [(i, n + i) for i in range(1, n + 1)]
     edges += [(n + i, n + (i - 1 + m) % n + 1) for i in range(1, n + 1)]
-    canon = {edge_key(u, v) for u, v in edges}
-    return build_graph(2 * n, sorted(canon), f"petersen-{n}-{m}")
+    return build_graph(2 * n, edges, f"petersen-{n}-{m}")
 
 
 def torus(dims: Sequence[int]) -> Graph:
@@ -151,12 +155,10 @@ def torus(dims: Sequence[int]) -> Graph:
             raise ValueError(f"torus dimensions must be >= 3, got {d}")
     # product runs the last axis fastest, so its order is the row-major numbering
     ids = {c: v for v, c in enumerate(product(*map(range, dims)), 1)}
-    edges = set()
-    for c, v in ids.items():
-        for axis, d in enumerate(dims):
-            edges.add(edge_key(v, ids[c[:axis] + ((c[axis] + 1) % d,) + c[axis + 1:]]))
+    edges = ((v, ids[c[:axis] + ((c[axis] + 1) % d,) + c[axis + 1:]])
+             for c, v in ids.items() for axis, d in enumerate(dims))
     tag = "x".join(str(d) for d in dims)
-    return build_graph(len(ids), sorted(edges), f"torus-{tag}")
+    return build_graph(len(ids), edges, f"torus-{tag}")
 
 
 def path(n: int) -> Graph:

@@ -56,29 +56,22 @@ def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ..
     return dist
 
 
-def _prior_neighbors(guest: Graph) -> list[list[int]]:
-    """prior[k] lists the guest neighbors of k that are assigned before k."""
-    prior: list[list[int]] = [[] for _ in range(guest.order + 1)]
-    for u, v in guest.edges:
-        prior[max(u, v)].append(min(u, v))
-    for lst in prior:
-        lst.sort()
-    return prior
-
-
-def _pending(guest: Graph) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """pending[k] lists (g, m) for each g <= k with m > 0 neighbors after k;
-    both_free[k] counts the edges with both ends after k."""
-    n = guest.order
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    both_free = [0] * (n + 1)
-    for k in range(n + 1):
-        for g in range(1, k + 1):
-            m = sum(u > k for u in guest.adjacency[g])
-            if m:
-                pending[k].append((g, m))
-        both_free[k] = sum(u > k for u, _ in guest.edges)  # edges are stored as (u, v), u < v
-    return pending, both_free
+def _placement_tables(guest: Graph):
+    """One sweep over the placement order 1..n: prior[k] lists the guest
+    neighbors of k placed before k, ascending; pending[k] lists (g, m) for
+    each g <= k with m > 0 neighbors after k; both_free[k] counts the edges
+    with both ends after k. after[g] counts g's neighbors still to place."""
+    adjacency = guest.adjacency
+    prior, pending, both_free = [[]], [[]], [len(guest.edges)]
+    after = [0] * (guest.order + 1)
+    for k in guest.vertices():
+        prior.append([u for u in adjacency[k] if u < k])
+        for u in prior[k]:
+            after[u] -= 1
+        after[k] = len(adjacency[k]) - len(prior[k])
+        pending.append([(g, after[g]) for g in range(1, k + 1) if after[g]])
+        both_free.append(both_free[-1] - after[k])
+    return prior, pending, both_free
 
 
 def _nearest(dist) -> list[list[tuple[int, int]]]:
@@ -111,7 +104,7 @@ def _search(args):
     capped, nodes); leaves counts every complete bijection reached (routed,
     for congestion) and nodes every push onto the stack, the root included.
     """
-    n, prior, dist, near, pending, both_free, first_images, minimax, cong = args
+    n, prior, dist, near, pending, both_free, minimax, cong, first_images = args
     if cong is not None:
         hub, host_edge_count, guest_edges, route_table, route_cap = cong
     best = math.inf
@@ -208,40 +201,22 @@ def _search(args):
     return best, witness, leaves, capped, nodes
 
 
-def _reduce(parts):
-    best = math.inf
-    witness = None
-    leaves = 0
-    capped = False
-    nodes = 0
-    for value, vmap, count, part_capped, part_nodes in parts:
-        leaves += count
-        capped |= part_capped
-        nodes += part_nodes
-        if vmap is not None and (value < best or (value == best and (witness is None or vmap < witness))):
-            best = value
-            witness = vmap
-    return best, witness, leaves, capped, nodes
-
-
 def _run_partitioned(guest: Graph, dist, jobs: int, *, minimax: bool = False, cong=None):
-    """Run `_search` serially, or with one pool task per first image."""
-    n = guest.order
-    prior = _prior_neighbors(guest)
-    near = _nearest(dist)
-    pending, both_free = _pending(guest)
-    firsts = range(1, n + 1)
-
-    def make_args(hs):
-        return (n, prior, dist, near, pending, both_free, hs, minimax, cong)
-
+    """Run `_search` serially, or with one pool task per first image; the
+    partitions' least (value, witness) pair is the serial run's."""
+    prior, pending, both_free = _placement_tables(guest)
+    args = (guest.order, prior, dist, _nearest(dist), pending, both_free, minimax, cong)
     if jobs <= 1:
-        return _search(make_args(firsts))
+        return _search(args + (guest.vertices(),))
     # imported here, not at module level, so that a CLI start that never
     # uses the pool does not load it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return _reduce(pool.map(_search, [make_args([h]) for h in firsts]))
+        values, vmaps, leaves, capped, nodes = zip(*pool.map(
+            _search, [args + ([h],) for h in guest.vertices()]))
+    best, witness = min(((value, vmap) for value, vmap in zip(values, vmaps) if vmap is not None),
+                        default=(math.inf, None))
+    return best, witness, sum(leaves), any(capped), sum(nodes)
 
 
 def exact_dilation(guest: Graph, host: Graph, limit: int = DEFAULT_LIMIT, *,

@@ -494,3 +494,58 @@ def reference_path_search(adj, alive, budget, ends=None):
         if _reference_extend_path(adj, path, alive ^ 1 << s, target, budget):
             return path
     return None
+
+
+def reference_circulant(n: int, jumps) -> Graph:
+    """The set-based circulant builder: every vertex meets every jump, the
+    canonical pairs are deduped in a set and sorted before `build_graph`."""
+    jump_set = sorted(set(jumps))
+    edges = {edge_key(v + 1, (v + s) % n + 1) for v in range(n) for s in jump_set}
+    tag = "-".join(str(s) for s in jump_set)
+    return build_graph(n, sorted(edges), f"circulant-{n}-{tag}")
+
+
+def reference_generalized_petersen(n: int, m: int) -> Graph:
+    """The set-based generalized Petersen builder: outer cycle, spokes and
+    skip-m inner chords, canonicalised in a set and sorted."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, n + i) for i in range(1, n + 1)]
+    edges += [(n + i, n + (i - 1 + m) % n + 1) for i in range(1, n + 1)]
+    return build_graph(2 * n, sorted({edge_key(u, v) for u, v in edges}), f"petersen-{n}-{m}")
+
+
+def reference_torus(dims) -> Graph:
+    """The set-based torus builder: row-major ids, one step forward on each
+    axis from every vertex, canonicalised in a set and sorted."""
+    ids = {c: v for v, c in enumerate(product(*map(range, dims)), 1)}
+    edges = {edge_key(v, ids[c[:axis] + ((c[axis] + 1) % d,) + c[axis + 1:]])
+             for c, v in ids.items() for axis, d in enumerate(dims)}
+    return build_graph(len(ids), sorted(edges), f"torus-{'x'.join(map(str, dims))}")
+
+
+def reference_prior_neighbors(guest: Graph) -> list[list[int]]:
+    """prior[k] lists the guest neighbors of k below k, ascending, read off
+    the edges one at a time."""
+    prior = [[] for _ in range(guest.order + 1)]
+    for u, v in guest.edges:
+        prior[max(u, v)].append(min(u, v))
+    return [sorted(lst) for lst in prior]
+
+
+def reference_pending(guest: Graph) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """pending[k] lists (g, m) for each g <= k with m > 0 neighbors after k,
+    and both_free[k] counts the edges with both ends after k, each counted
+    afresh for every k."""
+    n = guest.order
+    pending = [[(g, m) for g in range(1, k + 1)
+                if (m := sum(u > k for u in guest.adjacency[g]))] for k in range(n + 1)]
+    both_free = [sum(min(e) > k for e in guest.edges) for k in range(n + 1)]
+    return pending, both_free
+
+
+def labelled_graphs(max_order: int):
+    """Every labelled graph on 1..max_order vertices, one per edge subset."""
+    for n in range(1, max_order + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])

@@ -58,6 +58,14 @@ class TestDilationLowerBound:
         with pytest.raises(ValueError, match="^dilation bound requires a connected host$"):
             dilation_lower_bound(star(4), build_graph(4, [(1, 2), (3, 4)]))
 
+    def test_guest_checks_come_before_host_connectivity(self):
+        # the ball pass decides connectivity, after the orders and the hub
+        disconnected = build_graph(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="orders"):
+            dilation_lower_bound(star(5), disconnected)
+        with pytest.raises(ValueError, match="universal"):
+            dilation_lower_bound(cycle(4), disconnected)
+
 
 class TestCongestionLowerBound:
     def test_windmill_into_circulant(self):

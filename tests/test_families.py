@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import reference_circulant, reference_generalized_petersen, reference_torus
 from wheelembed.families import (
     build_family,
     circulant,
@@ -188,6 +189,33 @@ class TestOtherHosts:
         assert len(path(4).edges) == 3
         assert len(cycle(6).edges) == 6
         assert len(complete(5).edges) == 10
+
+
+class TestHostEdgesMatchTheSetBasedBuilders:
+    """Each host builder emits every edge once and leaves canonical form and
+    repeats to `build_graph`; the graphs equal those of the builders that
+    deduped a sorted edge set of their own."""
+
+    @staticmethod
+    def assert_same(G, reference):
+        assert (G.order, G.edges, G.name) == (reference.order, reference.edges, reference.name)
+
+    def test_circulant(self):
+        for n in range(3, 41):
+            for size in (1, 2):
+                for jumps in combinations(range(1, n // 2 + 1), size):
+                    self.assert_same(circulant(n, jumps), reference_circulant(n, jumps))
+
+    def test_generalized_petersen(self):
+        for n in range(3, 21):
+            for m in range(1, (n + 1) // 2):
+                self.assert_same(generalized_petersen(n, m),
+                                 reference_generalized_petersen(n, m))
+
+    @pytest.mark.parametrize("dims", [(a, b) for a in range(3, 7) for b in range(3, 7)]
+                             + [(3, 3, 3), (3, 4, 5)])
+    def test_torus(self, dims):
+        self.assert_same(torus(dims), reference_torus(dims))
 
 
 class TestFamilySpec:

@@ -10,6 +10,7 @@ from helpers import (
     brute_spanning_paths,
     connected_graphs,
     graphs,
+    labelled_graphs,
     reference_cycle_search,
     reference_fault_sets,
     reference_fault_sweep,
@@ -497,14 +498,6 @@ def test_fault_sweeps_match_the_reference(G, f, traceable):
     report = sweep(G, f)
     assert (report.verdict, report.witness, report.failing_fault, report.failing_pair) == \
         reference_fault_sweep(G, f, traceable)
-
-
-def labelled_graphs(max_order):
-    """Every labelled graph on 1..max_order vertices, one per edge subset."""
-    for n in range(1, max_order + 1):
-        pairs = list(combinations(range(1, n + 1), 2))
-        for mask in range(1 << len(pairs)):
-            yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 @pytest.mark.parametrize("f", [1, 2])

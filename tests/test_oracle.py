@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from helpers import (
     brute_min_congestion,
     brute_running_minima,
     connected_graphs,
+    labelled_graphs,
+    reference_pending,
+    reference_prior_neighbors,
     shallow_recursion_limit,
 )
 from wheelembed.embedding import embed_wheel_like_into_tree_host, evaluate, route_shortest
@@ -37,6 +41,7 @@ from wheelembed.oracle import (
     DEFAULT_ROUTE_CAP,
     _check_instance,
     _min_congestion_for_choices,
+    _placement_tables,
     _run_partitioned,
     exact_congestion,
     exact_dilation,
@@ -243,6 +248,50 @@ class TestAssignmentBound:
     def test_node_count(self, guest, host, minimax, nodes):
         dist = _check_instance(guest, host, guest.order)
         assert _run_partitioned(guest, dist, 1, minimax=minimax)[4] == nodes
+
+
+class TestPlacementTables:
+    """The one sweep over the placement order against the tables counted
+    afresh for every k."""
+
+    @staticmethod
+    def assert_matches_reference(guest):
+        prior, pending, both_free = _placement_tables(guest)
+        assert prior == reference_prior_neighbors(guest)
+        assert (pending, both_free) == reference_pending(guest)
+
+    def test_every_labelled_graph_up_to_5_vertices(self):
+        for guest in labelled_graphs(5):
+            self.assert_matches_reference(guest)
+
+    @pytest.mark.parametrize("family,least", [(wheel, 4), (fan, 3), (star, 2)])
+    def test_hub_families_up_to_order_12(self, family, least):
+        for n in range(least, 13):
+            self.assert_matches_reference(family(n))
+
+    def test_windmills_up_to_order_12(self):
+        for k in range(2, 7):
+            self.assert_matches_reference(windmill(k))
+
+
+class TestPartitionsReduceToTheSerialRun:
+    """star(6) on path(6) has optimal bijections with the hub on 3 and on 4,
+    and none with it on 1: the pool's partitions must reduce to the serial
+    run's optimum and lex-least witness, not to the first partition's."""
+
+    def test_optimal_bijections_span_several_partitions(self):
+        guest, host = star(6), path(6)
+        dist = all_pairs_distances(host)
+        optimum = exact_wirelength(guest, host).optimum
+        firsts = {images[0] for images in permutations(host.vertices())
+                  if sum(dist[images[u - 1]][images[v - 1]] for u, v in guest.edges) == optimum}
+        assert firsts == {3, 4}
+        for runner in (exact_dilation, exact_wirelength, exact_congestion):
+            serial = runner(guest, host)
+            parallel = runner(guest, host, jobs=2)
+            assert serial.witness_vmap[0] == 3
+            assert (parallel.optimum, parallel.witness_vmap, parallel.exact) == (
+                serial.optimum, serial.witness_vmap, serial.exact)
 
 
 def random_choices(rng, edges, routes):

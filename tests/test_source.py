@@ -96,3 +96,13 @@ def test_the_cli_leaves_each_guest_kind_to_the_bounds_table():
     # wirelength construction
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert not set(_string_constants(tree)) & set(GUEST_KINDS)
+
+
+def test_the_families_leave_edge_form_to_build_graph():
+    # each builder emits every edge once as a raw pair; `build_graph` alone
+    # canonicalises edges and rejects a repeat
+    tree = ast.parse((PACKAGE / "families.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "build_graph" in imported
+    assert "edge_key" not in imported
