@@ -54,7 +54,6 @@ from .graphs import (
     status_and_median,
 )
 from .hamiltonian import (
-    FaultSpec,
     HamiltonicityReport,
     SearchBudgetExceeded,
     find_hamiltonian_cycle,

@@ -31,7 +31,6 @@ from .embedding import (
 )
 from .graphs import Graph, graph_from_json, graph_to_json, parse_json
 from .hamiltonian import (
-    FaultSpec,
     SearchBudgetExceeded,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
@@ -98,14 +97,6 @@ def _read(path: str, parse):
 
 def _load_graph(path: str) -> Graph:
     return _read(path, graph_from_json)
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _dump(payload) -> str:
@@ -200,15 +191,6 @@ def _metrics_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fault_payload(fault: Optional[FaultSpec]):
-    if fault is None:
-        return None
-    return {
-        "vertices": sorted(fault.vertices),
-        "edges": [list(e) for e in sorted(fault.edges)],
-    }
-
-
 def _bound_payload(report) -> dict:
     return {
         "metric": report.metric,
@@ -220,24 +202,23 @@ def _bound_payload(report) -> dict:
 
 
 # ---------------------------------------------------------------- handlers
+# each returns the text of its command's output, which `main` writes
 
-def _cmd_gen(args) -> int:
-    _emit(graph_to_json(families.build_family(args.family, args.params)), args.out)
-    return EXIT_OK
+def _cmd_gen(args) -> str:
+    return graph_to_json(families.build_family(args.family, args.params))
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> str:
     if not args.method.startswith("median-"):
         _reject_unread(args, f"embed --method {args.method}", "node_limit")
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
     limit = {} if args.node_limit is None else {"node_limit": args.node_limit}
     emb = EMBED_METHODS[args.method](guest, host, **limit)
-    _emit(embedding_to_json(emb, args.method), args.out)
-    return EXIT_OK
+    return embedding_to_json(emb, args.method)
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> str:
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
     if args.random is not None:
@@ -257,26 +238,22 @@ def _cmd_metrics(args) -> int:
                 "max_dilation": metrics.max_dilation,
                 "max_congestion": metrics.max_congestion,
             })
-        payload = {"seed": seed, "samples": samples}
         if args.format == "json":
-            _emit(_dump(payload), args.out)
-        else:
-            lines = [f"seed {seed}"]
-            for s in samples:
-                lines.append(f"sample {s['index']:>3}: wirelength {s['wirelength']:>5}  "
-                             f"max dil {s['max_dilation']:>3}  max cong {s['max_congestion']:>3}")
-            _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+            return _dump({"seed": seed, "samples": samples})
+        lines = [f"seed {seed}"]
+        for s in samples:
+            lines.append(f"sample {s['index']:>3}: wirelength {s['wirelength']:>5}  "
+                         f"max dil {s['max_dilation']:>3}  max cong {s['max_congestion']:>3}")
+        return "\n".join(lines) + "\n"
     if args.embedding is None:
         raise ValueError("metrics needs --embedding or --random")
     _reject_unread(args, "metrics --embedding", "seed")
     emb = _read(args.embedding, lambda text: embedding_from_json(guest, host, text))
     payload = _metrics_payload(emb)
-    _emit(_dump(payload) if args.format == "json" else _metrics_text(payload), args.out)
-    return EXIT_OK
+    return _dump(payload) if args.format == "json" else _metrics_text(payload)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> str:
     _reject_unread(args, f"bound --metric {args.metric}",
                    *(("guest",) if args.metric == "wl" else ("kind", "node_limit")))
     if args.metric == "wl":
@@ -295,11 +272,8 @@ def _cmd_bound(args) -> int:
             report = bounds_mod.congestion_lower_bound(guest, host)
     payload = _bound_payload(report)
     if args.format == "json":
-        _emit(_dump(payload), args.out)
-    else:
-        lines = [f"{key:>9}: {value}" for key, value in payload.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _dump(payload)
+    return "".join(f"{key:>9}: {value}\n" for key, value in payload.items())
 
 
 def _parse_sweep(text: str) -> range:
@@ -340,11 +314,10 @@ def _verify_rows(args) -> list[dict]:
     return rows
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     rows = _verify_rows(args)
     if args.format == "json":
-        _emit(_dump(rows), args.out)
-        return EXIT_OK
+        return _dump(rows)
     params = [key for key in rows[0] if key not in ("metric", "bound", "achieved", "sharp", "notes")]
     # a parameter column is 10 wide, or as wide as its longest cell or header
     widths = [max(10, len(p), *(len(str(row[p])) for row in rows)) for p in params]
@@ -353,20 +326,18 @@ def _cmd_verify(args) -> int:
     for row in rows:
         cells = "  ".join(f"{str(row[p]):>{w}}" for p, w in zip(params, widths))
         lines.append(f"{cells}  {row['bound']:>6}  {str(row['achieved']):>8}  {row['sharp']}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_ham(args) -> int:
+def _cmd_ham(args) -> str:
     unread = {"cycle": ("ends", "f"), "path": ("f",)}.get(args.query, ("ends",))
     _reject_unread(args, f"ham --query {args.query}", *unread)
     G = _load_graph(args.graph)
-    payload: dict = {"query": args.query}
+    # witnesses, fault sets and pairs are tuples, which JSON writes as lists
     if args.query == "cycle":
         witness = find_hamiltonian_cycle(G, node_limit=args.node_limit)
-        payload.update({"verdict": witness is not None,
-                        "witness": list(witness) if witness else None})
-    elif args.query == "path":
+        return _dump({"query": args.query, "verdict": witness is not None, "witness": witness})
+    if args.query == "path":
         ends = None
         if args.ends:
             try:
@@ -376,36 +347,30 @@ def _cmd_ham(args) -> int:
                                  f"got {args.ends!r}") from None
             ends = (u, v)
         witness = find_hamiltonian_path(G, ends, node_limit=args.node_limit)
-        payload.update({"verdict": witness is not None,
-                        "witness": list(witness) if witness else None})
-    else:
-        checker = is_f_fault_hamiltonian if args.query == "ffault-ham" else is_f_fault_traceable
-        f = 1 if args.f is None else args.f
-        report = checker(G, f, node_limit=args.node_limit)
-        payload.update({
-            "f": f,
-            "verdict": report.verdict,
-            "witness": list(report.witness) if report.witness else None,
-            "failing_fault": _fault_payload(report.failing_fault),
-        })
-        if args.query == "ffault-trace":
-            payload["failing_pair"] = list(report.failing_pair) if report.failing_pair else None
-    _emit(_dump(payload), args.out)
-    return EXIT_OK
+        return _dump({"query": args.query, "verdict": witness is not None, "witness": witness})
+    checker = is_f_fault_hamiltonian if args.query == "ffault-ham" else is_f_fault_traceable
+    f = 1 if args.f is None else args.f
+    report = checker(G, f, node_limit=args.node_limit)
+    fault = report.failing_fault
+    payload = {"query": args.query, "f": f, "verdict": report.verdict, "witness": report.witness,
+               "failing_fault": None if fault is None else {"vertices": fault[0],
+                                                            "edges": fault[1]}}
+    if args.query == "ffault-trace":
+        payload["failing_pair"] = report.failing_pair
+    return _dump(payload)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
     if args.metric != "ec":
         _reject_unread(args, f"oracle --metric {args.metric}", "route_cap")
     guest = _load_graph(args.guest)
     host = _load_graph(args.host)
     cap = {} if args.route_cap is None else {"route_cap": args.route_cap}
     result = ORACLES[args.metric](guest, host, args.limit, jobs=args.jobs, **cap)
-    _emit(_dump(vars(result)), args.out)
-    return EXIT_OK
+    return _dump(vars(result))
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> str:
     if not args.embedding:
         _reject_unread(args, "export without --embedding", "guest")
     G = _load_graph(args.graph)
@@ -416,8 +381,7 @@ def _cmd_export(args) -> int:
         guest = _load_graph(args.guest)
         emb = _read(args.embedding, lambda text: embedding_from_json(guest, G, text))
         congestion = evaluate(emb).cong_per_edge
-    _emit(export_dot(G, congestion), args.out)
-    return EXIT_OK
+    return export_dot(G, congestion)
 
 
 # ---------------------------------------------------------------- parser
@@ -514,7 +478,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SearchBudgetExceeded as exc:
         # an exhausted node budget decides nothing
         print(f"inconclusive: {exc}", file=sys.stderr)
@@ -525,6 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

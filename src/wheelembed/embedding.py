@@ -192,9 +192,13 @@ def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> Embedd
     order keeps each layer in the order of its lex-least shortest paths, so a
     vertex's first discoverer ends its own path from the source; a target's
     route nodes are made walking up the parents to the first vertex that has
-    one. Unequal orders are reported first, then the first guest edge in
-    `edge_list()` order with an image outside the host or no host path."""
+    one. Unequal orders are reported first, then the first guest vertex
+    without an image, then the first guest edge in `edge_list()` order with
+    an image outside the host or no host path."""
     require_equal_orders(guest, host)
+    unmapped = next((g for g in guest.vertices() if g not in vmap), None)
+    if unmapped is not None:
+        raise ValueError(f"vmap has no image for guest vertex {unmapped}")
     adjacency, tree_of = host.adjacency, None
     parent, vertex, ends = [], [], {}
     for edge in guest.edge_list():  # the guest's own tuples are the route keys

@@ -44,7 +44,7 @@ as a cycle too, and cycle sweeps keep each cycle's vertex order for this.
 Only passing queries are skipped and the fault-free set is searched first,
 so every report is that of one search per query. The path queries of one set
 read the colour classes of its survivor graph, found once for the set. A
-`FaultSpec` is built only for the failing set a report returns.
+failing report returns its set as the pair `fault_specs` yielded.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ class SearchBudgetExceeded(RuntimeError):
     """A search hit its node-expansion cap; the outcome is inconclusive, not false."""
 
 
-class FaultSpec(Record):
-    """A concrete set of failed vertices and failed edges: the certificate of
-    a failing fault sweep."""
-
-    _fields = ("vertices", "edges")
-
-    def __init__(self, vertices: frozenset[int] = frozenset(),
-                 edges: frozenset[tuple[int, int]] = frozenset()):
-        vars(self).update(vertices=vertices, edges=edges)
-
-
 class HamiltonicityReport(Record):
     """Outcome of a fault-tolerance query.
 
@@ -78,14 +67,15 @@ class HamiltonicityReport(Record):
     of the fault-free graph between its first vertex pair (1, 2), or None
     when the graph has fewer than two vertices. On failure, `failing_fault`
     is the first fault set (in canonical enumeration order) whose survivor
-    graph has no spanning cycle or path; traceability failures also record
-    the vertex pair with no spanning path.
+    graph has no spanning cycle or path, as the (failed vertices, failed
+    edges) pair of sorted tuples that `fault_specs` yields; traceability
+    failures also record the vertex pair with no spanning path.
     """
 
     _fields = ("verdict", "witness", "failing_fault", "failing_pair")
 
     def __init__(self, verdict: bool, witness: Optional[tuple[int, ...]] = None,
-                 failing_fault: Optional[FaultSpec] = None,
+                 failing_fault: Optional[tuple[tuple, tuple]] = None,
                  failing_pair: Optional[tuple[int, int]] = None):
         vars(self).update(verdict=verdict, witness=witness, failing_fault=failing_fault,
                           failing_pair=failing_pair)
@@ -447,8 +437,7 @@ def _sweep(G: Graph, f: int, node_limit: Optional[int], pairs: bool) -> Hamilton
             walk = (_cycle_search(adj, alive, budget) if pair is None
                     else _path_search(adj, alive, budget, pair, classes))
             if walk is None:
-                return HamiltonicityReport(False, None, FaultSpec(frozenset(vs), frozenset(es)),
-                                           pair)
+                return HamiltonicityReport(False, None, (vs, es), pair)
             if witness is None and not (vs or es):
                 witness = tuple(walk)
             bits = bits or _witness_bits(G)

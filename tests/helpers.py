@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
 from wheelembed.graphs import Graph, build_graph, edge_key
-from wheelembed.hamiltonian import FaultSpec, find_hamiltonian_cycle, find_hamiltonian_path
+from wheelembed.hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
 @st.composite
@@ -335,18 +335,17 @@ def reference_fault_sweep(G: Graph, f: int, traceable: bool):
     witness = None
     for vs, es in reference_fault_sets(G, f):
         faults = {"without_vertices": vs, "without_edges": es}
-        spec = FaultSpec(frozenset(vs), frozenset(es))
         if not traceable:
             found = find_hamiltonian_cycle(G, **faults)
             if found is None:
-                return False, None, spec, None
+                return False, None, (vs, es), None
             if not (vs or es):
                 witness = found
             continue
         for pair in combinations([v for v in G.vertices() if v not in vs], 2):
             found = find_hamiltonian_path(G, pair, **faults)
             if found is None:
-                return False, None, spec, pair
+                return False, None, (vs, es), pair
             if witness is None and not (vs or es):
                 witness = found
     return True, witness, None, None

@@ -35,7 +35,6 @@ from wheelembed.families import (
 )
 from wheelembed.graphs import Graph, all_pairs_distances, is_connected, radius_diameter
 from wheelembed.hamiltonian import (
-    FaultSpec,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
     is_f_fault_hamiltonian,
@@ -197,7 +196,7 @@ def test_criterion_9_fault_classification_regression():
     report = is_f_fault_hamiltonian(petersen, 1)
     # the literal definition fails already at the zero-fault case ...
     assert not report.verdict
-    assert report.failing_fault == FaultSpec()
+    assert report.failing_fault == ((), ())
     assert find_hamiltonian_cycle(petersen) is None
     # ... while every single-vertex deletion is hamiltonian, and that
     # distinction is exactly what the hypohamiltonicity check surfaces

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from helpers import graphs, record_bfs, shallow_recursion_limit
 from wheelembed import bounds as bounds_mod
 from wheelembed import families as families_mod
 from wheelembed import graphs as graphs_mod
-from wheelembed.cli import EMBED_METHODS, main
+from wheelembed.cli import EMBED_METHODS, embedding_to_json, main
 from wheelembed.families import (circulant, complete, cycle, fan, hypertree, star, wheel,
                                   windmill)
 from wheelembed.graphs import build_graph, graph_from_json, graph_to_json
@@ -461,6 +462,120 @@ class TestHam:
                              "--query", "path", "--ends", ends)
         assert (code, out) == (1, "")
         assert err == f"error: --ends must have the form u,v with two vertex ids, got {ends!r}\n"
+
+
+# (query, family argv of `gen`) -> the whole stdout of `ham --f 2` on that graph
+FAILING_CERTIFICATES = {
+    ("ffault-ham", ("wheel", "5")): """{
+  "f": 2,
+  "failing_fault": {
+    "edges": [],
+    "vertices": [
+      1,
+      2
+    ]
+  },
+  "query": "ffault-ham",
+  "verdict": false,
+  "witness": null
+}
+""",
+    ("ffault-trace", ("complete", "5")): """{
+  "f": 2,
+  "failing_fault": {
+    "edges": [
+      [
+        1,
+        2
+      ],
+      [
+        1,
+        3
+      ]
+    ],
+    "vertices": []
+  },
+  "failing_pair": [
+    4,
+    5
+  ],
+  "query": "ffault-trace",
+  "verdict": false,
+  "witness": null
+}
+""",
+    ("ffault-trace", ("circulant", "8", "1", "2")): """{
+  "f": 2,
+  "failing_fault": {
+    "edges": [],
+    "vertices": [
+      1,
+      2
+    ]
+  },
+  "failing_pair": [
+    4,
+    5
+  ],
+  "query": "ffault-trace",
+  "verdict": false,
+  "witness": null
+}
+""",
+}
+
+
+@pytest.mark.parametrize("query, family", FAILING_CERTIFICATES,
+                         ids=lambda key: "-".join(key) if isinstance(key, tuple) else key)
+def test_failing_certificate_bytes(capsys, tmp_path, query, family):
+    graph = str(tmp_path / "g.json")
+    assert run(capsys, "gen", *family, "--out", graph) == (0, "", "")
+    assert run(capsys, "ham", "--graph", graph, "--query", query, "--f", "2") == \
+        (0, FAILING_CERTIFICATES[query, family], "")
+
+
+# one or more runs per subcommand of build_parser(); W, C and E name a wheel(6)
+# guest, a C6{1,2} host and a median-wheel embedding of the one into the other
+OUT_CASES = [
+    ("gen", "wheel", "5"),
+    ("embed", "--guest", "W", "--host", "C", "--method", "median-wheel"),
+    ("metrics", "--guest", "W", "--host", "C", "--embedding", "E"),
+    ("metrics", "--guest", "W", "--host", "C", "--embedding", "E", "--format", "json"),
+    ("metrics", "--guest", "W", "--host", "C", "--random", "2"),
+    ("metrics", "--guest", "W", "--host", "C", "--random", "2", "--format", "json"),
+    ("bound", "--metric", "dil", "--guest", "W", "--host", "C"),
+    ("bound", "--metric", "wl", "--kind", "wheel", "--host", "C", "--format", "json"),
+    ("verify", "dil-hypertree", "--level", "3"),
+    ("verify", "ec-windmill", "--sweep", "3..4", "--format", "json"),
+    ("ham", "--graph", "C", "--query", "cycle"),
+    ("ham", "--graph", "W", "--query", "ffault-trace", "--f", "1"),
+    ("oracle", "--guest", "W", "--host", "C", "--metric", "wl"),
+    ("export", "--graph", "C"),
+    ("export", "--graph", "C", "--guest", "W", "--embedding", "E"),
+]
+
+
+def test_every_subcommand_has_an_out_case():
+    from wheelembed.cli import build_parser
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert {argv[0] for argv in OUT_CASES} == set(commands)
+
+
+@pytest.mark.parametrize("argv", OUT_CASES, ids=" ".join)
+def test_out_writes_what_stdout_would_get(capsys, tmp_path, argv):
+    guest, host = wheel(6), circulant(6, {1, 2})
+    files = {"W": write_graph(tmp_path, guest, "w.json"),
+             "C": write_graph(tmp_path, host, "c.json"),
+             "E": str(tmp_path / "e.json")}
+    (tmp_path / "e.json").write_text(
+        embedding_to_json(EMBED_METHODS["median-wheel"](guest, host), "median-wheel"))
+    argv = [files.get(arg, arg) for arg in argv]
+    code, printed, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and printed
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 class TestOracleCommand:

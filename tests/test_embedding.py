@@ -99,6 +99,13 @@ class TestRouteShortestAndEvaluate:
         with pytest.raises(ValueError, match="orders"):
             route_shortest(cycle(4), cycle(5), {1: 1, 2: 2, 3: 3, 4: 4})
 
+    def test_guest_vertex_without_an_image_is_named(self):
+        with pytest.raises(ValueError, match="^vmap has no image for guest vertex 5$"):
+            route_shortest(wheel(5), cycle(5), {1: 1, 2: 2, 3: 3, 4: 4})
+        # an isolated guest vertex is named too, before any edge is routed
+        with pytest.raises(ValueError, match="^vmap has no image for guest vertex 3$"):
+            route_shortest(build_graph(3, [(1, 2)]), cycle(3), {1: 1, 2: 2})
+
     def test_non_bijection_rejected(self):
         G = cycle(4)
         with pytest.raises(ValueError, match="bijection"):

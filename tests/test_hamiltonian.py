@@ -21,7 +21,6 @@ from wheelembed import hamiltonian
 from wheelembed.families import circulant, complete, cycle, generalized_petersen, path, torus
 from wheelembed.graphs import build_graph, edge_key, graph_from_json, is_connected
 from wheelembed.hamiltonian import (
-    FaultSpec,
     SearchBudgetExceeded,
     _Budget,
     _colour_classes,
@@ -274,7 +273,7 @@ class TestFaultHamiltonian:
     def test_cycle_fails_at_first_vertex(self):
         report = is_f_fault_hamiltonian(cycle(5), 1)
         assert not report.verdict
-        assert report.failing_fault == FaultSpec(frozenset({1}), frozenset())
+        assert report.failing_fault == ((1,), ())
 
     def test_circulant_is_one_fault_hamiltonian(self):
         report = is_f_fault_hamiltonian(circulant(8, {1, 2}), 1)
@@ -297,7 +296,7 @@ class TestFaultTraceable:
     def test_path_interior_pair_fails_with_no_faults(self):
         report = is_f_fault_traceable(path(4), 0)
         assert not report.verdict
-        assert report.failing_fault == FaultSpec()
+        assert report.failing_fault == ((), ())
         assert report.failing_pair is not None
 
     def test_k4_fails_under_one_edge_fault(self):
@@ -305,7 +304,7 @@ class TestFaultTraceable:
         # degree 3, so by the literal definition K4 is not 1-fault traceable
         report = is_f_fault_traceable(complete(4), 1)
         assert not report.verdict
-        assert report.failing_fault == FaultSpec(frozenset(), frozenset({(1, 2)}))
+        assert report.failing_fault == ((), ((1, 2),))
         assert report.failing_pair == (3, 4)
 
     def test_k4_is_zero_fault_traceable(self):
@@ -626,23 +625,3 @@ def test_sweeps_consume_every_fault_set(sweep, monkeypatch):
     monkeypatch.setattr(hamiltonian, "fault_specs", counting)
     assert sweep(complete(6), 2).verdict
     assert yielded == list(specs(complete(6), 2))
-
-
-@pytest.mark.parametrize("sweep, G, f, built", [
-    (is_f_fault_hamiltonian, complete(6), 2, 0),
-    (is_f_fault_traceable, complete(6), 2, 0),
-    (is_f_fault_hamiltonian, cycle(5), 1, 1),
-    (is_f_fault_traceable, path(4), 0, 1),
-])
-def test_a_fault_spec_is_built_only_for_the_certificate(sweep, G, f, built, monkeypatch):
-    calls = []
-    init = FaultSpec.__init__
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FaultSpec, "__init__", counting)
-    report = sweep(G, f)
-    assert len(calls) == built
-    assert report.verdict == (built == 0)

@@ -12,7 +12,7 @@ import pytest
 from wheelembed.bounds import BoundReport
 from wheelembed.embedding import EmbeddingMap, EmbeddingMetrics, RouteForest
 from wheelembed.graphs import Graph, Shells
-from wheelembed.hamiltonian import FaultSpec, HamiltonicityReport
+from wheelembed.hamiltonian import HamiltonicityReport
 from wheelembed.oracle import OracleResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,16 +32,12 @@ RECORDS = {
     Shells: (
         {"center": 1, "layers": (frozenset({2}), frozenset({3}))},
         {}, "value", (), "Shells(center=1, layers=(frozenset({2}), frozenset({3})))"),
-    FaultSpec: (
-        {"vertices": frozenset({2}), "edges": frozenset({(1, 3)})},
-        {"vertices": frozenset(), "edges": frozenset()}, "value", (),
-        "FaultSpec(vertices=frozenset({2}), edges=frozenset({(1, 3)}))"),
     HamiltonicityReport: (
-        {"verdict": False, "witness": (1, 2, 3), "failing_fault": FaultSpec(),
+        {"verdict": False, "witness": (1, 2, 3), "failing_fault": ((2,), ((1, 3),)),
          "failing_pair": (1, 3)},
         {"witness": None, "failing_fault": None, "failing_pair": None}, "value", (),
-        "HamiltonicityReport(verdict=False, witness=(1, 2, 3), failing_fault=FaultSpec("
-        "vertices=frozenset(), edges=frozenset()), failing_pair=(1, 3))"),
+        "HamiltonicityReport(verdict=False, witness=(1, 2, 3), failing_fault=((2,), "
+        "((1, 3),)), failing_pair=(1, 3))"),
     RouteForest: (
         {"parent": [-1, 0, -1], "vertex": [1, 2, 3], "ends": {(1, 2): 1, (1, 3): 2}},
         {}, "mapping", (), "{(1, 2): (1, 2), (1, 3): (3,)}"),

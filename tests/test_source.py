@@ -106,3 +106,26 @@ def test_the_families_leave_edge_form_to_build_graph():
                 for alias in node.names}
     assert "build_graph" in imported
     assert "edge_key" not in imported
+
+
+def test_only_main_writes_a_commands_output():
+    # each `_cmd_*` handler returns its text, and `main` writes it to stdout
+    # or --out: no other function of cli.py prints, writes or opens a file
+    # for writing, nor names sys.stdout
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            # a mode that is not a literal counts as a write
+            modes = [arg.value if isinstance(arg, ast.Constant) else "w"
+                     for arg in node.args[1:2] + [k.value for k in node.keywords
+                                                  if k.arg == "mode"]] if name == "open" else []
+            if (name in ("print", "write", "writelines")
+                    or any(set(str(mode)) & set("wax+") for mode in modes)
+                    or isinstance(node, ast.Attribute) and node.attr == "stdout"):
+                found.append(f"cli.py:{node.lineno} {func.name}")
+    assert not found, f"output written outside main: {', '.join(found)}"
