@@ -41,7 +41,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    Shells,
     all_pairs_distances,
     build_graph,
     graph_from_json,

@@ -17,7 +17,7 @@ from itertools import chain
 from operator import ne
 from typing import Optional
 
-from .graphs import Graph, Record, require_equal_orders, status_and_median
+from .graphs import Graph, Record, bfs_parents, require_equal_orders, status_and_median
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -150,7 +150,9 @@ def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, li
         next_sibling[i], first_child[p] = first_child[p], i
     loads, todo = {e: 0 for e in host.edges}, [first_child[-1]]
     first, depth, non_edge, repeats = vertex[:], [0] * count, [None] * count, [False] * count
-    path, held = [], {}  # the current root path, and each of its vertices' first node
+    # the current root path, each of its vertices' first node, and one int
+    # object per depth value (CPython makes a new one for each sum above 256)
+    path, held, levels = [], {}, {}
     while todo:
         i = todo.pop()
         if i < 0:
@@ -162,8 +164,8 @@ def _walk_forest(host: Graph, forest: RouteForest) -> tuple[list, list, list, li
             if held[vertex[j]] == j:
                 del held[vertex[j]]
         if p >= 0:
-            a = vertex[p]
-            first[i], depth[i], non_edge[i] = first[p], depth[p] + 1, non_edge[p]
+            a, d = vertex[p], depth[p] + 1
+            first[i], depth[i], non_edge[i] = first[p], levels.setdefault(d, d), non_edge[p]
             key = (a, x) if a < x else (x, a)
             if key in loads:
                 loads[key] += weight[i]
@@ -186,40 +188,25 @@ def build_embedding(guest: Graph, host: Graph, vmap: Mapping[int, int],
 def route_shortest(guest: Graph, host: Graph, vmap: Mapping[int, int]) -> EmbeddingMap:
     """Route every guest edge on the lexicographically least shortest host path.
 
-    For each guest vertex u with later neighbours, one BFS from vmap[u] over
-    the sorted adjacency, grown a layer at a time until it holds every later
-    neighbour's image or the whole component; nothing outlives the call. FIFO
-    order keeps each layer in the order of its lex-least shortest paths, so a
-    vertex's first discoverer ends its own path from the source; a target's
-    route nodes are made walking up the parents to the first vertex that has
-    one. Unequal orders are reported first, then the first guest vertex
-    without an image, then the first guest edge in `edge_list()` order with
-    an image outside the host or no host path."""
+    For each guest vertex u with later neighbours, one `bfs_parents` run from
+    vmap[u] that stops once it has reached every later neighbour's image;
+    nothing outlives the call. Each parent chain is a lex-least shortest
+    path, so a target's route nodes are made walking up the parents to the
+    first vertex that has one. Unequal orders are reported first, then the
+    first guest vertex without an image, then the first guest edge in
+    `edge_list()` order with an image outside the host or no host path."""
     require_equal_orders(guest, host)
     unmapped = next((g for g in guest.vertices() if g not in vmap), None)
     if unmapped is not None:
         raise ValueError(f"vmap has no image for guest vertex {unmapped}")
-    adjacency, tree_of = host.adjacency, None
-    parent, vertex, ends = [], [], {}
+    tree_of, parent, vertex, ends = None, [], [], {}
     for edge in guest.edge_list():  # the guest's own tuples are the route keys
         u, v = edge
         s, t = vmap[u], vmap[v]
         if tree_of != u:  # the edges from u are contiguous in edge_list()
             tree_of = u
-            if not 1 <= s <= host.order:
-                raise ValueError(f"vertex {s} outside 1..{host.order}")
-            # route nodes by vertex; the source's parent -1 has node -1, none
-            parents, frontier, node_of = {s: -1}, [s], {-1: -1}
-            missing = [vmap.get(w) for w in guest.adjacency[u] if w > u]
-            while missing and frontier:
-                reached = []
-                for x in frontier:
-                    for w in adjacency[x]:
-                        if w not in parents:
-                            parents[w] = x
-                            reached.append(w)
-                frontier = reached
-                missing = [m for m in missing if m not in parents]
+            parents = bfs_parents(host, s, (vmap[w] for w in guest.adjacency[u] if w > u))
+            node_of = {0: -1}  # route nodes by vertex; the source's parent 0 has node -1
         if not 1 <= t <= host.order:
             raise ValueError(f"vertex {t} outside 1..{host.order}")
         if t not in parents:

@@ -6,8 +6,9 @@ values are built on first read and cached on the instance: the sorted
 adjacency, and one ball-growth pass for every eccentricity and status
 (radius, diameter, medians), which also decides whether a graph is connected
 for them. `is_connected` reads only the edges, through a union-find.
-Distance rows are not cached: `single_source_distances` runs one BFS per
-call. The cached values never change `==` or `hash`.
+Distance rows and shortest routes are not cached: both read `bfs_parents`,
+the one adjacency BFS, afresh on every call. The cached values never change
+`==` or `hash`.
 """
 
 from __future__ import annotations
@@ -135,46 +136,44 @@ def require_equal_orders(guest: Graph, host: Graph) -> None:
                          f"got {guest.order} vs {host.order}")
 
 
-class Shells(Record):
-    """Vertices grouped by distance from a center; layers[i] holds distance i+1."""
-
-    _fields = ("center", "layers")
-
-    def __init__(self, center: int, layers: tuple[frozenset[int], ...]):
-        vars(self).update(center=center, layers=layers)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    @property
-    def status(self) -> int:
-        """Sum of i * |layer at distance i|, i.e. total distance from the center."""
-        return sum((i + 1) * len(layer) for i, layer in enumerate(self.layers))
+def bfs_parents(G: Graph, source: int, targets: Optional[Iterable[int]] = None) -> dict[int, int]:
+    """The package's one adjacency BFS: each vertex reached from `source`
+    mapped to its parent (the source to 0, which names no vertex), in the
+    order reached. FIFO order over the sorted adjacency makes every parent
+    chain read back from a vertex its lex-least shortest path. Given
+    `targets`, the search stops once it has reached them all, counting each
+    down as it meets it."""
+    if not 1 <= source <= G.order:
+        raise ValueError(f"vertex {source} outside 1..{G.order}")
+    parents, queue = {source: 0}, [source]
+    wanted = set() if targets is None else set(targets) - {source}
+    if targets is not None and not wanted:
+        return parents
+    adjacency = G.adjacency
+    for x in queue:  # the queue grows while it is read
+        for w in adjacency[x]:
+            if w not in parents:
+                parents[w] = x
+                queue.append(w)
+                if w in wanted:
+                    wanted.remove(w)
+                    if not wanted:
+                        return parents
+    return parents
 
 
 def single_source_distances(G: Graph, source: int) -> tuple[int, ...]:
-    """Hop distances from `source` by one BFS, computed afresh on every call.
+    """Hop distances from `source`, read off one `bfs_parents` run on every call.
 
     Returns a row indexed by vertex id; -1 marks an unreachable vertex and
     index 0, which names no vertex, holds 0 so that the sum and maximum of a
     connected graph's row are the source's status and eccentricity.
     """
-    if not 1 <= source <= G.order:
-        raise ValueError(f"vertex {source} outside 1..{G.order}")
     dist = [-1] * (G.order + 1)
-    dist[0] = dist[source] = 0
-    adjacency = G.adjacency
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for x in frontier:
-            for w in adjacency[x]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    reached.append(w)
-        frontier = reached
+    # a parent comes before its children, and the source's parent 0 holds -1 here
+    for v, p in bfs_parents(G, source).items():
+        dist[v] = dist[p] + 1
+    dist[0] = 0
     return tuple(dist)
 
 
@@ -250,16 +249,14 @@ def status_and_median(G: Graph) -> tuple[tuple[int, ...], int]:
     return medians, best
 
 
-def shells(G: Graph, center: int) -> Shells:
-    """Distance layers around `center`; together they partition the other vertices."""
+def shells(G: Graph, center: int) -> tuple[frozenset[int], ...]:
+    """Distance layers around `center`, layer i holding distance i + 1;
+    together they partition the other vertices."""
     dist = single_source_distances(G, center)
     if min(dist) < 0:
         raise ValueError("shells requires a connected graph")
-    layers = [set() for _ in range(max(dist))]
-    for v in G.vertices():
-        if dist[v] > 0:
-            layers[dist[v] - 1].add(v)
-    return Shells(center, tuple(frozenset(layer) for layer in layers))
+    return tuple(frozenset(v for v in G.vertices() if dist[v] == d)
+                 for d in range(1, max(dist) + 1))
 
 
 def _degrees(G: Graph) -> list[int]:

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
 import math
+import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -9,7 +10,8 @@ from itertools import chain, combinations, permutations, product
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
-from wheelembed.graphs import Graph, build_graph, edge_key
+from wheelembed.graphs import (Graph, build_graph, edge_key, radius_diameter,
+                               single_source_distances, status_and_median)
 from wheelembed.hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -104,19 +106,25 @@ def brute_lex_route(G: Graph, s: int, t: int):
 
 
 def reference_routes(guest: Graph, host: Graph, vmap) -> dict:
-    """Brute-force lex-least shortest routes for the guest edges in
-    `edge_list()` order; the first edge with an image outside the host or no
-    host path raises, source image checked before target image."""
-    routes = {}
+    """Lex-least shortest routes for the guest edges in `edge_list()` order,
+    by descent over the Floyd-Warshall distances: every shortest s-t path
+    has d(s, t) hops, so the lex-least one steps each time to the least
+    neighbour one hop closer to t. The first edge with an image outside the
+    host or no host path raises, source image checked before target image."""
+    dist, routes = brute_distances(host), {}
     for u, v in guest.edge_list():
         s, t = vmap[u], vmap[v]
         for x in (s, t):
             if not 1 <= x <= host.order:
                 raise ValueError(f"vertex {x} outside 1..{host.order}")
-        route = brute_lex_route(host, s, t)
-        if route is None:
+        if dist[s, t] == math.inf:
             raise ValueError(f"host has no path between {s} and {t}")
-        routes[u, v] = route
+        route = [s]
+        while route[-1] != t:
+            x = route[-1]
+            route.append(next(w for w in host.vertices()
+                              if host.has_edge(x, w) and dist[w, t] == dist[x, t] - 1))
+        routes[u, v] = tuple(route)
     return routes
 
 
@@ -548,3 +556,91 @@ def labelled_graphs(max_order: int):
         pairs = list(combinations(range(1, n + 1), 2))
         for mask in range(1 << len(pairs)):
             yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def reference_bfs_parents(G: Graph, source: int) -> dict[int, int]:
+    """Each vertex reached from `source` mapped to its parent (the source to
+    0), by a search grown one whole layer at a time over neighbour lists
+    sorted from the edges; the reference for `graphs.bfs_parents`."""
+    nbrs = {v: sorted(w for e in G.edges if v in e for w in e if w != v) for v in G.vertices()}
+    parents, layer = {source: 0}, [source]
+    while layer:
+        reached = []
+        for x in layer:
+            for w in nbrs[x]:
+                if w not in parents:
+                    parents[w] = x
+                    reached.append(w)
+        layer = reached
+    return parents
+
+
+def canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The least sorted edge list of the graph on 1..n over every vertex
+    order that lists the colour classes of colour refinement in colour order
+    and permutes vertices only within a class. Refinement starts from one
+    colour and ranks each vertex's (colour, sorted neighbour colours) until
+    no class splits; isomorphic graphs get the same classes in the same
+    order, so they get the same least edge list."""
+    nbrs = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colour, classes = [0] * (n + 1), 1
+    while True:
+        keys = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in range(n + 1)]
+        rank = {key: r for r, key in enumerate(sorted(set(keys[1:])))}
+        colour = [0] + [rank[key] for key in keys[1:]]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    cells = [[v for v in range(1, n + 1) if colour[v] == c] for c in range(classes)]
+    best = None
+    for orders in product(*map(permutations, cells)):
+        place = [0] * (n + 1)
+        for rank, v in enumerate(chain.from_iterable(orders), 1):
+            place[v] = rank
+        candidate = tuple(sorted(edge_key(place[u], place[v]) for u, v in edges))
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def connected_census(max_order: int):
+    """Every connected graph of order n up to isomorphism, one list per n =
+    1..max_order, each graph in its canonical labelling. Order n extends each
+    graph of order n - 1 by a vertex n joined to each nonempty subset of its
+    vertices: removing a leaf of a spanning tree leaves a connected graph, so
+    every connected graph of order n arises."""
+    level = [build_graph(1, [], "census-1")]
+    yield level
+    for n in range(2, max_order + 1):
+        forms = set()
+        for G in level:
+            base = G.edge_list()
+            for mask in range(1, 1 << n - 1):
+                joins = [(v, n) for v in range(1, n) if mask >> v - 1 & 1]
+                forms.add(canonical_edges(n, base + joins))
+        level = [build_graph(n, form, f"census-{n}") for form in sorted(forms)]
+        yield level
+
+
+def relabelled(G: Graph, rng: random.Random) -> Graph:
+    """G with its vertices renamed by one random permutation drawn from `rng`."""
+    images = rng.sample(range(1, G.order + 1), G.order)
+    return build_graph(G.order, [(images[u - 1], images[v - 1]) for u, v in G.edges], G.name)
+
+
+def distance_column(G: Graph):
+    """The census's distance column: None when the ball pass agrees with the
+    BFS rows on G, else a line naming G and both answers. The radius and
+    diameter must be the least and largest row maximum, and the medians and
+    their status the vertices of least row sum and that sum. Failures are
+    returned, not asserted, so the column also holds under python -O."""
+    rows = [single_source_distances(G, v) for v in G.vertices()]
+    eccs, statuses = [max(row) for row in rows], [sum(row) for row in rows]
+    best = min(statuses)
+    want = ((min(eccs), max(eccs)),
+            (tuple(v for v, status in zip(G.vertices(), statuses) if status == best), best))
+    got = (radius_diameter(G), status_and_median(G))
+    return None if got == want else f"{G.edge_list()}: ball pass {got}, BFS rows {want}"

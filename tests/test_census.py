@@ -1,0 +1,38 @@
+"""Every connected graph of small order, up to isomorphism, as a census that
+each rule checks as one more column; order 8 runs as a CI step under
+python -O, orders up to 7 here."""
+
+import random
+
+import pytest
+
+from helpers import canonical_edges, connected_census, distance_column, relabelled
+from wheelembed.graphs import is_connected
+
+# OEIS A001349: connected graphs on n unlabelled vertices, n = 1..7
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853)
+
+
+@pytest.fixture(scope="module")
+def census():
+    return list(connected_census(len(CONNECTED_COUNTS)))
+
+
+def test_census_counts_match_oeis_a001349(census):
+    assert tuple(map(len, census)) == CONNECTED_COUNTS
+    rng = random.Random(0)
+    for n, level in enumerate(census, 1):
+        assert all(G.order == n and is_connected(G) for G in level)
+        # a census graph is its own canonical form, and so is a relabelling of it
+        for G in level:
+            form = tuple(G.edge_list())
+            assert canonical_edges(n, relabelled(G, rng).edges) == form
+
+
+def test_distance_column(census):
+    # the ball pass against the BFS rows on every census graph and on one
+    # seeded relabelling of each
+    rng = random.Random(1)
+    failures = [fault for level in census for G in level
+                for fault in (distance_column(G), distance_column(relabelled(G, rng))) if fault]
+    assert failures == []

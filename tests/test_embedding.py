@@ -47,7 +47,8 @@ from wheelembed.families import (
     windmill,
     x_tree,
 )
-from wheelembed.graphs import all_pairs_distances, build_graph
+from wheelembed import embedding as embedding_mod
+from wheelembed.graphs import all_pairs_distances, bfs_parents, build_graph
 
 
 def identity(G):
@@ -534,13 +535,38 @@ def test_construction_equals_build_embedding(guest, data):
 @settings(max_examples=150)
 def test_route_shortest_matches_brute_force(guest, data):
     # hosts may be disconnected and maps may miss the host; the second call
-    # on the same host instance resumes the trees the first one grew
+    # on the same host instance must not read anything the first one left
     host = data.draw(graphs(min_order=guest.order, max_order=guest.order))
     for _ in range(2):
         vmap = data.draw(vertex_maps(guest.order))
         expected = _outcome(lambda: build_embedding(
             guest, host, vmap, reference_routes(guest, host, vmap)))
         assert _outcome(lambda: route_shortest(guest, host, vmap)) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_wheel_routes_into_two_jump_circulants_match_the_reference(n):
+    guest, host = wheel(n), circulant(n, {1, 2})
+    vmap = identity(guest)
+    assert dict(route_shortest(guest, host, vmap).routes) == reference_routes(guest, host, vmap)
+
+
+def test_route_searches_stop_at_their_last_target(monkeypatch):
+    # one search per guest vertex with later neighbours: the hub's reaches
+    # every vertex, and a rim vertex's stops at its later rim neighbours, one
+    # host hop away, once it has met them among its own host neighbours
+    sizes = []
+
+    def recording(G, source, targets=None):
+        parents = bfs_parents(G, source, targets)
+        sizes.append(len(parents))
+        return parents
+
+    monkeypatch.setattr(embedding_mod, "bfs_parents", recording)
+    guest, host = wheel(40), circulant(40, {1, 2})
+    route_shortest(guest, host, identity(guest))
+    assert sizes[0] == 40 and len(sizes) == 39
+    assert max(sizes[1:]) <= 5
 
 
 def _random_tree(host, source, rng):
@@ -732,6 +758,16 @@ def test_walk_forest_equals_the_children_list_walk(case):
     assert list(walked[4].items()) == list(expected[4].items())
     assert (_pass_outcome(lambda: build_embedding(guest, host, vmap, forest))
             == _reference_outcome(guest, host, vmap, dict(forest)))
+
+
+@pytest.mark.parametrize("n, deepest", [(10, 257), (11, 513)])
+def test_walk_forest_keeps_one_int_object_per_depth(n, deepest):
+    # CPython makes a new int object for every sum above 256. At order 2**10
+    # one spoke chain runs 257 hops deep; at 2**11 two chains pass 256 side
+    # by side, so a depth per node would hold two objects per value there
+    emb = embed_windmill_into_circulant(*windmill_instance(n))
+    assert max(emb._depth) == deepest
+    assert len({id(d) for d in emb._depth}) == len(set(emb._depth)) == deepest + 1
 
 
 @pytest.mark.parametrize("build", [

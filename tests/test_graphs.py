@@ -10,15 +10,18 @@ from helpers import (
     connected_graphs,
     graphs,
     record_bfs,
+    reference_bfs_parents,
     reference_is_connected,
     sparse_graphs,
 )
 from wheelembed import graphs as graphs_mod
+from wheelembed.embedding import route_shortest
 from wheelembed.families import (circulant, cycle, generalized_petersen, hypertree, path, star,
                                  wheel, windmill)
 from wheelembed.graphs import (
     Graph,
     all_pairs_distances,
+    bfs_parents,
     build_graph,
     graph_from_json,
     graph_to_json,
@@ -221,25 +224,81 @@ class TestMedianAndShells:
             status_and_median(build_graph(3, [(1, 2)]))
 
     def test_star_hub_shell(self):
-        assert shells(star(5), 1).sizes() == (4,)
+        assert shells(star(5), 1) == (frozenset({2, 3, 4, 5}),)
 
     def test_cycle_shells(self):
-        assert shells(cycle(6), 1).sizes() == (2, 2, 1)
+        layers = shells(cycle(6), 1)
+        assert tuple(map(len, layers)) == (2, 2, 1)
+        assert layers == (frozenset({2, 6}), frozenset({3, 5}), frozenset({4}))
 
     def test_hypertree_root_shells(self):
-        assert shells(hypertree(3), 1).sizes() == (2, 4)
+        assert tuple(map(len, shells(hypertree(3), 1))) == (2, 4)
 
     def test_shells_reject_bad_vertex(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 7 outside 1\.\.6$"):
             shells(cycle(6), 7)
 
     def test_shells_partition(self):
-        sh = shells(cycle(6), 2)
+        layers = shells(cycle(6), 2)
+        assert all(type(layer) is frozenset for layer in layers)
         everything = set()
-        for layer in sh.layers:
+        for layer in layers:
             assert not everything & layer
             everything |= layer
         assert everything == set(range(1, 7)) - {2}
+
+
+class TestBfsParents:
+    def test_full_search_reaches_the_component_in_fifo_order(self):
+        G = build_graph(6, [(1, 3), (1, 2), (2, 4), (3, 4), (5, 6)])
+        parents = bfs_parents(G, 1)
+        assert list(parents.items()) == [(1, 0), (2, 1), (3, 1), (4, 2)]
+
+    def test_targets_equal_to_the_source_stop_at_once(self):
+        assert bfs_parents(cycle(5), 3, [3, 3]) == {3: 0}
+        assert bfs_parents(cycle(5), 3, []) == {3: 0}
+
+    def test_search_stops_at_its_last_target(self):
+        # 2 and 6 are both at distance 2 from 4; 6 is met last, and the
+        # search returns right after it, before reaching 1 and 7
+        G = path(9)
+        assert list(bfs_parents(G, 4, [2, 6])) == [4, 3, 5, 2, 6]
+        assert list(bfs_parents(G, 4, [6, 2])) == [4, 3, 5, 2, 6]
+
+    def test_unreachable_targets_run_out_the_component(self):
+        G = build_graph(5, [(1, 2), (2, 3), (4, 5)])
+        assert bfs_parents(G, 1, [3, 4]) == bfs_parents(G, 1) == {1: 0, 2: 1, 3: 2}
+        assert bfs_parents(G, 1, [9]) == bfs_parents(G, 1)
+
+    def test_both_callers_name_a_source_outside_the_graph(self):
+        G = cycle(5)
+        for bad in (0, 6):
+            message = rf"^vertex {bad} outside 1\.\.5$"
+            with pytest.raises(ValueError, match=message):
+                bfs_parents(G, bad)
+            with pytest.raises(ValueError, match=message):
+                single_source_distances(G, bad)
+            with pytest.raises(ValueError, match=message):
+                route_shortest(G, G, {1: bad, 2: 2, 3: 3, 4: 4, 5: 5})
+
+
+@given(graphs(max_order=10) | sparse_graphs(max_order=14), st.data())
+@settings(max_examples=150)
+def test_bfs_parents_with_targets_is_a_prefix_of_the_full_search(G, data):
+    # the full search equals a layer-by-layer reference, and a search for
+    # targets (some unreachable or outside G) reads the same parents as far
+    # as it goes: up to its last target, or the whole component
+    source = data.draw(st.integers(1, G.order))
+    targets = data.draw(st.lists(st.integers(0, G.order + 1), max_size=4))
+    full = bfs_parents(G, source)
+    assert list(full.items()) == list(reference_bfs_parents(G, source).items())
+    found = bfs_parents(G, source, targets)
+    order = list(full)
+    if all(t in full for t in targets):
+        assert len(found) == max(map(order.index, targets), default=0) + 1
+    else:
+        assert len(found) == len(full)
+    assert list(found.items()) == list(full.items())[:len(found)]
 
 
 class TestDegrees:
@@ -336,7 +395,13 @@ def test_shell_status_matches_distance_sums(G):
     medians, delta = status_and_median(G)
     for u in G.vertices():
         total = sum(dist[u])
-        assert shells(G, u).status == total
+        layers = shells(G, u)
+        sizes = tuple(dist[u].count(d) for d in range(1, max(dist[u]) + 1))
+        assert tuple(map(len, layers)) == sizes
+        assert sum(d * len(layer) for d, layer in enumerate(layers, 1)) == total
+        assert set().union(*layers) == set(G.vertices()) - {u}
+        assert sum(map(len, layers)) == G.order - 1
+        assert all(dist[u][v] == d for d, layer in enumerate(layers, 1) for v in layer)
         assert (total == delta) == (u in medians)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from wheelembed.bounds import BoundReport
 from wheelembed.embedding import EmbeddingMap, EmbeddingMetrics, RouteForest
-from wheelembed.graphs import Graph, Shells
+from wheelembed.graphs import Graph
 from wheelembed.hamiltonian import HamiltonicityReport
 from wheelembed.oracle import OracleResult
 
@@ -29,9 +29,6 @@ RECORDS = {
     Graph: (
         {"order": 3, "edges": frozenset({(1, 2), (2, 3)}), "name": "path-3"},
         {"name": ""}, "value", ("name",), "<Graph 'path-3' order=3 edges=2>"),
-    Shells: (
-        {"center": 1, "layers": (frozenset({2}), frozenset({3}))},
-        {}, "value", (), "Shells(center=1, layers=(frozenset({2}), frozenset({3})))"),
     HamiltonicityReport: (
         {"verdict": False, "witness": (1, 2, 3), "failing_fault": ((2,), ((1, 3),)),
          "failing_pair": (1, 3)},
