@@ -1,13 +1,15 @@
 """Exact hamiltonian cycle/path search and fault-tolerant hamiltonicity checks.
 
-One backtracking search, `_spanning`, answers cycle and path queries alike,
-with reachability and anchor-degree pruning on bitmasks: a survivor graph is
-a list of neighbour masks indexed by vertex id (bit w of adj[v] set iff vw
-is an edge of G that did not fail) plus a mask `alive` of surviving
-vertices, and the unvisited set is one int. A failed vertex only clears its
-bit in `alive`; the rows keep it, and every read of a row is masked by a
-subset of `alive`. Below the root, cycle and fixed-end path queries re-check
-the degree of only the vertices that lost a usable neighbour.
+One backtracking search, `_spanning`, finds a spanning path from a start
+vertex that ends on a vertex of a mask `ends`, with reachability and degree
+pruning on bitmasks: a survivor graph is a list of neighbour masks indexed
+by vertex id (bit w of adj[v] set iff vw is an edge of G that did not fail)
+plus a mask `alive` of surviving vertices, and the unvisited set is one int.
+A failed vertex only clears its bit in `alive`; the rows keep it, and every
+read of a row is masked by a subset of `alive`. Every query is one such
+path: a cycle is its smallest vertex s, a neighbour a of s and a path from
+a to a neighbour of s above a, so each cycle is searched in one direction;
+a free path from s ends above s; a u-v path starts at u with `ends` {v}.
 
 The reachability test asks, at a node whose path ends at `cur`, whether
 G[unvisited + cur] is connected. The root floods every unvisited vertex. A
@@ -16,7 +18,7 @@ child is made only after its parent end p passed the test, so H = G[unvisited
 Since cur is one of them, H - p is connected exactly when every unvisited
 neighbour of p is reachable from cur through unvisited vertices, so below the
 root the flood stops once it has reached those neighbours. Every node gets
-the verdict of a full flood, and the search tree is unchanged.
+the verdict of a full flood.
 
 The search keeps an explicit stack instead of recursing, so its depth is
 bounded by memory, not by the interpreter's recursion limit. Children are
@@ -27,8 +29,9 @@ around 16 vertices when sweeping fault sets.
 
 Each query does each check once, in `_cycle_search` or `_path_search`,
 cheapest first: order and path ends, then degree (two neighbours each, for
-a cycle), then parity (the colour classes of a connected bipartite survivor
-graph), then the search; only the search spends budget.
+a cycle), then parity, then the search; only the search spends budget.
+Parity is one mask, `_class_ends`, that narrows `ends`; a start it leaves
+with no end spends no node.
 
 Both fault sweeps are one loop, `_sweep`, over the (vertices, edges) tuple
 pairs of `fault_specs`: one cycle query per set, or one path query per
@@ -172,41 +175,34 @@ def _feasible(adj, check, unvisited, usable, weak_ok, cur, goal) -> bool:
     return not goal & rest
 
 
-def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int]]:
-    """Depth-first search for a spanning path from `start` over `unvisited`.
+def _spanning(adj, start, unvisited, ends, budget, check, recheck=False) -> Optional[list[int]]:
+    """Depth-first search for a spanning path from `start` over `unvisited`
+    that ends on a vertex of the mask `ends`. One vertex of `ends` may get by
+    with one usable neighbour (see `_feasible`), and the last vertex of
+    `ends` left unvisited may only be placed last. The search keeps its own
+    stack of untried-children masks, one per path vertex, so its depth is
+    bounded by memory. Each visited node spends one unit of budget.
 
-    `close` is start's bit when the path must close into a cycle, else 0;
-    `target` is the bit of a fixed final endpoint, else 0. The search keeps
-    its own stack of untried-children masks, one per path vertex, so its
-    depth is bounded by memory. Each visited node spends one unit of budget.
-
-    The root of a path query checks the degree of every unvisited vertex;
-    that of a cycle query checks none, since `_cycle_search` has just checked
-    them all against the same usable set. A child's usable set is its
-    parent's minus the parent's path end, so when each vertex keeps its own
-    rule (a cycle, or a fixed final endpoint) only the unvisited neighbors of
-    that end can newly fail; a free end lets any one vertex be weak, so there
-    every node checks them all. The flood fill of the root must reach every
-    unvisited vertex, that of a child only the unvisited neighbors of its
-    parent end (see the module docstring).
+    The root checks the degree of the vertices of `check`. A child's usable
+    set is its parent's minus the parent's path end, so a child checks the
+    unvisited neighbours of that end, the only ones that can newly fail;
+    with `recheck` (free ends) every node checks every unvisited vertex, so
+    that two vertices with one usable neighbour each are seen. The flood of
+    a child stops at those neighbours (see the module docstring).
     """
-    weak_ok = target or (0 if close else -1)  # where a path may end
-    path, stack = [start], []
-    check = 0 if close else unvisited
-    goal = unvisited
+    path, stack, goal = [start], [], unvisited
     while True:
         budget.spend()
         cur = path[-1]
         children = 0
+        left = ends & unvisited
         if not unvisited:
-            if not close or adj[cur] & close:
+            if ends >> cur & 1:
                 return path
-        elif ((not close or adj[start] & unvisited)  # a cycle's closing edge can still form
-              and _feasible(adj, check, unvisited, unvisited | 1 << cur | close, weak_ok, cur,
-                            goal)):
+        elif left and _feasible(adj, check, unvisited, unvisited | 1 << cur, ends, cur, goal):
             children = adj[cur] & unvisited
-            if unvisited != target:
-                children &= ~target  # a fixed endpoint may only be placed last
+            if left & (left - 1) == 0 and left != unvisited:
+                children &= ~left  # the last end left may only be placed last
         while not children:
             if not stack:
                 return None
@@ -216,42 +212,51 @@ def _spanning(adj, start, unvisited, close, target, budget) -> Optional[list[int
         stack.append(children ^ low)
         unvisited ^= low
         goal = adj[path[-1]] & unvisited
-        check = unvisited if weak_ok == -1 else goal
+        check = unvisited if recheck else goal
         path.append(low.bit_length() - 1)
 
 
 def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
-    """A spanning cycle of the survivor graph from its smallest vertex, or
-    None. The degree rule is `_feasible`'s, with an empty flood fill."""
-    if (alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0, 0)
-            or not _parity_allows(_colour_classes(adj, alive), cycle=True)):
+    """A spanning cycle of the survivor graph from its smallest vertex s, or
+    None. The degree rule is `_feasible`'s, with an empty flood fill; after
+    it, the path from each neighbour a of s checks at its root only the
+    neighbours of s, the vertices that lost s as a usable neighbour."""
+    if alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0, 0):
         return None
     low = alive & -alive
-    return _spanning(adj, low.bit_length() - 1, alive ^ low, low, 0, budget)
+    s, rest = low.bit_length() - 1, alive ^ low
+    ends = adj[s] & rest & _class_ends(_colour_classes(adj, alive), s)
+    while ends & (ends - 1):  # a needs a neighbour of s above it
+        a = ends & -ends
+        ends ^= a
+        found = _spanning(adj, a.bit_length() - 1, rest ^ a, ends, budget, adj[s] & (rest ^ a))
+        if found is not None:
+            return [s] + found
+    return None
 
 
-def _path_search(adj, alive, budget, ends=None, classes=None) -> Optional[list[int]]:
-    """A spanning path of the survivor graph, joining `ends` when given, or
+def _path_search(adj, alive, budget, pair=None, classes=None) -> Optional[list[int]]:
+    """A spanning path of the survivor graph, joining `pair` when given, or
     None. `classes`, when given, is `_colour_classes(adj, alive)`, coloured
     once for the many pairs of one survivor graph. The degree rule is left
     to the root of each search, which spends budget, so that node counts
     stay those of one search per start."""
-    if ends is None:
-        starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
+    if pair is None:
+        starts = [v for v in range(alive.bit_length()) if alive >> v & 1]
         if len(starts) < 2:
             return starts or None
-    elif ends[0] == ends[1] or not all(v >= 0 and alive >> v & 1 for v in ends):
-        raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
+    elif pair[0] == pair[1] or not all(v >= 0 and alive >> v & 1 for v in pair):
+        raise ValueError(f"path endpoints must be distinct surviving vertices, got {pair}")
     else:
-        starts, target = [ends[0]], 1 << ends[1]
-    if classes is None:
-        classes = _colour_classes(adj, alive)
-    if not _parity_allows(classes, ends):
-        return None
+        starts = [pair[0]]
+    classes = _colour_classes(adj, alive) if classes is None else classes
     for s in starts:
-        found = _spanning(adj, s, alive ^ 1 << s, 0, target, budget)
-        if found is not None:
-            return found
+        rest = alive ^ 1 << s
+        ends = (rest & -(2 << s) if pair is None else 1 << pair[1]) & _class_ends(classes, s)
+        if ends:
+            found = _spanning(adj, s, rest, ends, budget, rest, recheck=pair is None)
+            if found is not None:
+                return found
     return None
 
 
@@ -279,28 +284,19 @@ def _colour_classes(adj, alive) -> tuple:
     return tuple(sorted(sides, key=int.bit_count, reverse=True))
 
 
-def _parity_allows(classes, ends=None, cycle=False) -> bool:
-    """False when the `_colour_classes` of a survivor graph rule out a
-    spanning cycle, or a spanning path with free or fixed `ends`; True
-    otherwise, and always when there are no classes.
-
-    A spanning cycle or path alternates classes, so a cycle needs equal
-    classes and a path classes that differ by at most one; with equal
-    classes a path's ends lie in opposite classes, with one class larger by
-    one both ends lie in it.
-    """
+def _class_ends(classes, start) -> int:
+    """The mask of vertices on which a spanning path from `start` may end, by
+    the `_colour_classes` of its survivor graph, or -1 without classes. A
+    spanning path alternates classes, so with equal classes it ends in the
+    class opposite `start`, with one class larger by one both its ends lie
+    in that class, and with a larger gap there is none."""
     if not classes:
-        return True
+        return -1
     big, small = classes
     gap = big.bit_count() - small.bit_count()
-    if cycle or gap > 1:
-        return gap == 0
-    if ends is None:
-        return True
-    s, t = ends
-    if gap:
-        return bool(big >> s & big >> t & 1)
-    return (big >> s & 1) != (big >> t & 1)
+    if gap == 0:
+        return small if big >> start & 1 else big
+    return big if gap == 1 and big >> start & 1 else 0
 
 
 def _witness_bits(G: Graph) -> dict[tuple[int, int], int]:

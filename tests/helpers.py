@@ -10,9 +10,12 @@ from itertools import chain, combinations, permutations, product
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
+from wheelembed.bounds import wirelength_lower_bound
+from wheelembed.families import build_family
 from wheelembed.graphs import (Graph, build_graph, edge_key, radius_diameter,
                                single_source_distances, status_and_median)
 from wheelembed.hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
+from wheelembed.oracle import exact_wirelength
 
 
 @st.composite
@@ -359,20 +362,19 @@ def reference_fault_sweep(G: Graph, f: int, traceable: bool):
     return True, witness, None, None
 
 
-def _reference_feasible(adj, unvisited, usable, weak_ok, cur) -> bool:
-    """The full pruning test: the degree of every unvisited vertex (two
-    neighbors in `usable`, one for a single vertex of `weak_ok`), then a
-    flood fill from cur over the unvisited vertices."""
+def _reference_feasible(adj, check, unvisited, ends, cur) -> bool:
+    """The pruning test with a full flood: the degree of each vertex of
+    `check` (two neighbors among the unvisited vertices and cur, one for a
+    single vertex of `ends`), then a flood fill from cur over every
+    unvisited vertex."""
     weak = False
-    rest = unvisited
-    while rest:
-        low = rest & -rest
-        a = adj[low.bit_length() - 1] & usable
-        if a & (a - 1) == 0:
-            if a == 0 or weak or not low & weak_ok:
-                return False
-            weak = True
-        rest ^= low
+    for v in range(check.bit_length()):
+        if check >> v & 1:
+            count = (adj[v] & (unvisited | 1 << cur)).bit_count()
+            if count < 2:
+                if count == 0 or weak or not ends >> v & 1:
+                    return False
+                weak = True
     rest, frontier = unvisited, adj[cur] & unvisited
     while frontier:
         rest ^= frontier
@@ -417,88 +419,80 @@ def _reference_parity_allows(adj, alive, ends=None, cycle=False) -> bool:
     return colour[s] == colour[t] == larger
 
 
-def _reference_extend_cycle(adj, path, unvisited, start, budget) -> bool:
+def _reference_extend(adj, path, unvisited, ends, recheck, check, budget) -> bool:
+    """Extend `path` to a spanning path over `unvisited` that ends on a
+    vertex of `ends`; a node checks the degrees of `check`, and its children
+    those of the unvisited neighbours of its path end, or with `recheck`
+    every unvisited vertex. When one vertex of `ends` is left unvisited it
+    is placed last."""
     budget.spend()
     cur = path[-1]
     if not unvisited:
-        return adj[cur] >> start & 1 == 1
-    if not adj[start] & unvisited:
-        return False  # the closing edge back to start can never form
-    if not _reference_feasible(adj, unvisited, unvisited | 1 << cur | 1 << start, 0, cur):
+        return ends >> cur & 1 == 1
+    left = ends & unvisited
+    if not left or not _reference_feasible(adj, check, unvisited, ends, cur):
         return False
     children = adj[cur] & unvisited
-    while children:
-        low = children & -children
-        path.append(low.bit_length() - 1)
-        if _reference_extend_cycle(adj, path, unvisited ^ low, start, budget):
-            return True
-        path.pop()
-        children ^= low
+    if left.bit_count() == 1 and left != unvisited:
+        children &= ~left
+    for w in range(children.bit_length()):
+        if children >> w & 1:
+            path.append(w)
+            rest = unvisited ^ 1 << w
+            if _reference_extend(adj, path, rest, ends, recheck,
+                                 rest if recheck else adj[cur] & rest, budget):
+                return True
+            path.pop()
     return False
 
 
 def reference_cycle_search(adj, alive, budget):
-    """The recursive cycle search the stack-based `_spanning` replaced: same
-    witness and the same nodes spent, one interpreter frame per path vertex.
-    Order, degree and parity are ruled on before the search, at no cost."""
+    """The recursive form of the stack-based cycle search: same witness and
+    the same nodes spent, one interpreter frame per path vertex. Order,
+    degree and parity are ruled on before the search, at no cost. A cycle
+    is its smallest vertex s, a neighbour a, and a path from a that ends on
+    a neighbour of s above a; each path from a checks every degree at its
+    root."""
     if alive.bit_count() < 3:
         return None
-    rest = alive
-    while rest:
-        low = rest & -rest
-        a = adj[low.bit_length() - 1] & alive  # rows keep the bits of failed vertices
-        if a & (a - 1) == 0:
-            return None  # a vertex with fewer than two neighbors
-        rest ^= low
+    for v in range(alive.bit_length()):
+        if alive >> v & 1 and (adj[v] & alive).bit_count() < 2:
+            return None  # rows keep the bits of failed vertices
     if not _reference_parity_allows(adj, alive, cycle=True):
         return None
-    start = (alive & -alive).bit_length() - 1
-    path = [start]
-    if _reference_extend_cycle(adj, path, alive ^ 1 << start, start, budget):
-        return path
+    s = (alive & -alive).bit_length() - 1
+    neighbours = [a for a in range(alive.bit_length()) if alive >> a & 1 and adj[s] >> a & 1]
+    for a in neighbours:
+        ends = sum(1 << b for b in neighbours if b > a)
+        rest = alive & ~(1 << s | 1 << a)
+        path = [s, a]
+        if ends and _reference_extend(adj, path, rest, ends, False, rest, budget):
+            return path
     return None
 
 
-def _reference_extend_path(adj, path, unvisited, target, budget) -> bool:
-    budget.spend()
-    if not unvisited:
-        return True  # a fixed endpoint is only ever placed last
-    cur = path[-1]
-    # `target` is the fixed final endpoint's bit, or 0 when the path end is free
-    if not _reference_feasible(adj, unvisited, unvisited | 1 << cur, target or -1, cur):
-        return False
-    children = adj[cur] & unvisited
-    if unvisited != target:
-        children &= ~target  # a fixed endpoint may only be placed last
-    while children:
-        low = children & -children
-        path.append(low.bit_length() - 1)
-        if _reference_extend_path(adj, path, unvisited ^ low, target, budget):
-            return True
-        path.pop()
-        children ^= low
-    return False
-
-
 def reference_path_search(adj, alive, budget, ends=None):
-    """The recursive path search the stack-based `_spanning` replaced; order,
-    ends and parity are ruled on before the search, at no cost."""
+    """The recursive form of the stack-based path search; order and ends
+    are ruled on before the search, at no cost. A free path from s may end
+    on any vertex above s that parity allows, and every node rechecks every
+    degree; a start with no such end spends nothing."""
     if not alive:
         return None
+    survivors = [v for v in range(alive.bit_length()) if alive >> v & 1]
     if ends is None:
-        starts, target = [v for v in range(alive.bit_length()) if alive >> v & 1], 0
-        if len(starts) == 1:
-            return starts
+        if len(survivors) == 1:
+            return survivors
+        pairs = [(s, [t for t in survivors if t > s]) for s in survivors]
     else:
         s, t = ends
         if s == t or not all(v >= 0 and alive >> v & 1 for v in ends):
             raise ValueError(f"path endpoints must be distinct surviving vertices, got {ends}")
-        starts, target = [s], 1 << t
-    if not _reference_parity_allows(adj, alive, ends):
-        return None
-    for s in starts:
+        pairs = [(s, [t])]
+    for s, targets in pairs:
+        mask = sum(1 << t for t in targets if _reference_parity_allows(adj, alive, (s, t)))
+        rest = alive ^ 1 << s
         path = [s]
-        if _reference_extend_path(adj, path, alive ^ 1 << s, target, budget):
+        if mask and _reference_extend(adj, path, rest, mask, ends is None, rest, budget):
             return path
     return None
 
@@ -644,3 +638,70 @@ def distance_column(G: Graph):
             (tuple(v for v, status in zip(G.vertices(), statuses) if status == best), best))
     got = (radius_diameter(G), status_and_median(G))
     return None if got == want else f"{G.edge_list()}: ball pass {got}, BFS rows {want}"
+
+
+def hamiltonian_column(G: Graph):
+    """The census's hamiltonian column: None when `find_hamiltonian_cycle`,
+    `find_hamiltonian_path` and `find_hamiltonian_path(G, (1, n))` give the
+    first walks of one enumeration of vertex orders, else a line naming G
+    and both answers. `brute_spanning_paths` yields the spanning paths in
+    lexicographic order, so the first is the least spanning path, the first
+    from 1 to n the least such path, and the first from 1 that closes, on at
+    least three vertices, the least cycle from 1. Failures are returned, not
+    asserted, so the column also holds under python -O."""
+    n = G.order
+    cycle = path = ends = None
+    for seq in brute_spanning_paths(G):
+        path = path or seq
+        if seq[0] > 1:
+            break  # the cycle and the 1-n path both start at 1
+        if n >= 3 and G.has_edge(seq[-1], 1):
+            cycle = cycle or seq
+        if n >= 2 and seq[-1] == n:
+            ends = ends or seq
+    want = (cycle, path, ends)
+    got = (find_hamiltonian_cycle(G), find_hamiltonian_path(G),
+           find_hamiltonian_path(G, (1, n)) if n >= 2 else None)
+    return None if got == want else f"{G.edge_list()}: search {got}, enumeration {want}"
+
+
+def hub_tour_wirelength(kind: str, H: Graph) -> int:
+    """The least wirelength of the wheel or fan (`kind`) of H's order on H,
+    as a tour problem: the hub on u costs status(u) for its spokes, and the
+    rim is a tour of V - u under the host distances, closed for a wheel and
+    open for a fan. A Held-Karp bitmask DP gives the least tour: cost[mask][j]
+    is the least walk through the rim vertices of `mask` that ends at the
+    j-th, started at the first one (closed) or at any one (open)."""
+    dist = brute_distances(H)
+    best = math.inf
+    for u in H.vertices():
+        rim = [v for v in H.vertices() if v != u]
+        m = len(rim)
+        cost = [[math.inf] * m for _ in range(1 << m)]
+        for j in range(1 if kind == "wheel" else m):
+            cost[1 << j][j] = 0
+        for mask in range(1, 1 << m):
+            for j, here in enumerate(cost[mask]):
+                for k in range(m):
+                    if here < math.inf and not mask >> k & 1:
+                        step = here + dist[rim[j], rim[k]]
+                        cost[mask | 1 << k][k] = min(cost[mask | 1 << k][k], step)
+        closing = [dist[v, rim[0]] if kind == "wheel" else 0 for v in rim]
+        tour = min(c + back for c, back in zip(cost[-1], closing))
+        best = min(best, sum(dist[u, v] for v in rim) + tour)
+    return best
+
+
+def wirelength_column(H: Graph):
+    """The census's wirelength column: None when, for the wheel and the fan
+    of H's order, `exact_wirelength` equals `hub_tour_wirelength`, the
+    wirelength bound does not exceed that optimum and is sharp exactly when
+    it equals it; else a line naming H, the kind and the values."""
+    for kind in ("wheel", "fan"):
+        want = hub_tour_wirelength(kind, H)
+        optimum = exact_wirelength(build_family(kind, [H.order]), H).optimum
+        report = wirelength_lower_bound(kind, H)
+        if optimum != want or report.bound > want or report.sharp != (want == report.bound):
+            return (f"{H.edge_list()} {kind}: oracle {optimum}, tour DP {want}, "
+                    f"bound {report.bound}, sharp {report.sharp}")
+    return None

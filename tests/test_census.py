@@ -1,12 +1,14 @@
 """Every connected graph of small order, up to isomorphism, as a census that
-each rule checks as one more column; order 8 runs as a CI step under
-python -O, orders up to 7 here."""
+each rule checks as one more column; CI steps under python -O run the
+distance column at order 8 and the hamiltonian and wirelength columns at
+order 7, here they run up to orders 7, 6 and 6."""
 
 import random
 
 import pytest
 
-from helpers import canonical_edges, connected_census, distance_column, relabelled
+from helpers import (canonical_edges, connected_census, distance_column, hamiltonian_column,
+                     relabelled, wirelength_column)
 from wheelembed.graphs import is_connected
 
 # OEIS A001349: connected graphs on n unlabelled vertices, n = 1..7
@@ -35,4 +37,23 @@ def test_distance_column(census):
     rng = random.Random(1)
     failures = [fault for level in census for G in level
                 for fault in (distance_column(G), distance_column(relabelled(G, rng))) if fault]
+    assert failures == []
+
+
+def test_hamiltonian_column(census):
+    # cycle, free path and 1-n path searches against one enumeration of
+    # vertex orders on every census graph of order <= 6 and one seeded
+    # relabelling of each
+    rng = random.Random(2)
+    failures = [fault for level in census[:6] for G in level
+                for fault in (hamiltonian_column(G), hamiltonian_column(relabelled(G, rng)))
+                if fault]
+    assert failures == []
+
+
+def test_wirelength_column(census):
+    # wheel and fan wirelength: the oracle against the tour DP, and the
+    # bound's sharp flag against the optimum, on every host of order 4-6
+    failures = [fault for level in census[3:6] for H in level
+                if (fault := wirelength_column(H))]
     assert failures == []

@@ -817,6 +817,37 @@ def test_an_option_the_command_does_not_read_is_an_error(capsys, tmp_path, argv,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ham", "--graph", "G", "--query", "cycle", "--node-limit", "0"),
+     "wheelembed ham: error: argument --node-limit: expected a positive integer, got 0"),
+    (("metrics", "--guest", "G", "--host", "G", "--embedding", "E"),
+     "error: {E}: vmap lists 3 images for 6 guest vertices"),
+    (("metrics", "--guest", "G", "--host", "G"), "error: metrics needs --embedding or --random"),
+    (("bound", "--metric", "wl", "--host", "G"), "error: --metric wl needs --kind wheel|fan"),
+    (("bound", "--metric", "dil", "--host", "G"), "error: --metric dil needs --guest"),
+    (("export", "--graph", "G", "--embedding", "E"),
+     "error: --embedding annotation needs --guest (with --graph as the host)"),
+    (("ham", "--graph", "R", "--query", "cycle"), "error: {R}: graph JSON repeats the key 'order'"),
+    (("gen", "circulant", "2", "1"), "error: circulant needs order >= 3, got 2"),
+    (("gen", "generalized_petersen", "2", "1"), "error: generalized_petersen needs n >= 3, got 2"),
+    (("gen", "generalized_petersen", "5"),
+     "error: generalized_petersen takes exactly two parameters"),
+    (("gen", "path", "0"), "error: path needs order >= 1, got 0"),
+    (("gen", "cycle", "2"), "error: cycle needs order >= 3, got 2"),
+    (("gen", "complete", "0"), "error: complete needs order >= 1, got 0"),
+    (("bound", "--metric", "ec", "--guest", "K", "--host", "K"), "error: host has no edges"),
+], ids=" ".join)
+def test_each_input_error_is_one_line(capsys, tmp_path, argv, message):
+    # in process, each message whole: exit code 1, one stderr line, no stdout
+    files = {"G": write_graph(tmp_path, wheel(6), "g.json"),
+             "K": write_graph(tmp_path, complete(1), "k1.json"),
+             "E": str(tmp_path / "e.json"), "R": str(tmp_path / "r.json")}
+    Path(files["E"]).write_text(json.dumps({"vmap": [1, 2, 3], "routes": {}}))
+    Path(files["R"]).write_text('{"order": 3, "order": 3, "edges": [[1, 2]]}')
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert (code, out, err) == (1, "", message.format(**files) + "\n")
+
+
 def test_version_exits_zero(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -366,7 +366,7 @@ class TestRouteForest:
         emb = build_embedding(guest, G, identity(G), routes)
         # roots 1, 2, 3; below 1: 2, 3, 4; below 2: 3, 4; below 3: 4
         assert len(emb.routes.vertex) == 9
-        assert dict(emb.routes) == routes
+        assert dict(emb.routes) == routes and len(emb.routes) == 6
 
 
 class TestMedianConstructions:

@@ -184,6 +184,8 @@ class TestOtherHosts:
     def test_torus_dimension_minimum(self):
         with pytest.raises(ValueError):
             torus([2, 3])
+        with pytest.raises(ValueError, match="^torus needs at least one dimension$"):
+            torus([])
 
     def test_path_cycle_complete(self):
         assert len(path(4).edges) == 3

@@ -237,6 +237,8 @@ class TestMedianAndShells:
     def test_shells_reject_bad_vertex(self):
         with pytest.raises(ValueError, match=r"^vertex 7 outside 1\.\.6$"):
             shells(cycle(6), 7)
+        with pytest.raises(ValueError, match="^shells requires a connected graph$"):
+            shells(build_graph(4, [(1, 2), (3, 4)]), 1)
 
     def test_shells_partition(self):
         layers = shells(cycle(6), 2)

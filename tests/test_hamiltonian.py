@@ -23,11 +23,11 @@ from wheelembed.graphs import build_graph, edge_key, graph_from_json, is_connect
 from wheelembed.hamiltonian import (
     SearchBudgetExceeded,
     _Budget,
+    _class_ends,
     _colour_classes,
     _cycle_search,
     _known_cycle,
     _masks,
-    _parity_allows,
     _path_search,
     _rotations,
     _survivors,
@@ -107,6 +107,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             find_hamiltonian_cycle(cycle(4), node_limit=0)
 
+    def test_failed_vertex_must_be_a_vertex(self):
+        for bad in (0, 5):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} outside 1\.\.4$"):
+                find_hamiltonian_cycle(cycle(4), without_vertices=(bad,))
+
     def test_failed_edge_must_be_an_edge(self):
         G = cycle(10)
         for bad in ((1, 99), (1, 3)):
@@ -127,27 +132,29 @@ class TestSearch:
             return _colour_classes(*_survivors(G, _masks(G)))
 
         def allowed_ends(G):
-            return [e for e in permutations(G.vertices(), 2) if _parity_allows(classes(G), e)]
+            return [(s, t) for s, t in permutations(G.vertices(), 2)
+                    if _class_ends(classes(G), s) >> t & 1]
 
-        # path(4) has classes {1, 3} and {2, 4}: ends in opposite classes
+        # path(4) has classes {1, 3} and {2, 4}: ends in opposite classes, and
+        # the mask from 1 meets its neighbour 2, so a cycle is not ruled out
         assert classes(path(4)) == (0b1010, 0b10100)
-        assert _parity_allows(classes(path(4)), cycle=True) and _parity_allows(classes(path(4)))
+        assert _class_ends(classes(path(4)), 1) == 0b10100
         assert allowed_ends(path(4)) == [(1, 2), (1, 4), (2, 1), (2, 3),
                                          (3, 2), (3, 4), (4, 1), (4, 3)]
-        # path(5) has classes {1, 3, 5} and {2, 4}: no cycle, ends in the larger
+        # path(5) has classes {1, 3, 5} and {2, 4}: a path from the larger
+        # class ends in it, none starts in the smaller, and the mask from 1
+        # misses its neighbour 2, so there is no cycle
         assert classes(path(5)) == (0b101010, 0b10100)
-        assert not _parity_allows(classes(path(5)), cycle=True)
-        assert _parity_allows(classes(path(5)))
+        assert _class_ends(classes(path(5)), 1) == 0b101010
+        assert _class_ends(classes(path(5)), 2) == 0
         assert allowed_ends(path(5)) == [(1, 3), (1, 5), (3, 1), (3, 5), (5, 1), (5, 3)]
         # a star on four vertices has classes of one and three: no path at all
         star = build_graph(4, [(1, 2), (1, 3), (1, 4)])
-        assert not _parity_allows(classes(star))
-        assert allowed_ends(star) == []
+        assert [_class_ends(classes(star), v) for v in star.vertices()] == [0, 0, 0, 0]
         # an odd cycle or a disconnected graph has no classes and is not ruled on
         for G in (cycle(5), build_graph(4, [(1, 2), (3, 4)])):
             assert classes(G) == ()
-            assert _parity_allows(classes(G), cycle=True) and _parity_allows(classes(G))
-            assert allowed_ends(G) == list(permutations(G.vertices(), 2))
+            assert [_class_ends(classes(G), v) for v in G.vertices()] == [-1] * G.order
 
     def test_bad_ends_are_reported_before_parity(self):
         for ends in ((1, 1), (1, 5), (0, 2)):
@@ -162,9 +169,9 @@ class TestSearch:
                            match=r"^path search for pair \(1, 2\) exhausted node budget 5$"):
             find_hamiltonian_path(PETERSEN, (1, 2), node_limit=5)
         with pytest.raises(SearchBudgetExceeded,
-                           match=r"^cycle search on fault set vertices \[\] edges \[\[1, 5\]\] "
+                           match=r"^cycle search on fault set vertices \[\] edges \[\[5, 6\]\] "
                                  r"exhausted node budget 5$"):
-            is_f_fault_hamiltonian(complete(5), 1, node_limit=5)
+            is_f_fault_hamiltonian(complete(6), 1, node_limit=5)
 
 
 def _input(name):
@@ -174,33 +181,39 @@ def _input(name):
 # smallest node_limit under which each query completes; a change here means
 # the search expands different nodes, not just that it got faster or slower
 NODE_BUDGETS = [
-    ("cycle-petersen5", lambda L: find_hamiltonian_cycle(PETERSEN, node_limit=L), 142, None),
+    ("cycle-petersen5", lambda L: find_hamiltonian_cycle(PETERSEN, node_limit=L), 70, None),
     ("path-petersen5", lambda L: find_hamiltonian_path(PETERSEN, node_limit=L), 10,
      (1, 2, 3, 4, 5, 10, 7, 9, 6, 8)),
     ("path-petersen5-ends", lambda L: find_hamiltonian_path(PETERSEN, (1, 2), node_limit=L),
      47, None),
     ("fham3-complete9",
-     lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 46, True),
+     lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 20, True),
     # a sweep's limit is that of its largest search; sets answered by an
     # earlier witness are not searched
     ("fham2-circulant16",
      lambda L: is_f_fault_hamiltonian(_input("circulant-16-1-2-4"), 2, node_limit=L).verdict,
-     26, True),
+     25, True),
     # the search that set the row above before witnesses were reused
     ("cycle-circulant16-minus-2-edges",
      lambda L: find_hamiltonian_cycle(_input("circulant-16-1-2-4"),
                                       without_edges=[(13, 15), (15, 16)], node_limit=L),
-     32, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
+     28, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
     ("ftrace1-circulant16",
      lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 536, True),
     ("fham1-torus3x3",
-     lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 13, True),
-    # needs the closing-edge test of the cycle search to stay at 23
+     lambda L: is_f_fault_hamiltonian(torus((3, 3)), 1, node_limit=L).verdict, 12, True),
+    # needs the test that a cycle's path still has an end left to stay at 19
     ("cycle-torus3x3-minus-edge",
      lambda L: find_hamiltonian_cycle(torus((3, 3)), without_edges=[(5, 8)], node_limit=L),
-     23, (1, 2, 5, 4, 6, 3, 9, 8, 7)),
+     19, (1, 2, 5, 4, 6, 3, 9, 8, 7)),
     ("cycle-petersen23",
-     lambda L: find_hamiltonian_cycle(_input("petersen-23-2"), node_limit=L), 84842, None),
+     lambda L: find_hamiltonian_cycle(_input("petersen-23-2"), node_limit=L), 43775, None),
+    # vertex 29 keeps only the neighbours 28 and 1 on the set that fails the
+    # edges (27, 29) and (29, 30), the largest search of the sweep; searching
+    # each cycle in both directions, it did not fit 200000 nodes
+    ("fham2-circulant30",
+     lambda L: is_f_fault_hamiltonian(circulant(30, {1, 2}), 2, node_limit=L).verdict,
+     172931, True),
 ]
 
 
@@ -215,20 +228,34 @@ def test_node_budget_is_unchanged(query, limit, expected):
 @pytest.mark.parametrize("G", [PETERSEN, torus((3, 3)), circulant(8, {1, 2})],
                          ids=["petersen5", "torus3x3", "circulant8"])
 def test_a_cycle_search_checks_each_degree_once(G, monkeypatch):
-    # `_cycle_search` has checked every degree against the survivor graph,
-    # so the root of its search checks none again; a path query's root, which
-    # no precheck covers, checks every unvisited vertex
-    checks = []
+    # `_cycle_search` checks every degree against the survivor graph, so the
+    # root of its path from a, the least neighbour of s = 1, checks only the
+    # other neighbours of s, which lost s; below a root, a cycle or fixed-end
+    # search checks the unvisited neighbours of the parent end, the only
+    # vertices that lost a usable neighbour, and a free-end search checks
+    # every unvisited vertex, since any vertex above its start may be the
+    # one with a single usable neighbour
+    calls = []
     feasible = hamiltonian._feasible
     monkeypatch.setattr(hamiltonian, "_feasible",
-                        lambda adj, check, *rest:
-                        checks.append(check) or feasible(adj, check, *rest))
-    alive = (1 << G.order + 1) - 2
-    find_hamiltonian_cycle(G)
-    assert checks[:2] == [alive, 0]
-    checks.clear()
-    find_hamiltonian_path(G, (1, 2))
-    assert checks[0] == alive ^ 1 << 1
+                        lambda adj, check, unvisited, *rest:
+                        calls.append((check, unvisited, rest[-1]))
+                        or feasible(adj, check, unvisited, *rest))
+
+    def recorded(query):
+        calls.clear()
+        query(G)
+        return list(calls)
+
+    adj, n = _masks(G), G.order
+    precheck, *cycle = recorded(find_hamiltonian_cycle)
+    assert precheck[0] == (1 << n + 1) - 2 and cycle
+    # a root has n - 2 unvisited vertices in a cycle search, n - 1 in a path search
+    assert all(check == (adj[1] & unvisited if unvisited.bit_count() == n - 2 else goal)
+               for check, unvisited, goal in cycle)
+    assert all(check == (unvisited if unvisited.bit_count() == n - 1 else goal)
+               for check, unvisited, goal in recorded(lambda G: find_hamiltonian_path(G, (1, 2))))
+    assert all(check == unvisited for check, unvisited, _ in recorded(find_hamiltonian_path))
 
 
 class TestFaultEnumeration:
@@ -285,6 +312,11 @@ class TestFaultHamiltonian:
             report = is_f_fault_hamiltonian(G, 0)
             assert report.verdict == (find_hamiltonian_cycle(G) is not None)
 
+    def test_two_fault_sweep_of_circulant30_fits_its_budget(self):
+        # every spanning cycle of the set that fails (27, 29) and (29, 30)
+        # passes 28, 29, 1; searched in both directions, it ran out here
+        assert is_f_fault_hamiltonian(circulant(30, {1, 2}), 2, node_limit=200_000).verdict
+
     def test_monotonic_in_f(self):
         for G in (complete(5), complete(6), circulant(8, {1, 2})):
             verdicts = [is_f_fault_hamiltonian(G, f).verdict for f in (0, 1, 2)]
@@ -328,6 +360,10 @@ class TestHypohamiltonian:
 
     def test_hamiltonian_graph_is_not(self):
         assert not is_hypohamiltonian(cycle(5))
+
+    def test_fewer_than_four_vertices_is_not(self):
+        # deleting a vertex leaves at most two, which hold no cycle
+        assert not any(is_hypohamiltonian(G) for G in labelled_graphs(3))
 
     def test_cycle_minus_vertex_is_a_path(self):
         # a plain cycle is not hypohamiltonian either: it is hamiltonian itself
@@ -445,15 +481,15 @@ def test_sparse_search_matches_the_recursive_reference(case, query, data):
 def test_parity_agrees_with_brute_force(case):
     G, side = case
     coloured = _colour_classes(*_survivors(G, _masks(G)))
+    adj = _masks(G)
 
-    def allows(ends=None, cycle=False):
-        return _parity_allows(coloured, ends, cycle)
+    def ends(s):
+        return _class_ends(coloured, s)
 
     paths = list(brute_spanning_paths(G))
     cycles = [p for p in paths if len(p) >= 3 and G.has_edge(p[-1], p[0])]
     if not is_connected(G):  # not ruled on, and there is nothing to find
-        assert allows(cycle=True) and allows()
-        assert all(allows(ends) for ends in permutations(G.vertices(), 2))
+        assert all(ends(v) == -1 for v in G.vertices())
         assert not paths
     else:
         # a connected graph's classes are those of `side`, up to a swap
@@ -461,21 +497,18 @@ def test_parity_agrees_with_brute_force(case):
                    for flag in (True, False)]
         big, small = sorted(classes, key=int.bit_count, reverse=True)
         gap = big.bit_count() - small.bit_count()
-        assert allows(cycle=True) == (gap == 0)
-        assert allows() == (gap <= 1)
         for s, t in permutations(G.vertices(), 2):
             expected = (gap == 0 and (big >> s & 1) != (big >> t & 1)
                         or gap == 1 and big >> s & big >> t & 1 == 1)
-            assert allows((s, t)) == expected
-    # the rule is sound: what it rules out has no brute-force witness
-    if not allows(cycle=True):
-        assert not cycles
-    if not allows():
-        assert not paths
-    for ends in permutations(G.vertices(), 2):
-        if not allows(ends):
-            assert not any((p[0], p[-1]) == ends for p in paths)
-    # with the parity test in front, the answers are still the brute-force ones
+            assert ends(s) >> t & 1 == expected
+        # a cycle from 1 is a path to a neighbour of 1
+        if G.order >= 2:
+            assert bool(ends(1) & adj[1]) == (gap == 0)
+    # the rule is sound: every spanning path ends where the mask of its
+    # start allows, and every spanning cycle closes on a neighbour in it
+    assert all(ends(p[0]) >> p[-1] & 1 for p in paths if len(p) >= 2)
+    assert all(ends(p[0]) & adj[p[0]] for p in cycles)
+    # with the parity masks in front, the answers are still the brute-force ones
     assert find_hamiltonian_cycle(G) == next((p for p in cycles if p[0] == 1), None)
     assert find_hamiltonian_path(G) == (paths[0] if paths else None)
 
