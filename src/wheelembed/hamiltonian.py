@@ -11,14 +11,18 @@ path: a cycle is its smallest vertex s, a neighbour a of s and a path from
 a to a neighbour of s above a, so each cycle is searched in one direction;
 a free path from s ends above s; a u-v path starts at u with `ends` {v}.
 
-The reachability test asks, at a node whose path ends at `cur`, whether
-G[unvisited + cur] is connected. The root floods every unvisited vertex. A
-child is made only after its parent end p passed the test, so H = G[unvisited
-+ cur + p] is connected and every component of H - p holds a neighbour of p.
+A node whose path ends at `cur` runs two tests. The degree test asks that
+every unvisited vertex keep two usable neighbours (unvisited, or cur), one
+for a single vertex of `ends`, the weak vertex; a child's usable set is its
+parent's minus the parent end p, so a child recounts p's unvisited
+neighbours and carries its parent's weak vertex. The reachability test asks
+whether G[unvisited + cur] is connected. The root floods every unvisited
+vertex. A child is made only after p passed the test, so H = G[unvisited +
+cur + p] is connected and every component of H - p holds a neighbour of p.
 Since cur is one of them, H - p is connected exactly when every unvisited
-neighbour of p is reachable from cur through unvisited vertices, so below the
-root the flood stops once it has reached those neighbours. Every node gets
-the verdict of a full flood.
+neighbour of p is reachable from cur through unvisited vertices, so below
+the root the flood stops once it has reached those neighbours. Every node
+gets the verdicts of a full degree check and a full flood.
 
 The search keeps an explicit stack instead of recursing, so its depth is
 bounded by memory, not by the interpreter's recursion limit. Children are
@@ -141,56 +145,51 @@ def _survivors(G: Graph, base: list[int], without_vertices=(),
     return adj, alive
 
 
-def _feasible(adj, check, unvisited, usable, weak_ok, cur, goal) -> bool:
-    """Can the path ending at `cur` still be completed over `unvisited`?
-
-    Each vertex of `check`, a subset of `unvisited`, needs two neighbors in
-    `usable` (the unvisited vertices plus the open path ends); one vertex of
-    `weak_ok`, where a path may end, gets by with one. The vertices of
-    `goal`, a subset of `unvisited`, must be reachable from cur through
-    unvisited ones; the flood fill stops once it has reached them all.
+def _feasible(adj, check, unvisited, weak, ends, cur, goal) -> int:
+    """The weak vertex bit (0 for none) of the path ending at `cur`, or -1
+    when it cannot be completed over `unvisited`. Each vertex of `check`, a
+    subset of `unvisited`, needs two neighbours among the unvisited vertices
+    and cur; one vertex of `ends`, the weak vertex, gets by with one. `weak`,
+    the parent's, counts while unvisited. The vertices of `goal`, a subset of
+    `unvisited`, must be reachable from cur through unvisited ones; the
+    flood fill stops once it has reached them all.
     """
-    weak = False
+    usable, weak = unvisited | 1 << cur, weak & unvisited
     rest = check
     while rest:
         low = rest & -rest
         a = adj[low.bit_length() - 1] & usable
         if a & (a - 1) == 0:
-            if a == 0 or weak or not low & weak_ok:
-                return False
-            weak = True
+            if a == 0 or weak or not low & ends:
+                return -1
+            weak = low
         rest ^= low
     # flood fill from cur; `rest` is what it has not reached
     rest, frontier = unvisited, adj[cur] & unvisited
     while frontier:
         rest ^= frontier
         if not goal & rest:
-            return True
+            return weak
         reached = 0
         while frontier:
             low = frontier & -frontier
             reached |= adj[low.bit_length() - 1]
             frontier ^= low
         frontier = reached & rest
-    return not goal & rest
+    return -1 if goal & rest else weak
 
 
-def _spanning(adj, start, unvisited, ends, budget, check, recheck=False) -> Optional[list[int]]:
+def _spanning(adj, start, unvisited, ends, budget, check) -> Optional[list[int]]:
     """Depth-first search for a spanning path from `start` over `unvisited`
-    that ends on a vertex of the mask `ends`. One vertex of `ends` may get by
-    with one usable neighbour (see `_feasible`), and the last vertex of
-    `ends` left unvisited may only be placed last. The search keeps its own
-    stack of untried-children masks, one per path vertex, so its depth is
-    bounded by memory. Each visited node spends one unit of budget.
-
-    The root checks the degree of the vertices of `check`. A child's usable
-    set is its parent's minus the parent's path end, so a child checks the
-    unvisited neighbours of that end, the only ones that can newly fail;
-    with `recheck` (free ends) every node checks every unvisited vertex, so
-    that two vertices with one usable neighbour each are seen. The flood of
-    a child stops at those neighbours (see the module docstring).
+    that ends on a vertex of the mask `ends`; the last vertex of `ends` left
+    unvisited may only be placed last. The root checks the degree of the
+    vertices of `check`, a child that of its parent end's unvisited
+    neighbours, with its parent's weak vertex (see the module docstring).
+    The search keeps its own stack of untried-children masks, one per path
+    vertex, and their weak vertices beside it, so its depth is bounded by
+    memory. Each visited node spends one unit of budget.
     """
-    path, stack, goal = [start], [], unvisited
+    path, stack, weaks, goal, weak = [start], [], [], unvisited, 0
     while True:
         budget.spend()
         cur = path[-1]
@@ -199,29 +198,29 @@ def _spanning(adj, start, unvisited, ends, budget, check, recheck=False) -> Opti
         if not unvisited:
             if ends >> cur & 1:
                 return path
-        elif left and _feasible(adj, check, unvisited, unvisited | 1 << cur, ends, cur, goal):
+        elif left and (weak := _feasible(adj, check, unvisited, weak, ends, cur, goal)) >= 0:
             children = adj[cur] & unvisited
             if left & (left - 1) == 0 and left != unvisited:
                 children &= ~left  # the last end left may only be placed last
         while not children:
             if not stack:
                 return None
-            children = stack.pop()
+            children, weak = stack.pop(), weaks.pop()
             unvisited |= 1 << path.pop()
         low = children & -children
         stack.append(children ^ low)
+        weaks.append(weak)
         unvisited ^= low
-        goal = adj[path[-1]] & unvisited
-        check = unvisited if recheck else goal
+        check = goal = adj[path[-1]] & unvisited
         path.append(low.bit_length() - 1)
 
 
 def _cycle_search(adj, alive, budget) -> Optional[list[int]]:
     """A spanning cycle of the survivor graph from its smallest vertex s, or
-    None. The degree rule is `_feasible`'s, with an empty flood fill; after
-    it, the path from each neighbour a of s checks at its root only the
-    neighbours of s, the vertices that lost s as a usable neighbour."""
-    if alive.bit_count() < 3 or not _feasible(adj, alive, 0, alive, 0, 0, 0):
+    None. `_feasible` first checks every degree, with no weak vertex and no
+    flood; after it, the path from each neighbour a of s checks at its root
+    only the neighbours of s, the vertices that lost s as a usable neighbour."""
+    if alive.bit_count() < 3 or _feasible(adj, alive, alive, 0, 0, 0, 0) < 0:
         return None
     low = alive & -alive
     s, rest = low.bit_length() - 1, alive ^ low
@@ -254,7 +253,7 @@ def _path_search(adj, alive, budget, pair=None, classes=None) -> Optional[list[i
         rest = alive ^ 1 << s
         ends = (rest & -(2 << s) if pair is None else 1 << pair[1]) & _class_ends(classes, s)
         if ends:
-            found = _spanning(adj, s, rest, ends, budget, rest, recheck=pair is None)
+            found = _spanning(adj, s, rest, ends, budget, rest)
             if found is not None:
                 return found
     return None

@@ -14,7 +14,8 @@ from wheelembed.bounds import wirelength_lower_bound
 from wheelembed.families import build_family
 from wheelembed.graphs import (Graph, build_graph, edge_key, radius_diameter,
                                single_source_distances, status_and_median)
-from wheelembed.hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
+from wheelembed.hamiltonian import (_Budget, _cycle_search, _masks, _path_search, _survivors,
+                                    find_hamiltonian_cycle, find_hamiltonian_path)
 from wheelembed.oracle import exact_wirelength
 
 
@@ -362,14 +363,13 @@ def reference_fault_sweep(G: Graph, f: int, traceable: bool):
     return True, witness, None, None
 
 
-def _reference_feasible(adj, check, unvisited, ends, cur) -> bool:
-    """The pruning test with a full flood: the degree of each vertex of
-    `check` (two neighbors among the unvisited vertices and cur, one for a
-    single vertex of `ends`), then a flood fill from cur over every
-    unvisited vertex."""
+def _reference_feasible(adj, unvisited, ends, cur) -> bool:
+    """The pruning test in full: the degree of every unvisited vertex (two
+    neighbors among the unvisited vertices and cur, one for a single vertex
+    of `ends`), then a flood fill from cur over every unvisited vertex."""
     weak = False
-    for v in range(check.bit_length()):
-        if check >> v & 1:
+    for v in range(unvisited.bit_length()):
+        if unvisited >> v & 1:
             count = (adj[v] & (unvisited | 1 << cur)).bit_count()
             if count < 2:
                 if count == 0 or weak or not ends >> v & 1:
@@ -419,18 +419,16 @@ def _reference_parity_allows(adj, alive, ends=None, cycle=False) -> bool:
     return colour[s] == colour[t] == larger
 
 
-def _reference_extend(adj, path, unvisited, ends, recheck, check, budget) -> bool:
+def _reference_extend(adj, path, unvisited, ends, budget) -> bool:
     """Extend `path` to a spanning path over `unvisited` that ends on a
-    vertex of `ends`; a node checks the degrees of `check`, and its children
-    those of the unvisited neighbours of its path end, or with `recheck`
-    every unvisited vertex. When one vertex of `ends` is left unvisited it
-    is placed last."""
+    vertex of `ends`; every node checks the degree of every unvisited
+    vertex. When one vertex of `ends` is left unvisited it is placed last."""
     budget.spend()
     cur = path[-1]
     if not unvisited:
         return ends >> cur & 1 == 1
     left = ends & unvisited
-    if not left or not _reference_feasible(adj, check, unvisited, ends, cur):
+    if not left or not _reference_feasible(adj, unvisited, ends, cur):
         return False
     children = adj[cur] & unvisited
     if left.bit_count() == 1 and left != unvisited:
@@ -438,9 +436,7 @@ def _reference_extend(adj, path, unvisited, ends, recheck, check, budget) -> boo
     for w in range(children.bit_length()):
         if children >> w & 1:
             path.append(w)
-            rest = unvisited ^ 1 << w
-            if _reference_extend(adj, path, rest, ends, recheck,
-                                 rest if recheck else adj[cur] & rest, budget):
+            if _reference_extend(adj, path, unvisited ^ 1 << w, ends, budget):
                 return True
             path.pop()
     return False
@@ -451,8 +447,7 @@ def reference_cycle_search(adj, alive, budget):
     the same nodes spent, one interpreter frame per path vertex. Order,
     degree and parity are ruled on before the search, at no cost. A cycle
     is its smallest vertex s, a neighbour a, and a path from a that ends on
-    a neighbour of s above a; each path from a checks every degree at its
-    root."""
+    a neighbour of s above a; every node checks every degree."""
     if alive.bit_count() < 3:
         return None
     for v in range(alive.bit_length()):
@@ -466,7 +461,7 @@ def reference_cycle_search(adj, alive, budget):
         ends = sum(1 << b for b in neighbours if b > a)
         rest = alive & ~(1 << s | 1 << a)
         path = [s, a]
-        if ends and _reference_extend(adj, path, rest, ends, False, rest, budget):
+        if ends and _reference_extend(adj, path, rest, ends, budget):
             return path
     return None
 
@@ -474,7 +469,7 @@ def reference_cycle_search(adj, alive, budget):
 def reference_path_search(adj, alive, budget, ends=None):
     """The recursive form of the stack-based path search; order and ends
     are ruled on before the search, at no cost. A free path from s may end
-    on any vertex above s that parity allows, and every node rechecks every
+    on any vertex above s that parity allows, and every node checks every
     degree; a start with no such end spends nothing."""
     if not alive:
         return None
@@ -492,9 +487,16 @@ def reference_path_search(adj, alive, budget, ends=None):
         mask = sum(1 << t for t in targets if _reference_parity_allows(adj, alive, (s, t)))
         rest = alive ^ 1 << s
         path = [s]
-        if mask and _reference_extend(adj, path, rest, mask, ends is None, rest, budget):
+        if mask and _reference_extend(adj, path, rest, mask, budget):
             return path
     return None
+
+
+def nodes_spent(search, adj, alive, *extra):
+    """(walk, nodes spent) of one search of a survivor graph, stack-based or
+    reference, under a budget far above what it needs."""
+    budget = _Budget(10 ** 6, "reference")
+    return search(adj, alive, budget, *extra), budget.limit - budget.remaining
 
 
 def reference_circulant(n: int, jumps) -> Graph:
@@ -643,12 +645,14 @@ def distance_column(G: Graph):
 def hamiltonian_column(G: Graph):
     """The census's hamiltonian column: None when `find_hamiltonian_cycle`,
     `find_hamiltonian_path` and `find_hamiltonian_path(G, (1, n))` give the
-    first walks of one enumeration of vertex orders, else a line naming G
-    and both answers. `brute_spanning_paths` yields the spanning paths in
-    lexicographic order, so the first is the least spanning path, the first
-    from 1 to n the least such path, and the first from 1 that closes, on at
-    least three vertices, the least cycle from 1. Failures are returned, not
-    asserted, so the column also holds under python -O."""
+    first walks of one enumeration of vertex orders and each of their
+    searches spends the nodes of its reference, which checks every degree at
+    every node; else a line naming G and both answers. `brute_spanning_paths`
+    yields the spanning paths in lexicographic order, so the first is the
+    least spanning path, the first from 1 to n the least such path, and the
+    first from 1 that closes, on at least three vertices, the least cycle
+    from 1. Failures are returned, not asserted, so the column also holds
+    under python -O."""
     n = G.order
     cycle = path = ends = None
     for seq in brute_spanning_paths(G):
@@ -662,7 +666,17 @@ def hamiltonian_column(G: Graph):
     want = (cycle, path, ends)
     got = (find_hamiltonian_cycle(G), find_hamiltonian_path(G),
            find_hamiltonian_path(G, (1, n)) if n >= 2 else None)
-    return None if got == want else f"{G.edge_list()}: search {got}, enumeration {want}"
+    if got != want:
+        return f"{G.edge_list()}: search {got}, enumeration {want}"
+    adj, alive = _survivors(G, _masks(G))
+    queries = [("cycle", _cycle_search, reference_cycle_search, ()),
+               ("path", _path_search, reference_path_search, ())]
+    queries += [("(1, n) path", _path_search, reference_path_search, ((1, n),))] * (n >= 2)
+    for query, search, reference, extra in queries:
+        spent = [nodes_spent(s, adj, alive, *extra)[1] for s in (search, reference)]
+        if spent[0] != spent[1]:
+            return f"{G.edge_list()}: {query} search spent {spent[0]} nodes, reference {spent[1]}"
+    return None
 
 
 def hub_tour_wirelength(kind: str, H: Graph) -> int:

@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _reference_feasible,
     brute_spanning_paths,
     connected_graphs,
     graphs,
     labelled_graphs,
+    nodes_spent,
     reference_cycle_search,
     reference_fault_sets,
     reference_fault_sweep,
@@ -22,7 +24,6 @@ from wheelembed.families import circulant, complete, cycle, generalized_petersen
 from wheelembed.graphs import build_graph, edge_key, graph_from_json, is_connected
 from wheelembed.hamiltonian import (
     SearchBudgetExceeded,
-    _Budget,
     _class_ends,
     _colour_classes,
     _cycle_search,
@@ -181,23 +182,23 @@ def _input(name):
 # smallest node_limit under which each query completes; a change here means
 # the search expands different nodes, not just that it got faster or slower
 NODE_BUDGETS = [
-    ("cycle-petersen5", lambda L: find_hamiltonian_cycle(PETERSEN, node_limit=L), 70, None),
+    ("cycle-petersen5", lambda L: find_hamiltonian_cycle(PETERSEN, node_limit=L), 58, None),
     ("path-petersen5", lambda L: find_hamiltonian_path(PETERSEN, node_limit=L), 10,
      (1, 2, 3, 4, 5, 10, 7, 9, 6, 8)),
     ("path-petersen5-ends", lambda L: find_hamiltonian_path(PETERSEN, (1, 2), node_limit=L),
      47, None),
     ("fham3-complete9",
-     lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 20, True),
+     lambda L: is_f_fault_hamiltonian(complete(9), 3, node_limit=L).verdict, 19, True),
     # a sweep's limit is that of its largest search; sets answered by an
     # earlier witness are not searched
     ("fham2-circulant16",
      lambda L: is_f_fault_hamiltonian(_input("circulant-16-1-2-4"), 2, node_limit=L).verdict,
-     25, True),
+     21, True),
     # the search that set the row above before witnesses were reused
     ("cycle-circulant16-minus-2-edges",
      lambda L: find_hamiltonian_cycle(_input("circulant-16-1-2-4"),
                                       without_edges=[(13, 15), (15, 16)], node_limit=L),
-     28, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
+     20, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 16, 14, 15)),
     ("ftrace1-circulant16",
      lambda L: is_f_fault_traceable(circulant(16, {1, 2}), 1, node_limit=L).verdict, 536, True),
     ("fham1-torus3x3",
@@ -207,13 +208,14 @@ NODE_BUDGETS = [
      lambda L: find_hamiltonian_cycle(torus((3, 3)), without_edges=[(5, 8)], node_limit=L),
      19, (1, 2, 5, 4, 6, 3, 9, 8, 7)),
     ("cycle-petersen23",
-     lambda L: find_hamiltonian_cycle(_input("petersen-23-2"), node_limit=L), 43775, None),
+     lambda L: find_hamiltonian_cycle(_input("petersen-23-2"), node_limit=L), 42353, None),
     # vertex 29 keeps only the neighbours 28 and 1 on the set that fails the
-    # edges (27, 29) and (29, 30), the largest search of the sweep; searching
-    # each cycle in both directions, it did not fit 200000 nodes
+    # edges (27, 29) and (29, 30), the largest search of the sweep; 29 is the
+    # weak vertex from the root of each path on, and a search that forgot it
+    # below the root spent 172931 nodes
     ("fham2-circulant30",
      lambda L: is_f_fault_hamiltonian(circulant(30, {1, 2}), 2, node_limit=L).verdict,
-     172931, True),
+     322, True),
 ]
 
 
@@ -225,37 +227,51 @@ def test_node_budget_is_unchanged(query, limit, expected):
         query(limit - 1)
 
 
-@pytest.mark.parametrize("G", [PETERSEN, torus((3, 3)), circulant(8, {1, 2})],
-                         ids=["petersen5", "torus3x3", "circulant8"])
+# a relabelling of a census graph of order 5: on the path 1, 2, 4 of its
+# cycle search, 3 has had the one usable neighbour 4 since the root of the
+# path from 2, and 5 has just lost 2, so a full check prunes the node; a
+# check of the neighbours of 2 alone sees only 5 and expands it
+WEAK_CARRIED = build_graph(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)])
+
+
+@pytest.mark.parametrize("G", [PETERSEN, torus((3, 3)), circulant(8, {1, 2}), WEAK_CARRIED],
+                         ids=["petersen5", "torus3x3", "circulant8", "census5-weak-carried"])
 def test_a_cycle_search_checks_each_degree_once(G, monkeypatch):
     # `_cycle_search` checks every degree against the survivor graph, so the
     # root of its path from a, the least neighbour of s = 1, checks only the
-    # other neighbours of s, which lost s; below a root, a cycle or fixed-end
-    # search checks the unvisited neighbours of the parent end, the only
-    # vertices that lost a usable neighbour, and a free-end search checks
-    # every unvisited vertex, since any vertex above its start may be the
-    # one with a single usable neighbour
+    # other neighbours of s, which lost s, and a path search's root checks
+    # every unvisited vertex; below a root, every query checks the unvisited
+    # neighbours of the parent end, the only vertices that lost a usable
+    # neighbour, and carries the parent's weak vertex, so every node gets the
+    # verdict of a full check
     calls = []
     feasible = hamiltonian._feasible
-    monkeypatch.setattr(hamiltonian, "_feasible",
-                        lambda adj, check, unvisited, *rest:
-                        calls.append((check, unvisited, rest[-1]))
-                        or feasible(adj, check, unvisited, *rest))
+
+    def recording(adj, check, unvisited, weak, ends, cur, goal):
+        verdict = feasible(adj, check, unvisited, weak, ends, cur, goal)
+        calls.append((check, unvisited, goal, ends, cur, verdict))
+        return verdict
 
     def recorded(query):
         calls.clear()
         query(G)
         return list(calls)
 
+    monkeypatch.setattr(hamiltonian, "_feasible", recording)
     adj, n = _masks(G), G.order
     precheck, *cycle = recorded(find_hamiltonian_cycle)
     assert precheck[0] == (1 << n + 1) - 2 and cycle
     # a root has n - 2 unvisited vertices in a cycle search, n - 1 in a path search
     assert all(check == (adj[1] & unvisited if unvisited.bit_count() == n - 2 else goal)
-               for check, unvisited, goal in cycle)
-    assert all(check == (unvisited if unvisited.bit_count() == n - 1 else goal)
-               for check, unvisited, goal in recorded(lambda G: find_hamiltonian_path(G, (1, 2))))
-    assert all(check == unvisited for check, unvisited, _ in recorded(find_hamiltonian_path))
+               for check, unvisited, goal, *_ in cycle)
+    nodes = list(cycle)
+    for query in (find_hamiltonian_path, lambda G: find_hamiltonian_path(G, (1, 2))):
+        paths = recorded(query)
+        assert all(check == (unvisited if unvisited.bit_count() == n - 1 else goal)
+                   for check, unvisited, goal, *_ in paths)
+        nodes += paths
+    assert all((verdict >= 0) == _reference_feasible(adj, unvisited, ends, cur)
+               for _, unvisited, _, ends, cur, verdict in nodes)
 
 
 class TestFaultEnumeration:
@@ -425,7 +441,7 @@ def test_witnesses_match_brute_force(case, data):
 
 def assert_search_matches_the_recursive_reference(case, query, data):
     # same witness and same nodes spent as the recursive search it replaced,
-    # which floods every unvisited vertex at every node
+    # which checks every degree and floods every unvisited vertex at every node
     G, vertices, edges = case
     adj, alive = _survivors(G, _masks(G), vertices, edges)
     if query == "cycle":
@@ -437,11 +453,8 @@ def assert_search_matches_the_recursive_reference(case, query, data):
             assume(len(survivors) >= 2)
             ends = tuple(data.draw(st.permutations(survivors))[:2])
         searches, extra = (_path_search, reference_path_search), (ends,)
-    outcomes = []
-    for search in searches:
-        budget = _Budget(10 ** 6, query)
-        outcomes.append((search(adj, alive, budget, *extra), budget.limit - budget.remaining))
-    assert outcomes[0] == outcomes[1]
+    search, reference = searches
+    assert nodes_spent(search, adj, alive, *extra) == nodes_spent(reference, adj, alive, *extra)
 
 
 QUERIES = st.sampled_from(["cycle", "path", "ends"])
