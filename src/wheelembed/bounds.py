@@ -68,6 +68,16 @@ class BoundReport(Record):
                           witness=witness, notes=notes, host=host)
 
 
+_VALUE_FIELD = dict(dilation="max_dilation", congestion="max_congestion", wirelength="wirelength")
+
+
+def _attained(metric: str, bound: int, witness: EmbeddingMap, notes: str) -> BoundReport:
+    """The verdict on a construction: sharp exactly when its metric value equals the bound."""
+    achieved = getattr(evaluate(witness), _VALUE_FIELD[metric])
+    return BoundReport(metric=metric, bound=bound, achieved=achieved, sharp=achieved == bound,
+                       witness=witness, notes=notes, host=witness.host.name)
+
+
 def _require_universal(G: Graph) -> None:
     if has_universal_vertex(G) is None:
         raise ValueError("guest has no universal vertex (domination number exceeds 1), "
@@ -88,12 +98,8 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
     except ValueError:
         raise ValueError("dilation bound requires a connected host") from None
     if r == d:
-        witness = route_shortest(G, H, {v: v for v in G.vertices()})
-        achieved = evaluate(witness).max_dilation
-        return BoundReport(
-            metric="dilation", bound=r, achieved=achieved, sharp=achieved == r,
-            witness=witness, host=H.name,
-            notes=f"host radius equals diameter {d}; shortest routing attains the bound")
+        return _attained("dilation", r, route_shortest(G, H, {v: v for v in G.vertices()}),
+                         f"host radius equals diameter {d}; shortest routing attains the bound")
     return BoundReport(metric="dilation", bound=r, host=H.name,
                        notes=f"host radius {r}, diameter {d}")
 
@@ -140,10 +146,7 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
     except HostNotHamiltonianError as exc:
         return BoundReport(metric="wirelength", bound=bound, sharp=False, host=H.name,
                            notes=f"status {delta}; {exc}")
-    achieved = evaluate(witness).wirelength
-    return BoundReport(metric="wirelength", bound=bound, achieved=achieved,
-                       sharp=achieved == bound, witness=witness, host=H.name,
-                       notes=f"median {witness.vmap[1]}, status {delta}")
+    return _attained("wirelength", bound, witness, f"median {witness.vmap[1]}, status {delta}")
 
 
 def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
@@ -172,29 +175,19 @@ def verify_theorem(theorem_id: str, value, *, kind: Optional[str] = None,
     if tree is not None:  # dilation
         host = families.build_family(tree, [value])
         r, _ = radius_diameter(host)
-        notes = f"claimed dilation {value - 1}; host radius {r}"
-        if r != value - 1:
-            notes += " (radius differs from the claimed level-1 value)"
-        reports = {}
-        for guest_kind in [kind] if kind else GUEST_KINDS:
-            emb = embed_wheel_like_into_tree_host(_hub_guest(guest_kind, host.order), host)
-            achieved = evaluate(emb).max_dilation
-            reports[guest_kind] = BoundReport(metric="dilation", bound=r, achieved=achieved,
-                                              sharp=achieved == r, witness=emb, notes=notes,
-                                              host=host.name)
-        return reports
+        notes = f"claimed dilation {value - 1}; host radius {r}" + (
+            "" if r == value - 1 else " (radius differs from the claimed level-1 value)")
+        return {guest_kind: _attained("dilation", r, embed_wheel_like_into_tree_host(
+                    _hub_guest(guest_kind, host.order), host), notes)
+                for guest_kind in ([kind] if kind else GUEST_KINDS)}
 
     if axis == "n":  # congestion
         emb = embed_windmill_into_circulant(families.windmill(2 ** (value - 1)),
                                             families.circulant(2 ** value, {1, 2 ** (value - 2)}))
         report = congestion_lower_bound(emb.guest, emb.host)
-        achieved = evaluate(emb).max_congestion
-        notes = f"claimed congestion {2 ** (value - 2)}; {report.notes}"
-        if value == 3:
-            notes += "; smallest order, outside the stated large-n regime"
-        return {"windmill": BoundReport(metric="congestion", bound=report.bound,
-                                        achieved=achieved, sharp=achieved == report.bound,
-                                        witness=emb, notes=notes, host=report.host)}
+        notes = f"claimed congestion {2 ** (value - 2)}; {report.notes}" + (
+            "; smallest order, outside the stated large-n regime" if value == 3 else "")
+        return {"windmill": _attained("congestion", report.bound, emb, notes)}
 
     # wirelength, on a given host or on C_n{1,2}
     host = families.circulant(value, {1, 2}) if isinstance(value, int) else value

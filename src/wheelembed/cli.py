@@ -103,18 +103,13 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _edge_label(u: int, v: int) -> str:
-    return f"{u}-{v}" if u < v else f"{v}-{u}"
-
-
 def embedding_to_json(emb: EmbeddingMap, method: str = "") -> str:
     payload = {
         "guest": emb.guest.name,
         "host": emb.host.name,
         "method": method,
         "vmap": [emb.vmap[g] for g in emb.guest.vertices()],
-        "routes": {_edge_label(u, v): list(route)
-                   for (u, v), route in emb.routes.items()},
+        "routes": {f"{u}-{v}": list(route) for (u, v), route in emb.routes.items()},
     }
     return _dump(payload)
 
@@ -151,14 +146,14 @@ def embedding_from_json(guest: Graph, host: Graph, text: str) -> EmbeddingMap:
 
 
 def export_dot(G: Graph, congestion: Optional[dict[tuple[int, int], int]] = None) -> str:
-    """Deterministic DOT rendering; optional congestion counts as edge labels."""
+    """Deterministic DOT rendering; optional congestion counts, one per edge, as edge labels."""
     title = (G.name or "graph").replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{title}" {{']
     for v in G.vertices():
         lines.append(f"  {v};")
     for u, v in G.edge_list():
         if congestion is not None:
-            lines.append(f'  {u} -- {v} [label="{congestion.get((u, v), 0)}"];')
+            lines.append(f'  {u} -- {v} [label="{congestion[u, v]}"];')
         else:
             lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -171,9 +166,9 @@ def _metrics_payload(emb: EmbeddingMap) -> dict:
         "max_dilation": metrics.max_dilation,
         "max_congestion": metrics.max_congestion,
         "wirelength": metrics.wirelength,
-        "dilation_per_edge": {_edge_label(u, v): d
+        "dilation_per_edge": {f"{u}-{v}": d
                               for (u, v), d in sorted(metrics.dil_per_edge.items())},
-        "congestion_per_edge": {_edge_label(u, v): c
+        "congestion_per_edge": {f"{u}-{v}": c
                                 for (u, v), c in sorted(metrics.cong_per_edge.items())},
     }
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import connected_graphs, record_bfs
+from wheelembed import bounds as bounds_mod
 from wheelembed import graphs as graphs_mod
 from wheelembed.bounds import (
     GUEST_KINDS,
@@ -176,6 +177,20 @@ class TestVerifyTheorem:
         [report] = verify_theorem("dil-hypertree", 4, kind="star").values()
         assert (report.bound, report.achieved, report.sharp) == (3, 3, True)
 
+    def test_radius_that_differs_from_the_claim_is_noted(self, monkeypatch):
+        # the bound is the host radius, whatever the claim says
+        radius_diameter = bounds_mod.radius_diameter
+
+        def radius_one_above(H):
+            r, d = radius_diameter(H)
+            return r + 1, d
+
+        monkeypatch.setattr(bounds_mod, "radius_diameter", radius_one_above)
+        [report] = verify_theorem("dil-hypertree", 4, kind="wheel").values()
+        assert (report.bound, report.achieved, report.sharp) == (4, 3, False)
+        assert report.notes == ("claimed dilation 3; host radius 4 "
+                                "(radius differs from the claimed level-1 value)")
+
     def test_dilation_sweep_runs_no_bfs(self, monkeypatch):
         # the radius and its connectivity verdict come from the ball pass,
         # the routes from their own trees
@@ -258,11 +273,17 @@ class TestVerifyTheorem:
         assert rejected == 7
 
     def test_achieved_never_below_bound(self):
+        # achieved is the witness's own value of the report's metric
+        field = {"dilation": "max_dilation", "congestion": "max_congestion",
+                 "wirelength": "wirelength"}
         reports = [
             *verify_theorem("dil-hypertree", 4, kind="fan").values(),
             *verify_theorem("ec-windmill", 4).values(),
             *verify_theorem("wl-wheel", circulant(9, {1, 2})).values(),
+            *verify_theorem("wl-fan", 8).values(),
         ]
         for report in reports:
             assert report.achieved >= report.bound
             assert report.sharp == (report.achieved == report.bound)
+            assert report.achieved == getattr(evaluate(report.witness), field[report.metric])
+            assert report.host == report.witness.host.name

@@ -653,6 +653,7 @@ class TestExport:
         assert code == 0
         labels = [int(part.split('"')[1]) for part in out.splitlines() if "label" in part]
         assert sum(labels) == wirelength
+        assert len(labels) == len(circulant(8, {1, 2}).edges)  # an unused edge reads 0
 
     def test_title_escapes_quote_and_backslash(self, capsys, tmp_path):
         from wheelembed.graphs import build_graph

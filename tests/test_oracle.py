@@ -230,7 +230,8 @@ class TestDeterminismAndPruning:
 
 class TestAssignmentBound:
     """Nodes the search expands (pushes onto its stack, leaves included) on
-    the benchmark's wirelength instances and the level-4 dilation theorems.
+    the benchmark's wirelength instances and the level-4 dilation theorems,
+    and on four congestion instances with their leaves.
     Charging each placed vertex for its unplaced neighbors by the free
     distances from its image needs a handful of nodes per level; one per
     unclosed edge needed 1 362 387, 206 303 and 111 075 wirelength nodes, and
@@ -248,6 +249,21 @@ class TestAssignmentBound:
     def test_node_count(self, guest, host, minimax, nodes):
         dist = _check_instance(guest, host, guest.order)
         assert _run_partitioned(guest, dist, 1, minimax=minimax)[4] == nodes
+
+    @pytest.mark.parametrize("guest,host,nodes,search_space", [
+        (wheel(9), circulant(9, {1, 3}), 10, 1),
+        (wheel(9), torus([3, 3]), 10, 1),
+        (windmill(4), circulant(8, {1, 2}), 9, 1),
+        (star(7), complete_binary_tree(3), 3922, 1441),
+    ])
+    def test_congestion_node_count(self, monkeypatch, guest, host, nodes, search_space):
+        # exact_congestion drops the node count, so a spy on the search reads it
+        counts = []
+        monkeypatch.setattr("wheelembed.oracle._run_partitioned",
+                            lambda *args, **kwargs: counts.append(
+                                _run_partitioned(*args, **kwargs)) or counts[-1])
+        result = exact_congestion(guest, host)
+        assert (counts[-1][4], result.search_space) == (nodes, search_space)
 
 
 class TestPlacementTables:

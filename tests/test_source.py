@@ -129,3 +129,21 @@ def test_only_main_writes_a_commands_output():
                     or isinstance(node, ast.Attribute) and node.attr == "stdout"):
                 found.append(f"cli.py:{node.lineno} {func.name}")
     assert not found, f"output written outside main: {', '.join(found)}"
+
+
+def test_one_function_judges_a_construction():
+    # `bounds._attained` alone evaluates a construction and builds the report
+    # that carries it as witness, so every claim reads its value and judges it
+    # sharp by one rule
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == "_attained"
+              for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        name = (getattr(node.func, "id", getattr(node.func, "attr", None))
+                if isinstance(node, ast.Call) and id(node) not in inside else None)
+        if name == "evaluate" or name == "BoundReport" and any(
+                keyword.arg == "witness" for keyword in node.keywords):
+            found.append(f"bounds.py:{node.lineno}")
+    assert not found, f"a construction judged outside _attained: {', '.join(found)}"
