@@ -20,8 +20,8 @@ from .embedding import (
     evaluate,
     route_shortest,
 )
-from .graphs import (Graph, Record, has_universal_vertex, is_connected, max_degree,
-                     radius_diameter, require_equal_orders, status_and_median)
+from .graphs import (Graph, Record, has_universal_vertex, max_degree, radius_diameter,
+                     require_connected, require_equal_orders, status_and_median)
 
 # the claimed-sharp theorems: id -> (the parameter of one instance, its least
 # value, the tree host kind of a dilation theorem, the options it reads besides
@@ -93,10 +93,8 @@ def dilation_lower_bound(G: Graph, H: Graph) -> BoundReport:
     """
     require_equal_orders(G, H)
     _require_universal(G)
-    try:  # the ball pass that yields the radius also decides connectivity
-        r, d = radius_diameter(H)
-    except ValueError:
-        raise ValueError("dilation bound requires a connected host") from None
+    require_connected(H, "dilation bound")
+    r, d = radius_diameter(H)
     if r == d:
         return _attained("dilation", r, route_shortest(G, H, {v: v for v in G.vertices()}),
                          f"host radius equals diameter {d}; shortest routing attains the bound")
@@ -111,8 +109,7 @@ def congestion_lower_bound(G: Graph, H: Graph) -> BoundReport:
     delta = max_degree(H)
     if delta == 0:
         raise ValueError("host has no edges")
-    if not is_connected(H):
-        raise ValueError("congestion bound requires a connected host")
+    require_connected(H, "congestion bound")
     n = G.order
     bound = -((n - 1) // -delta)
     return BoundReport(metric="congestion", bound=bound, host=H.name,
@@ -132,10 +129,8 @@ def wirelength_lower_bound(kind: str, H: Graph, *,
     """
     if kind not in WIRELENGTH_KINDS:
         raise ValueError(f"kind must be {' or '.join(map(repr, WIRELENGTH_KINDS))}, got {kind!r}")
-    try:  # the ball pass that yields the status also decides connectivity
-        _, delta = status_and_median(H)
-    except ValueError:
-        raise ValueError("wirelength bound requires a connected host") from None
+    require_connected(H, "wirelength bound")
+    _, delta = status_and_median(H)
     try:  # the family owns the kind's least order
         guest = _hub_guest(kind, H.order)
     except ValueError as exc:

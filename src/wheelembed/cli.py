@@ -12,7 +12,6 @@ seeds) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from typing import Optional
@@ -29,7 +28,7 @@ from .embedding import (
     evaluate,
     route_shortest,
 )
-from .graphs import Graph, graph_from_json, graph_to_json, parse_json
+from .graphs import Graph, dump_json, graph_from_json, graph_to_json, parse_json
 from .hamiltonian import (
     SearchBudgetExceeded,
     find_hamiltonian_cycle,
@@ -99,10 +98,6 @@ def _load_graph(path: str) -> Graph:
     return _read(path, graph_from_json)
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def embedding_to_json(emb: EmbeddingMap, method: str = "") -> str:
     payload = {
         "guest": emb.guest.name,
@@ -111,7 +106,7 @@ def embedding_to_json(emb: EmbeddingMap, method: str = "") -> str:
         "vmap": [emb.vmap[g] for g in emb.guest.vertices()],
         "routes": {f"{u}-{v}": list(route) for (u, v), route in emb.routes.items()},
     }
-    return _dump(payload)
+    return dump_json(payload)
 
 
 def _is_vertex_list(value) -> bool:
@@ -234,7 +229,7 @@ def _cmd_metrics(args) -> str:
                 "max_congestion": metrics.max_congestion,
             })
         if args.format == "json":
-            return _dump({"seed": seed, "samples": samples})
+            return dump_json({"seed": seed, "samples": samples})
         lines = [f"seed {seed}"]
         for s in samples:
             lines.append(f"sample {s['index']:>3}: wirelength {s['wirelength']:>5}  "
@@ -245,7 +240,7 @@ def _cmd_metrics(args) -> str:
     _reject_unread(args, "metrics --embedding", "seed")
     emb = _read(args.embedding, lambda text: embedding_from_json(guest, host, text))
     payload = _metrics_payload(emb)
-    return _dump(payload) if args.format == "json" else _metrics_text(payload)
+    return dump_json(payload) if args.format == "json" else _metrics_text(payload)
 
 
 def _cmd_bound(args) -> str:
@@ -267,7 +262,7 @@ def _cmd_bound(args) -> str:
             report = bounds_mod.congestion_lower_bound(guest, host)
     payload = _bound_payload(report)
     if args.format == "json":
-        return _dump(payload)
+        return dump_json(payload)
     return "".join(f"{key:>9}: {value}\n" for key, value in payload.items())
 
 
@@ -312,7 +307,7 @@ def _verify_rows(args) -> list[dict]:
 def _cmd_verify(args) -> str:
     rows = _verify_rows(args)
     if args.format == "json":
-        return _dump(rows)
+        return dump_json(rows)
     params = [key for key in rows[0] if key not in ("metric", "bound", "achieved", "sharp", "notes")]
     # a parameter column is 10 wide, or as wide as its longest cell or header
     widths = [max(10, len(p), *(len(str(row[p])) for row in rows)) for p in params]
@@ -331,7 +326,7 @@ def _cmd_ham(args) -> str:
     # witnesses, fault sets and pairs are tuples, which JSON writes as lists
     if args.query == "cycle":
         witness = find_hamiltonian_cycle(G, node_limit=args.node_limit)
-        return _dump({"query": args.query, "verdict": witness is not None, "witness": witness})
+        return dump_json({"query": args.query, "verdict": witness is not None, "witness": witness})
     if args.query == "path":
         ends = None
         if args.ends:
@@ -342,7 +337,7 @@ def _cmd_ham(args) -> str:
                                  f"got {args.ends!r}") from None
             ends = (u, v)
         witness = find_hamiltonian_path(G, ends, node_limit=args.node_limit)
-        return _dump({"query": args.query, "verdict": witness is not None, "witness": witness})
+        return dump_json({"query": args.query, "verdict": witness is not None, "witness": witness})
     checker = is_f_fault_hamiltonian if args.query == "ffault-ham" else is_f_fault_traceable
     f = 1 if args.f is None else args.f
     report = checker(G, f, node_limit=args.node_limit)
@@ -352,7 +347,7 @@ def _cmd_ham(args) -> str:
                                                             "edges": fault[1]}}
     if args.query == "ffault-trace":
         payload["failing_pair"] = report.failing_pair
-    return _dump(payload)
+    return dump_json(payload)
 
 
 def _cmd_oracle(args) -> str:
@@ -362,7 +357,7 @@ def _cmd_oracle(args) -> str:
     host = _load_graph(args.host)
     cap = {} if args.route_cap is None else {"route_cap": args.route_cap}
     result = ORACLES[args.metric](guest, host, args.limit, jobs=args.jobs, **cap)
-    return _dump(vars(result))
+    return dump_json(vars(result))
 
 
 def _cmd_export(args) -> str:
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a family instance as graph JSON")
     p.add_argument("family", choices=families.FAMILY_KINDS)
     p.add_argument("params", nargs="+", type=int)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("embed", help="construct an embedding between two graphs")
@@ -399,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--method", required=True, choices=EMBED_METHODS)
     p.add_argument("--node-limit", type=_positive)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("metrics", help="evaluate dilation/congestion/wirelength")
@@ -410,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate this many seeded random bijections instead")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("bound", help="lower bounds with sharpness verdicts")
@@ -420,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=bounds_mod.WIRELENGTH_KINDS)
     p.add_argument("--node-limit", type=_positive)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("verify", help="check a claimed-sharp bound over instances")
@@ -432,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="inclusive range A..B of levels / n / host orders")
     p.add_argument("--node-limit", type=_positive)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("ham", help="hamiltonicity and fault-tolerance queries")
@@ -442,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int, help="failures per fault set (default 1)")
     p.add_argument("--ends", help="u,v endpoints for path queries")
     p.add_argument("--node-limit", type=_positive)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_ham)
 
     p = sub.add_parser("oracle", help="exhaustive exact optimum over all bijections")
@@ -453,16 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive, default=1, help="worker processes")
     p.add_argument("--route-cap", type=_positive,
                    help=f"--metric ec only (default {oracle.DEFAULT_ROUTE_CAP})")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("export", help="DOT rendering, optionally congestion-annotated")
     p.add_argument("--graph", required=True)
     p.add_argument("--embedding")
     p.add_argument("--guest")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_export)
 
+    for p in sub.choices.values():  # each subcommand's last option
+        p.add_argument("--out")
     return parser
 
 

@@ -17,7 +17,8 @@ from itertools import chain
 from operator import ne
 from typing import Optional
 
-from .graphs import Graph, Record, bfs_parents, require_equal_orders, status_and_median
+from .graphs import (Graph, Record, bfs_parents, require_connected, require_equal_orders,
+                     status_and_median)
 from .hamiltonian import find_hamiltonian_cycle, find_hamiltonian_path
 
 
@@ -325,10 +326,8 @@ def _embed_via_median(guest: Graph, host: Graph, find, what: str,
     leaves a spanning `what` (cycle or path) that `find` returns; guest
     vertices 2..n along it, every guest edge on a shortest host path."""
     require_equal_orders(guest, host)
-    try:  # the ball pass that yields the medians also decides connectivity
-        medians, _ = status_and_median(host)
-    except ValueError:
-        raise ValueError("median construction requires a connected host") from None
+    require_connected(host, "median construction")
+    medians, _ = status_and_median(host)
     for hub_image in medians:
         rim = find(host, without_vertices=(hub_image,), node_limit=node_limit)
         if rim is not None:

@@ -136,6 +136,12 @@ def require_equal_orders(guest: Graph, host: Graph) -> None:
                          f"got {guest.order} vs {host.order}")
 
 
+def require_connected(host: Graph, what: str) -> None:
+    """Every bound, median construction and oracle here needs a connected host."""
+    if not is_connected(host):
+        raise ValueError(f"{what} requires a connected host")
+
+
 def bfs_parents(G: Graph, source: int, targets: Optional[Iterable[int]] = None) -> dict[int, int]:
     """The package's one adjacency BFS: each vertex reached from `source`
     mapped to its parent (the source to 0, which names no vertex), in the
@@ -293,6 +299,11 @@ def graph_to_json(G: Graph) -> str:
         "order": G.order,
         "edges": [[u, v] for u, v in G.edge_list()],
     }
+    return dump_json(payload)
+
+
+def dump_json(payload) -> str:
+    """The package's one JSON writer: sorted keys, two-space indents, a final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 
-from .graphs import Graph, Record, all_pairs_distances, edge_key, require_equal_orders
+from .graphs import (Graph, Record, all_pairs_distances, edge_key, require_connected,
+                     require_equal_orders)
 
 DEFAULT_LIMIT = 9
 DEFAULT_ROUTE_CAP = 10 ** 6
@@ -50,10 +51,8 @@ def _check_instance(guest: Graph, host: Graph, limit: int) -> list[tuple[int, ..
     require_equal_orders(guest, host)
     if guest.order > limit:
         raise ValueError(f"order {guest.order} exceeds the oracle limit {limit}")
-    dist = all_pairs_distances(host)
-    if min(dist[1]) < 0:
-        raise ValueError("oracle requires a connected host")
-    return dist
+    require_connected(host, "oracle")
+    return all_pairs_distances(host)
 
 
 def _placement_tables(guest: Graph):

@@ -1,6 +1,8 @@
 """Shared hypothesis strategies and small brute-force oracles for the tests."""
 
+import functools
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -10,13 +12,13 @@ from itertools import chain, combinations, permutations, product
 from hypothesis import strategies as st
 
 from wheelembed import graphs as graphs_mod
-from wheelembed.bounds import wirelength_lower_bound
+from wheelembed.bounds import dilation_lower_bound, wirelength_lower_bound
 from wheelembed.families import build_family
 from wheelembed.graphs import (Graph, build_graph, edge_key, radius_diameter,
                                single_source_distances, status_and_median)
 from wheelembed.hamiltonian import (_Budget, _cycle_search, _masks, _path_search, _survivors,
                                     find_hamiltonian_cycle, find_hamiltonian_path)
-from wheelembed.oracle import exact_wirelength
+from wheelembed.oracle import exact_dilation, exact_wirelength
 
 
 @st.composite
@@ -679,13 +681,15 @@ def hamiltonian_column(G: Graph):
     return None
 
 
-def hub_tour_wirelength(kind: str, H: Graph) -> int:
-    """The least wirelength of the wheel or fan (`kind`) of H's order on H,
-    as a tour problem: the hub on u costs status(u) for its spokes, and the
-    rim is a tour of V - u under the host distances, closed for a wheel and
-    open for a fan. A Held-Karp bitmask DP gives the least tour: cost[mask][j]
-    is the least walk through the rim vertices of `mask` that ends at the
-    j-th, started at the first one (closed) or at any one (open)."""
+def _hub_tour(kind: str, H: Graph, join) -> int:
+    """The least cost of the wheel or fan (`kind`) of H's order on H, as a
+    tour problem, where `join` adds two costs: `operator.add` for
+    wirelength, `max` for dilation. The hub on u costs the join of its
+    distances to all others for its spokes, and the rim is a tour of V - u
+    under the host distances, closed for a wheel and open for a fan. A
+    Held-Karp bitmask DP gives the least tour: cost[mask][j] is the least
+    walk through the rim vertices of `mask` that ends at the j-th, started
+    at the first one (closed) or at any one (open)."""
     dist = brute_distances(H)
     best = math.inf
     for u in H.vertices():
@@ -698,12 +702,25 @@ def hub_tour_wirelength(kind: str, H: Graph) -> int:
             for j, here in enumerate(cost[mask]):
                 for k in range(m):
                     if here < math.inf and not mask >> k & 1:
-                        step = here + dist[rim[j], rim[k]]
+                        step = join(here, dist[rim[j], rim[k]])
                         cost[mask | 1 << k][k] = min(cost[mask | 1 << k][k], step)
         closing = [dist[v, rim[0]] if kind == "wheel" else 0 for v in rim]
-        tour = min(c + back for c, back in zip(cost[-1], closing))
-        best = min(best, sum(dist[u, v] for v in rim) + tour)
+        tour = min(join(c, back) for c, back in zip(cost[-1], closing))
+        best = min(best, join(functools.reduce(join, (dist[u, v] for v in rim)), tour))
     return best
+
+
+def hub_tour_wirelength(kind: str, H: Graph) -> int:
+    """The least wirelength of the wheel or fan (`kind`) of H's order on H:
+    the hub's status plus the least total length of a rim tour."""
+    return _hub_tour(kind, H, operator.add)
+
+
+def hub_tour_dilation(kind: str, H: Graph) -> int:
+    """The least dilation of the wheel or fan (`kind`) of H's order on H:
+    the larger of the hub's eccentricity and the least bottleneck of a rim
+    tour, its longest step."""
+    return _hub_tour(kind, H, max)
 
 
 def wirelength_column(H: Graph):
@@ -716,6 +733,22 @@ def wirelength_column(H: Graph):
         optimum = exact_wirelength(build_family(kind, [H.order]), H).optimum
         report = wirelength_lower_bound(kind, H)
         if optimum != want or report.bound > want or report.sharp != (want == report.bound):
+            return (f"{H.edge_list()} {kind}: oracle {optimum}, tour DP {want}, "
+                    f"bound {report.bound}, sharp {report.sharp}")
+    return None
+
+
+def dilation_column(H: Graph):
+    """The census's dilation column: None when, for the wheel and the fan of
+    H's order, `exact_dilation` equals `hub_tour_dilation`, the dilation
+    bound does not exceed that optimum and equals it when it claims to be
+    sharp; else a line naming H, the kind and the values."""
+    for kind in ("wheel", "fan"):
+        want = hub_tour_dilation(kind, H)
+        guest = build_family(kind, [H.order])
+        optimum = exact_dilation(guest, H).optimum
+        report = dilation_lower_bound(guest, H)
+        if optimum != want or report.bound > want or report.sharp and report.bound != want:
             return (f"{H.edge_list()} {kind}: oracle {optimum}, tour DP {want}, "
                     f"bound {report.bound}, sharp {report.sharp}")
     return None

@@ -1,14 +1,14 @@
 """Every connected graph of small order, up to isomorphism, as a census that
 each rule checks as one more column; CI steps under python -O run the
-distance column at order 8 and the hamiltonian and wirelength columns at
-order 7, here they run up to orders 7, 6 and 6."""
+distance column at order 8 and the hamiltonian, wirelength and dilation
+columns at order 7, here they run up to orders 7, 6, 6 and 6."""
 
 import random
 
 import pytest
 
-from helpers import (canonical_edges, connected_census, distance_column, hamiltonian_column,
-                     relabelled, wirelength_column)
+from helpers import (canonical_edges, connected_census, dilation_column, distance_column,
+                     hamiltonian_column, relabelled, wirelength_column)
 from wheelembed.graphs import is_connected
 
 # OEIS A001349: connected graphs on n unlabelled vertices, n = 1..7
@@ -56,4 +56,12 @@ def test_wirelength_column(census):
     # bound's sharp flag against the optimum, on every host of order 4-6
     failures = [fault for level in census[3:6] for H in level
                 if (fault := wirelength_column(H))]
+    assert failures == []
+
+
+def test_dilation_column(census):
+    # wheel and fan dilation: the oracle against the bottleneck tour DP, and
+    # the bound against the optimum, on every host of order 4-6
+    failures = [fault for level in census[3:6] for H in level
+                if (fault := dilation_column(H))]
     assert failures == []

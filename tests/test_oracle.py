@@ -78,6 +78,18 @@ class TestExactDilation:
         with pytest.raises(ValueError, match="connected"):
             exact_dilation(path(4), build_graph(4, [(1, 2), (3, 4)]))
 
+    @pytest.mark.parametrize("solve", [exact_dilation, exact_congestion, exact_wirelength])
+    def test_disconnected_host_rejected_before_distance_rows(self, monkeypatch, solve):
+        # connectivity is read off the edges, so no all-pairs row is built
+        calls = []
+        monkeypatch.setattr("wheelembed.oracle.all_pairs_distances",
+                            lambda G: calls.append(G) or all_pairs_distances(G))
+        with pytest.raises(ValueError, match=r"^oracle requires a connected host$"):
+            solve(path(4), build_graph(4, [(1, 2), (3, 4)]))
+        assert calls == []
+        solve(path(4), cycle(4))
+        assert calls == [cycle(4)]
+
 
 class TestExactWirelength:
     def test_square_into_path(self):

@@ -147,3 +147,35 @@ def test_one_function_judges_a_construction():
                 keyword.arg == "witness" for keyword in node.keywords):
             found.append(f"bounds.py:{node.lineno}")
     assert not found, f"a construction judged outside _attained: {', '.join(found)}"
+
+
+def test_one_function_raises_the_connected_host_error():
+    # `graphs.require_connected` is the one check every bound, median
+    # construction and oracle calls before it reads a host distance
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{func.name}" for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func) if isinstance(node, ast.Raise)
+                  and any("connected host" in s for s in _string_constants(node))]
+    assert found == ["graphs.py:require_connected"]
+
+
+def test_one_function_writes_json_text():
+    # `graphs.dump_json` alone fixes the key order, indent and final newline
+    # that byte-identical reports depend on
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{func.name}" for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dumps"]
+    assert found == ["graphs.py:dump_json"]
+
+
+def test_the_cli_declares_out_once():
+    # one loop adds --out to every subcommand, as its last option
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _string_constants(tree).count("--out") == 1
